@@ -1,0 +1,10 @@
+"""Make ``repro`` importable without an install (as ``bench.run`` does)."""
+
+import os
+import sys
+
+_SRC = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "..", "src"
+)
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
