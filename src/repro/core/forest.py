@@ -41,44 +41,10 @@ from .partition import (
     SpeedPartitioner,
     make_partitioner,
 )
-from .tree import LeafEntry, MovingObjectTree, TreeAudit, TreeSnapshot
+from .tree import EntrySnapshot, LeafEntry, MovingObjectTree, TreeAudit
 
 #: File name of the forest manifest inside a durable-forest directory.
 MANIFEST_FILENAME = "forest.json"
-
-
-class ForestSnapshot:
-    """Read-only copies of every member tree's committed page set.
-
-    The forest-level counterpart of
-    :class:`~repro.core.tree.TreeSnapshot`: queries fan out over the
-    member snapshots and concatenate, mirroring the live forest (each
-    object lives in exactly one member, so concatenation preserves the
-    answer multiset).
-    """
-
-    __slots__ = ("members", "taken_at")
-
-    def __init__(self, members: Sequence[TreeSnapshot], taken_at: float):
-        self.members = tuple(members)
-        self.taken_at = taken_at
-
-    def leaf_entries(self):
-        """Iterate over all ``(point, oid)`` leaf entries of all members."""
-        for member in self.members:
-            yield from member.leaf_entries()
-
-    @property
-    def leaf_entry_count(self) -> int:
-        """Physical leaf entries captured across all members."""
-        return sum(member.leaf_entry_count for member in self.members)
-
-    def query(self, query: SpatioTemporalQuery) -> List[int]:
-        """Fan the query out over the member snapshots and merge."""
-        results: List[int] = []
-        for member in self.members:
-            results.extend(member.query(query))
-        return results
 
 
 def _partitioner_manifest(partitioner: Partitioner) -> dict:
@@ -424,10 +390,19 @@ class PartitionedMovingObjectForest:
         for tree in self.trees:
             tree.close()
 
-    def snapshot(self) -> ForestSnapshot:
-        """Snapshot every member for degraded reads (no I/O charged)."""
-        return ForestSnapshot(
-            [tree.snapshot() for tree in self.trees], self.now
+    def snapshot(self) -> EntrySnapshot:
+        """Snapshot every member for degraded reads (no I/O charged).
+
+        Member entry sets concatenate in member order, mirroring the
+        live forest's fan-out (each object lives in exactly one member).
+        """
+        return EntrySnapshot(
+            (
+                entry
+                for tree in self.trees
+                for entry in tree.snapshot().leaf_entries()
+            ),
+            self.now,
         )
 
     # -- observability ------------------------------------------------------
@@ -723,19 +698,7 @@ class PartitionedMovingObjectForest:
 
     def audit(self) -> TreeAudit:
         """Forest-wide structural census (entry counts summed over members)."""
-        audits = self.partition_audits()
-        return TreeAudit(
-            height=max(audit.height for audit in audits),
-            nodes=sum(audit.nodes for audit in audits),
-            leaf_entries=sum(audit.leaf_entries for audit in audits),
-            expired_leaf_entries=sum(
-                audit.expired_leaf_entries for audit in audits
-            ),
-            internal_entries=sum(audit.internal_entries for audit in audits),
-            expired_internal_entries=sum(
-                audit.expired_internal_entries for audit in audits
-            ),
-        )
+        return TreeAudit.merged(self.partition_audits())
 
     def check_invariants(self) -> None:
         """Raise AssertionError on structural violations in any member."""

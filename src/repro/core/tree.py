@@ -28,8 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 from ..geometry import kernels as _kernels
 from ..geometry.bounding import compute_tpbr
 from ..geometry.kernels import (
-    batch_region_intersects,
-    batch_region_matches,
     multi_query_hits,
     pack_points,
     pack_queries,
@@ -59,8 +57,12 @@ from .clock import SimulationClock
 from .config import TreeConfig
 from .horizon import HorizonTracker
 
-#: Tolerance for the point-in-rectangle pruning used by deletions.
+#: Tolerance for the point-in-rectangle pruning used by deletions: an
+#: absolute floor, and a relative slack for what the page codec's
+#: binary32 rounding (half an ulp, 2**-24 relative, on each of a
+#: bound's coordinates and velocities) can move a reopened bound by.
 _DELETE_EPS = 1e-6
+_DELETE_REL_EPS = 2.0 ** -21
 
 LeafEntry = Tuple[MovingPoint, int]
 Orphan = Tuple[Tuple[object, object], int]  # ((region, value), level)
@@ -84,40 +86,56 @@ class TreeAudit:
             return 0.0
         return self.expired_leaf_entries / self.leaf_entries
 
+    @classmethod
+    def merged(cls, audits: Sequence["TreeAudit"]) -> "TreeAudit":
+        """The census of several member trees: tallest height, summed counts."""
+        return cls(
+            height=max(audit.height for audit in audits),
+            nodes=sum(audit.nodes for audit in audits),
+            leaf_entries=sum(audit.leaf_entries for audit in audits),
+            expired_leaf_entries=sum(
+                audit.expired_leaf_entries for audit in audits
+            ),
+            internal_entries=sum(audit.internal_entries for audit in audits),
+            expired_internal_entries=sum(
+                audit.expired_internal_entries for audit in audits
+            ),
+        )
 
-class TreeSnapshot:
-    """An isolated, read-only copy of a tree's committed page set.
 
-    Produced by :meth:`MovingObjectTree.snapshot` for degraded serving:
-    answering queries while the live store is failing must not touch
-    storage at all, so the snapshot holds independent full-precision
-    copies of every reachable node (entry tuples are immutable; only
-    the per-node entry lists are copied).  Queries are answered by a
-    brute-force scan of the leaf entries through the same
-    expiration-clipping predicate the tree uses, so a snapshot answer
-    equals the answer the tree itself would have given at snapshot
-    time — TR-82's bounded-staleness argument then says a *later* query
-    served from it can only over-report objects whose expiration
-    windows still cover the query interval.
+class EntrySnapshot:
+    """An isolated, read-only copy of an index's leaf entries.
+
+    Produced by ``snapshot()`` on every index shape — a tree, a forest,
+    a sharded forest, a replica — for degraded serving: answering
+    queries while the live store is failing must not touch storage at
+    all, so the snapshot holds its own list of the (immutable)
+    full-precision entry tuples.  Queries are answered by a brute-force
+    scan through the same expiration-clipping predicate the tree uses,
+    so a snapshot answer equals the answer the index itself would have
+    given at snapshot time — TR-82's bounded-staleness argument then
+    says a *later* query served from it can only over-report objects
+    whose expiration windows still cover the query interval.
+
+    ``applied_op_seq`` is set only by a replica: how far it had applied
+    when the snapshot was cut (``None`` for a primary's own snapshot).
     """
 
-    __slots__ = ("root_pid", "pages", "taken_at")
+    __slots__ = ("entries", "taken_at", "applied_op_seq")
 
-    def __init__(self, root_pid: PageId, pages: dict, taken_at: float):
-        self.root_pid = root_pid
-        self.pages = pages
+    def __init__(self, entries, taken_at: float, applied_op_seq=None):
+        self.entries: List[LeafEntry] = list(entries)
         self.taken_at = taken_at
+        self.applied_op_seq = applied_op_seq
 
     def leaf_entries(self):
         """Iterate over all ``(point, oid)`` leaf entries."""
-        for node in self.pages.values():
-            if node.is_leaf:
-                yield from node.entries
+        return iter(self.entries)
 
     @property
     def leaf_entry_count(self) -> int:
         """Physical leaf entries captured (live plus expired)."""
-        return sum(1 for _ in self.leaf_entries())
+        return len(self.entries)
 
     def query(self, query: SpatioTemporalQuery) -> List[int]:
         """Object ids matching the query against the frozen entry set.
@@ -128,7 +146,7 @@ class TreeSnapshot:
         """
         region = query.region()
         return [
-            oid for point, oid in self.leaf_entries()
+            oid for point, oid in self.entries
             if region_matches_point(region, point)
         ]
 
@@ -380,37 +398,48 @@ class MovingObjectTree:
                 pass
             self.disk.close()
 
-    def snapshot(self) -> TreeSnapshot:
-        """Copy the reachable page set for degraded reads (no I/O charged).
+    def snapshot(self) -> EntrySnapshot:
+        """Copy the reachable leaf entries for degraded reads (no I/O charged).
 
         Walks the tree via ``peek`` — never touching the buffer pool,
-        the fault injector or the I/O counters — and copies each node's
-        entry list, so later mutations (or storage failures) of the live
+        the fault injector or the I/O counters — and copies the leaf
+        entries, so later mutations (or storage failures) of the live
         tree cannot leak into the snapshot.  Take it right after a
         :meth:`checkpoint` and the snapshot is exactly the last durably
         committed state.
         """
-        pages: dict = {}
+        return EntrySnapshot(
+            (
+                entry
+                for _, node in self._walk()
+                if node.is_leaf
+                for entry in node.entries
+            ),
+            self.now,
+        )
+
+    def _walk(self):
+        """Yield every reachable ``(pid, node)`` depth-first, charging no I/O.
+
+        The one whole-tree walk: it reads through ``peek``, so censuses,
+        snapshots and invariant checks never disturb the buffer pool or
+        the figures' counters.
+        """
         stack = [self.root_pid]
         while stack:
             pid = stack.pop()
             node = self.disk.peek(pid)
-            pages[pid] = Node(node.level, list(node.entries))
+            yield pid, node
             if not node.is_leaf:
                 stack.extend(node.child_ids())
-        return TreeSnapshot(self.root_pid, pages, self.now)
 
     def _adopt_existing_pages(self) -> None:
         """Rebuild the horizon census from a freshly opened store."""
         total_leaf_entries = 0
-        stack = [self.root_pid]
-        while stack:
-            node = self.disk.peek(stack.pop())
+        for _, node in self._walk():
             self.horizon.node_count_changed(node.level, +1)
             if node.is_leaf:
                 total_leaf_entries += len(node.entries)
-            else:
-                stack.extend(node.child_ids())
         if total_leaf_entries:
             self.horizon.leaf_entries_changed(total_leaf_entries)
 
@@ -461,7 +490,8 @@ class MovingObjectTree:
         else:
             self._insert(oid, point)
 
-    def _check_oid(self, oid: int) -> None:
+    def _admit(self, oid: int, point: MovingPoint) -> MovingPoint:
+        """Validate a report; return the point as this tree stores it."""
         # The page codec stores oids as u32 (the shard wire format is
         # i64, so the codec is the narrower of the two); rejecting here
         # gives a clear error instead of a struct.error when the page
@@ -471,17 +501,18 @@ class MovingObjectTree:
                 f"oid {oid} outside the page codec's unsigned "
                 f"32-bit range [0, {self.max_oid}]"
             )
-
-    def _insert(self, oid: int, point: MovingPoint) -> None:
-        self._check_oid(oid)
         if point.dims != self.config.dims:
             raise ValueError(
                 f"expected {self.config.dims}-d point, got {point.dims}-d"
             )
+        if not self.config.store_leaf_expiration and point.t_exp != NEVER:
+            return MovingPoint(point.pos, point.vel, point.t_ref, NEVER)
+        return point
+
+    def _insert(self, oid: int, point: MovingPoint) -> None:
+        point = self._admit(oid, point)
         if self._obs is not None:
             self._obs.inserts.inc()
-        if not self.config.store_leaf_expiration and point.t_exp != NEVER:
-            point = MovingPoint(point.pos, point.vel, point.t_ref, NEVER)
         orphans: List[Orphan] = []
         reinserted: set = set()
         self._insert_entry_at_level((point, oid), 0, orphans, reinserted)
@@ -503,16 +534,9 @@ class MovingObjectTree:
         root = self._load(self.root_pid)
         if root.entries or not root.is_leaf:
             raise ValueError("bulk_load requires an empty tree")
-        prepared: List[LeafEntry] = []
-        for point, oid in entries:
-            self._check_oid(oid)
-            if point.dims != self.config.dims:
-                raise ValueError(
-                    f"expected {self.config.dims}-d point, got {point.dims}-d"
-                )
-            if not self.config.store_leaf_expiration and point.t_exp != NEVER:
-                point = MovingPoint(point.pos, point.vel, point.t_ref, NEVER)
-            prepared.append((point, oid))
+        prepared: List[LeafEntry] = [
+            (self._admit(oid, point), oid) for point, oid in entries
+        ]
         if not prepared:
             self.buffer.flush_all()
             return
@@ -580,33 +604,15 @@ class MovingObjectTree:
 
         Expired information never qualifies: intersection tests clip the
         query window at each entry's expiration time (Section 4.1.5).
+        A single query is a batch of one through :meth:`_descend`.
         """
-        if self._obs is not None or self._tracer is not None:
-            return self._query_observed(query)
-        region = query.region()
-        results: List[int] = []
-        stack = [self.root_pid]
-        while stack:
-            node = self._load(stack.pop())
-            # The packed struct-of-arrays form is query-independent, so
-            # it is cached on the node; _touch drops it on mutation.
-            if node.is_leaf:
-                points = [point for point, _ in node.entries]
-                if node.soa is None:
-                    node.soa = pack_points(points)
-                hits = batch_region_matches(region, points, node.soa)
-                results.extend(
-                    oid for (_, oid), hit in zip(node.entries, hits) if hit
-                )
-            else:
-                brs = [br for br, _ in node.entries]
-                if node.soa is None:
-                    node.soa = pack_tpbrs(brs)
-                hits = batch_region_intersects(region, brs, node.soa)
-                stack.extend(
-                    pid for (_, pid), hit in zip(node.entries, hits) if hit
-                )
-        self.buffer.flush_all()
+        if self._tracer is None:
+            return self._descend((query,))[0][0]
+        with self._tracer.span(
+            "tree.query", kind=type(query).__name__
+        ) as span:
+            (results,), (nodes,), (depth,) = self._descend((query,))
+            span.set(nodes=nodes, depth=depth, results=len(results))
         return results
 
     def query_batch(
@@ -614,167 +620,137 @@ class MovingObjectTree:
     ) -> List[List[int]]:
         """Answer K concurrent queries in **one** shared traversal.
 
-        The frontier is a stack of ``(page, active-query set)`` pairs:
-        a node is visited at most once per batch (instead of once per
+        A node is visited at most once per batch (instead of once per
         matching query) and its cached struct-of-arrays form is tested
         against every active query at once by the multi-query kernel.
         The answers are bit-identical to ``[self.query(q) for q in
-        queries]``, *including order*: each tree node has exactly one
-        parent, so a query's frames form a proper LIFO subsequence of
-        the shared stack — frames of other queries interleave but never
-        reorder it — which reproduces the query's own depth-first leaf
-        visit order, and hits within a leaf are appended in entry
-        order just as the sequential descent does.
-
-        Observability note: the batch path records one ``tree.queries``
-        increment per query and a single ``tree.query_batch`` span; the
-        per-query node/depth histograms are only fed by the sequential
-        path.
+        queries]``, *including order* — see :meth:`_descend`.  Every
+        query of the batch is counted and feeds the node/depth
+        histograms exactly as if it had run alone; under tracing the
+        batch records a single ``tree.query_batch`` span.
         """
-        if self._tracer is not None:
-            with self._tracer.span(
-                "tree.query_batch", queries=len(queries)
-            ) as span:
-                results = self._query_batch(queries)
-                span.set(results=sum(len(r) for r in results))
-        else:
-            results = self._query_batch(queries)
-        if self._obs is not None and queries:
-            self._obs.queries.inc(len(queries))
+        if self._tracer is None:
+            return self._descend(queries)[0]
+        with self._tracer.span(
+            "tree.query_batch", queries=len(queries)
+        ) as span:
+            results = self._descend(queries)[0]
+            span.set(results=sum(len(r) for r in results))
         return results
 
-    def _query_batch(
+    def _descend(
         self, queries: Sequence[SpatioTemporalQuery]
-    ) -> List[List[int]]:
+    ) -> Tuple[List[List[int]], List[int], List[int]]:
+        """The range descent: ``(answers, visits, depths)``, one slot per query.
+
+        The frontier is a stack of ``(page, active-query set, depth)``
+        frames.  ``active`` is ``None`` while the set is still the whole
+        batch — the root, and every child all of whose parent's queries
+        survive — which skips the row selection entirely (for a batch of
+        one that is every frame); otherwise it holds the surviving
+        query positions.  Each tree node has exactly one parent, so a
+        query's frames form a proper LIFO subsequence of the shared
+        stack — frames of other queries interleave but never reorder
+        it: children are pushed in entry order, so pops reproduce each
+        query's own depth-first leaf order, and hits within a leaf are
+        collected row-major, i.e. per query in entry order.
+
+        ``visits``/``depths`` (nodes visited and deepest level reached,
+        per query) are tallied only while a registry or tracer is
+        attached, and are empty otherwise; the page accesses are the
+        same either way.
+        """
         count = len(queries)
         if count == 0:
-            return []
+            return [], [], []
         regions = [query.region() for query in queries]
         packed = pack_queries(regions)
-        results: List[List[int]] = [[] for _ in range(count)]
-        if packed is not None:
-            # pack_queries returned arrays, so kernels' numpy is bound.
-            np = _kernels.np
-            stack = [(self.root_pid, np.arange(count, dtype=np.intp))]
-        else:
-            stack = [(self.root_pid, list(range(count)))]
+        # pack_queries returned arrays, so kernels' numpy is bound.
+        np = _kernels.np if packed is not None else None
+        everyone = range(count)
+
+        def members(active):
+            """The query positions of a frame's active set."""
+            if active is None:
+                return everyone
+            return active if np is None else active.tolist()
+
+        results: List[List[int]] = [[] for _ in everyone]
+        tally = self._obs is not None or self._tracer is not None
+        visits = [0] * count if tally else []
+        depths = [0] * count if tally else []
+        stack = [(self.root_pid, None, 0)]
         while stack:
-            pid, active = stack.pop()
+            pid, active, depth = stack.pop()
             node = self._load(pid)
             entries = node.entries
-            if node.is_leaf:
-                if node.soa is None:
-                    node.soa = pack_points([p for p, _ in entries])
-                if packed is not None and node.soa is not None:
-                    hits = multi_query_hits(
-                        select_queries(packed, active), node.soa
-                    ).tolist()
-                    oids = [oid for _, oid in entries]
-                    for row, position in zip(hits, active.tolist()):
-                        bucket = results[position]
-                        bucket.extend(
-                            oid for oid, hit in zip(oids, row) if hit
-                        )
-                else:
-                    for position in (
-                        active if packed is None else active.tolist()
-                    ):
-                        region = regions[position]
-                        results[position].extend(
-                            oid for point, oid in entries
-                            if region_matches_point(region, point)
-                        )
-            else:
-                if node.soa is None:
-                    node.soa = pack_tpbrs([br for br, _ in entries])
-                if packed is not None and node.soa is not None:
-                    hits = multi_query_hits(
-                        select_queries(packed, active), node.soa
-                    )
-                    # Push in entry order (the sequential descent's
-                    # stack.extend order) so LIFO pops preserve each
-                    # query's own leaf visit sequence.
-                    for column, (_, child) in enumerate(entries):
-                        mask = hits[:, column]
-                        if mask.any():
-                            stack.append((child, active[mask]))
-                else:
-                    for br, child in entries:
-                        sub = [
-                            position
-                            for position in (
-                                active if packed is None
-                                else active.tolist()
-                            )
-                            if region_intersects_tpbr(regions[position], br)
-                        ]
-                        if sub:
-                            if packed is not None:
-                                sub = _kernels.np.asarray(
-                                    sub, dtype=np.intp
-                                )
-                            stack.append((child, sub))
-        self.buffer.flush_all()
-        return results
-
-    def _query_observed(self, query: SpatioTemporalQuery) -> List[int]:
-        """The :meth:`query` descent with depth/visit accounting.
-
-        Kept as a twin of the unobserved loop (which must stay free of
-        per-node bookkeeping); the answer and the page accesses are
-        identical — only ``(pid, depth)`` stack bookkeeping is added.
-        """
-        span = (
-            self._tracer.span("tree.query", kind=type(query).__name__)
-            if self._tracer is not None
-            else None
-        )
-        if span is not None:
-            span.__enter__()
-        try:
-            region = query.region()
-            results: List[int] = []
-            nodes_visited = 0
-            max_depth = 0
-            stack = [(self.root_pid, 0)]
-            while stack:
-                pid, depth = stack.pop()
-                node = self._load(pid)
-                nodes_visited += 1
-                if depth > max_depth:
-                    max_depth = depth
-                if node.is_leaf:
-                    points = [point for point, _ in node.entries]
-                    if node.soa is None:
-                        node.soa = pack_points(points)
-                    hits = batch_region_matches(region, points, node.soa)
-                    results.extend(
-                        oid for (_, oid), hit in zip(node.entries, hits) if hit
-                    )
-                else:
-                    brs = [br for br, _ in node.entries]
-                    if node.soa is None:
-                        node.soa = pack_tpbrs(brs)
-                    hits = batch_region_intersects(region, brs, node.soa)
-                    stack.extend(
-                        (pid_, depth + 1)
-                        for (_, pid_), hit in zip(node.entries, hits)
-                        if hit
-                    )
-            self.buffer.flush_all()
-            obs = self._obs
-            if obs is not None:
-                obs.queries.inc()
-                obs.query_nodes.record(nodes_visited)
-                obs.query_depth.record(max_depth)
-            if span is not None:
-                span.set(
-                    nodes=nodes_visited, depth=max_depth, results=len(results)
+            # The packed struct-of-arrays form is query-independent, so
+            # it is cached on the node; _touch drops it on mutation.
+            if node.soa is None:
+                pack = pack_points if node.is_leaf else pack_tpbrs
+                node.soa = pack(node.regions())
+            if tally:
+                for position in members(active):
+                    visits[position] += 1
+                    if depth > depths[position]:
+                        depths[position] = depth
+            if np is not None and node.soa is not None:
+                hits = multi_query_hits(
+                    packed if active is None
+                    else select_queries(packed, active),
+                    node.soa,
                 )
-            return results
-        finally:
-            if span is not None:
-                span.__exit__(None, None, None)
+                if node.is_leaf:
+                    rows, columns = hits.nonzero()
+                    if active is not None:
+                        rows = active[rows]
+                    for position, column in zip(
+                        rows.tolist(), columns.tolist()
+                    ):
+                        results[position].append(entries[column][1])
+                    continue
+                width = len(hits)
+                for column, survivors in enumerate(hits.sum(axis=0).tolist()):
+                    if survivors == width:
+                        stack.append((entries[column][1], active, depth + 1))
+                    elif survivors:
+                        mask = hits[:, column]
+                        stack.append((
+                            entries[column][1],
+                            mask.nonzero()[0] if active is None
+                            else active[mask],
+                            depth + 1,
+                        ))
+                continue
+            # Scalar fallback: numpy unbound, or a node too small to pack.
+            positions = members(active)
+            if node.is_leaf:
+                for position in positions:
+                    region = regions[position]
+                    results[position].extend(
+                        oid for point, oid in entries
+                        if region_matches_point(region, point)
+                    )
+                continue
+            for br, child in entries:
+                sub = [
+                    position for position in positions
+                    if region_intersects_tpbr(regions[position], br)
+                ]
+                if len(sub) == len(positions):
+                    stack.append((child, active, depth + 1))
+                elif sub:
+                    if np is not None:
+                        sub = np.asarray(sub, dtype=np.intp)
+                    stack.append((child, sub, depth + 1))
+        self.buffer.flush_all()
+        obs = self._obs
+        if obs is not None:
+            obs.queries.inc(count)
+            for nodes, depth in zip(visits, depths):
+                obs.query_nodes.record(nodes)
+                obs.query_depth.record(depth)
+        return results, visits, depths
 
     def query_knn(self, x, t: float, k: int) -> List[int]:
         """The ``k`` objects nearest to ``x`` at time ``t``, nearest first.
@@ -842,16 +818,17 @@ class MovingObjectTree:
         x = tuple(float(c) for c in x)
         if k == 0:
             return []
-        if self._obs is not None or self._tracer is not None:
-            return self._knn_observed(x, t, k, bound_sq)
-        results, _ = self._knn_descent(x, t, k, bound_sq)
-        self.buffer.flush_all()
+        if self._tracer is None:
+            return self._knn_descent(x, t, k, bound_sq)[0]
+        with self._tracer.span("tree.query_knn", k=k) as span:
+            results, nodes = self._knn_descent(x, t, k, bound_sq)
+            span.set(nodes=nodes, results=len(results))
         return results
 
     def _knn_descent(
         self, x, t: float, k: int, bound_sq: float
     ) -> Tuple[List[Tuple[float, int]], int]:
-        """The best-first loop shared by the plain and observed paths.
+        """The best-first loop: ``(scored results, nodes visited)``.
 
         One priority queue holds both node frames and point candidates:
         ``(key, kind, tie, payload)`` where nodes carry ``kind = 0``
@@ -897,32 +874,11 @@ class MovingObjectTree:
                         continue
                     seq += 1
                     heapq.heappush(heap, (lower, 0, seq, child))
+        self.buffer.flush_all()
+        if self._obs is not None:
+            self._obs.knn_queries.inc()
+            self._obs.knn_nodes.record(nodes_visited)
         return results, nodes_visited
-
-    def _knn_observed(
-        self, x, t: float, k: int, bound_sq: float
-    ) -> List[Tuple[float, int]]:
-        """The :meth:`knn_entries` descent with metric/trace accounting."""
-        span = (
-            self._tracer.span("tree.query_knn", k=k)
-            if self._tracer is not None
-            else None
-        )
-        if span is not None:
-            span.__enter__()
-        try:
-            results, nodes_visited = self._knn_descent(x, t, k, bound_sq)
-            self.buffer.flush_all()
-            obs = self._obs
-            if obs is not None:
-                obs.knn_queries.inc()
-                obs.knn_nodes.record(nodes_visited)
-            if span is not None:
-                span.set(nodes=nodes_visited, results=len(results))
-            return results
-        finally:
-            if span is not None:
-                span.__exit__(None, None, None)
 
     # -- introspection ----------------------------------------------------------
 
@@ -947,21 +903,15 @@ class MovingObjectTree:
         nodes = 0
         leaf_entries = expired_leaf = 0
         internal_entries = expired_internal = 0
-        stack = [self.root_pid]
-        while stack:
-            node = self.disk.peek(stack.pop())
+        for _, node in self._walk():
             nodes += 1
+            expired = sum(1 for region, _ in node.entries if region.t_exp < now)
             if node.is_leaf:
                 leaf_entries += len(node.entries)
-                expired_leaf += sum(
-                    1 for point, _ in node.entries if point.t_exp < now
-                )
+                expired_leaf += expired
             else:
                 internal_entries += len(node.entries)
-                for br, child in node.entries:
-                    if br.t_exp < now:
-                        expired_internal += 1
-                    stack.append(child)
+                expired_internal += expired
         return TreeAudit(
             height=self.height,
             nodes=nodes,
@@ -978,14 +928,10 @@ class MovingObjectTree:
         the fill factor the profile report prints.
         """
         census: "dict[int, List[int]]" = {}
-        stack = [self.root_pid]
-        while stack:
-            node = self.disk.peek(stack.pop())
+        for _, node in self._walk():
             slot = census.setdefault(node.level, [0, 0])
             slot[0] += 1
             slot[1] += len(node.entries)
-            if not node.is_leaf:
-                stack.extend(node.child_ids())
         return {
             level: (nodes, entries)
             for level, (nodes, entries) in census.items()
@@ -994,7 +940,7 @@ class MovingObjectTree:
     def check_invariants(self) -> None:
         """Raise AssertionError on structural violations (test helper)."""
         self._check_node(self.root_pid, expected_level=None, bound=None)
-        seen = self._reachable_pages()
+        seen = {pid for pid, _ in self._walk()}
         assert seen == set(self.disk.page_ids()), (
             "orphaned pages: "
             f"{set(self.disk.page_ids()) - seen} unreachable"
@@ -1371,25 +1317,30 @@ class MovingObjectTree:
     def _covers_position(
         br: TPBR, position: Sequence[float], now: float
     ) -> bool:
+        """Whether ``br`` at ``now`` contains ``position``, up to codec rounding.
+
+        The slack scales with the magnitudes the rounding applied to
+        (coordinate, plus velocity times the extrapolation span); near
+        the origin the absolute floor still decides.
+        """
+        elapsed = now - br.t_ref
         for d, x in enumerate(position):
-            if x < br.lower_at(d, now) - _DELETE_EPS:
-                return False
-            if x > br.upper_at(d, now) + _DELETE_EPS:
-                return False
+            # lower_at/upper_at, written out: this runs once per internal
+            # entry of every deletion descent.
+            lower = br.lo[d] + br.vlo[d] * elapsed
+            upper = br.hi[d] + br.vhi[d] * elapsed
+            # Outside by the floor first: the scaled slack is only worked
+            # out for an entry about to be pruned.
+            if x < lower - _DELETE_EPS or x > upper + _DELETE_EPS:
+                slack = _DELETE_REL_EPS * (
+                    max(abs(br.lo[d]), abs(br.hi[d]))
+                    + max(abs(br.vlo[d]), abs(br.vhi[d])) * abs(elapsed)
+                )
+                if x < lower - slack or x > upper + slack:
+                    return False
         return True
 
     # -- invariant checking -------------------------------------------------------------------
-
-    def _reachable_pages(self) -> set:
-        seen = set()
-        stack = [self.root_pid]
-        while stack:
-            pid = stack.pop()
-            seen.add(pid)
-            node = self.disk.peek(pid)
-            if not node.is_leaf:
-                stack.extend(node.child_ids())
-        return seen
 
     def _check_node(
         self, pid: PageId, expected_level: Optional[int], bound: Optional[TPBR]

@@ -29,8 +29,6 @@ class IndexAdapter(ABC):
     def __init__(self, name: str):
         self.name = name
         self.op_stats = OperationStats()
-        # Cumulative WAL-write counter of a durable backend, or None.
-        self._durable_wal = None
 
     def enable_durability(self, directory: str, fsync: bool = False) -> None:
         """Re-home the index onto a durable page store in ``directory``.
@@ -46,15 +44,6 @@ class IndexAdapter(ABC):
 
     def close(self) -> None:
         """Checkpoint and close a durable backend (no-op otherwise)."""
-
-    def _wal_mark(self) -> int:
-        """Current cumulative WAL write count (0 when not durable)."""
-        return self._durable_wal() if self._durable_wal is not None else 0
-
-    def _charge_wal(self, mark: int) -> None:
-        """Charge WAL writes since ``mark`` as auxiliary I/O."""
-        if self._durable_wal is not None:
-            self.op_stats.record_auxiliary(self._durable_wal() - mark)
 
     @abstractmethod
     def advance_time(self, t: float) -> None:
@@ -119,7 +108,114 @@ class IndexAdapter(ABC):
         return (0, 0, 0)
 
 
-class TreeAdapter(IndexAdapter):
+class _MemberTreeAdapter(IndexAdapter):
+    """The I/O accounting shared by :class:`TreeAdapter` and :class:`ForestAdapter`.
+
+    A tree and a forest offer the same operations and the same
+    ``stats.snapshot()`` / ``since()`` protocol, so one wrapper serves
+    both: ``index`` is the wrapped tree or forest, and the subclasses
+    say only how to list its member trees (whose buffer pools and
+    write-ahead logs the counters below sum over) and how to re-create
+    it on a durable store.
+    """
+
+    def __init__(
+        self, name: str, index, clock: SimulationClock, exact_semantics: bool
+    ):
+        super().__init__(name)
+        self.clock = clock
+        self.index = index
+        # A tree that discards expiration times answers with false drops
+        # that a downstream filter would remove (Section 3).
+        self.exact_semantics = exact_semantics
+        self._durable = False
+
+    @abstractmethod
+    def _members(self) -> List[MovingObjectTree]:
+        """The member trees of the wrapped index."""
+
+    @abstractmethod
+    def _create_durable(self, directory: str, fsync: bool):
+        """A fresh durable index configured like the wrapped one."""
+
+    def enable_durability(self, directory: str, fsync: bool = False) -> None:
+        """Replace the fresh simulated index with a durable one."""
+        if self.index.leaf_entry_count:
+            raise ValueError(
+                "enable_durability requires an adapter that has not "
+                "indexed anything yet"
+            )
+        self.index = self._create_durable(directory, fsync)
+        self._durable = True
+
+    def close(self) -> None:
+        self.index.close()
+
+    def advance_time(self, t: float) -> None:
+        self.clock.advance_to(t)
+
+    def _wal_writes(self) -> int:
+        """Cumulative WAL writes of a durable backend (0 when simulated)."""
+        if not self._durable:
+            return 0
+        return sum(tree.disk.wal.stats.writes for tree in self._members())
+
+    def _accounted(self, record, operation, *args):
+        """Run one index operation, charging its page I/O through ``record``.
+
+        Write-ahead-log writes are charged as auxiliary I/O, like the
+        deletion queue's B-tree.
+        """
+        before = self.index.stats.snapshot()
+        wal_before = self._wal_writes()
+        result = operation(*args)
+        record(self.index.stats.since(before).total)
+        self.op_stats.record_auxiliary(self._wal_writes() - wal_before)
+        return result
+
+    def insert(self, oid: int, point: MovingPoint) -> None:
+        self._accounted(
+            self.op_stats.record_update, self.index.insert, oid, point
+        )
+
+    def delete(self, oid: int, point: MovingPoint) -> bool:
+        return self._accounted(
+            self.op_stats.record_update, self.index.delete, oid, point
+        )
+
+    def query(self, query: SpatioTemporalQuery) -> List[int]:
+        return self._accounted(
+            self.op_stats.record_search, self.index.query, query
+        )
+
+    def bulk_load(self, items) -> None:
+        self._accounted(
+            self.op_stats.record_setup,
+            self.index.bulk_load,
+            [(point, oid) for oid, point in items],
+        )
+
+    @property
+    def page_count(self) -> int:
+        return self.index.page_count
+
+    def audit(self) -> TreeAudit:
+        return self.index.audit()
+
+    def enable_observability(self, registry=None, tracer=None) -> None:
+        self.index.enable_observability(registry, tracer)
+
+    @property
+    def buffer_counters(self) -> Tuple[int, int, int]:
+        pools = [tree.buffer for tree in self._members()]
+        return (
+            sum(pool.hits for pool in pools),
+            sum(pool.misses for pool in pools),
+            sum(pool.evictions for pool in pools),
+        )
+
+
+class TreeAdapter(_MemberTreeAdapter):
     """A bare moving-object tree (R^exp-tree or TPR-tree)."""
 
     def __init__(
@@ -128,79 +224,28 @@ class TreeAdapter(IndexAdapter):
         config: TreeConfig,
         clock: Optional[SimulationClock] = None,
     ):
-        super().__init__(name)
-        self.clock = clock if clock is not None else SimulationClock()
-        self.tree = MovingObjectTree(config, self.clock)
-        # A tree that discards expiration times answers with false drops
-        # that a downstream filter would remove (Section 3).
-        self.exact_semantics = config.store_leaf_expiration
-
-    def enable_durability(self, directory: str, fsync: bool = False) -> None:
-        """Replace the fresh simulated tree with a durable one."""
-        if self.tree.leaf_entry_count:
-            raise ValueError(
-                "enable_durability requires an adapter that has not "
-                "indexed anything yet"
-            )
-        self.tree = MovingObjectTree.create_durable(
-            directory, self.tree.config, self.clock, fsync=fsync
+        clock = clock if clock is not None else SimulationClock()
+        super().__init__(
+            name,
+            MovingObjectTree(config, clock),
+            clock,
+            config.store_leaf_expiration,
         )
-        self._durable_wal = lambda: self.tree.disk.wal.stats.writes
-
-    def close(self) -> None:
-        self.tree.close()
-
-    def advance_time(self, t: float) -> None:
-        self.clock.advance_to(t)
-
-    def insert(self, oid: int, point: MovingPoint) -> None:
-        before = self.tree.stats.snapshot()
-        mark = self._wal_mark()
-        self.tree.insert(oid, point)
-        self.op_stats.record_update(self.tree.stats.since(before).total)
-        self._charge_wal(mark)
-
-    def delete(self, oid: int, point: MovingPoint) -> bool:
-        before = self.tree.stats.snapshot()
-        mark = self._wal_mark()
-        removed = self.tree.delete(oid, point)
-        self.op_stats.record_update(self.tree.stats.since(before).total)
-        self._charge_wal(mark)
-        return removed
-
-    def query(self, query: SpatioTemporalQuery) -> List[int]:
-        before = self.tree.stats.snapshot()
-        mark = self._wal_mark()
-        result = self.tree.query(query)
-        self.op_stats.record_search(self.tree.stats.since(before).total)
-        # Queries lazily purge expired entries, so they too can commit.
-        self._charge_wal(mark)
-        return result
-
-    def bulk_load(self, items) -> None:
-        before = self.tree.stats.snapshot()
-        mark = self._wal_mark()
-        self.tree.bulk_load([(point, oid) for oid, point in items])
-        self.op_stats.record_setup(self.tree.stats.since(before).total)
-        self._charge_wal(mark)
 
     @property
-    def page_count(self) -> int:
-        return self.tree.page_count
+    def tree(self) -> MovingObjectTree:
+        return self.index
 
-    def audit(self) -> TreeAudit:
-        return self.tree.audit()
+    def _members(self) -> List[MovingObjectTree]:
+        return [self.index]
 
-    def enable_observability(self, registry=None, tracer=None) -> None:
-        self.tree.enable_observability(registry, tracer)
-
-    @property
-    def buffer_counters(self) -> Tuple[int, int, int]:
-        pool = self.tree.buffer
-        return (pool.hits, pool.misses, pool.evictions)
+    def _create_durable(self, directory: str, fsync: bool):
+        return MovingObjectTree.create_durable(
+            directory, self.index.config, self.clock, fsync=fsync
+        )
 
 
-class ForestAdapter(IndexAdapter):
+class ForestAdapter(_MemberTreeAdapter):
     """A velocity-partitioned forest of moving-object trees.
 
     Accounts exactly like :class:`TreeAdapter` — the forest's aggregated
@@ -215,90 +260,33 @@ class ForestAdapter(IndexAdapter):
         clock: Optional[SimulationClock] = None,
         partitioner: Optional[Partitioner] = None,
     ):
-        super().__init__(name)
-        self.clock = clock if clock is not None else SimulationClock()
-        self.forest = PartitionedMovingObjectForest(
-            config, self.clock, partitioner
+        clock = clock if clock is not None else SimulationClock()
+        super().__init__(
+            name,
+            PartitionedMovingObjectForest(config, clock, partitioner),
+            clock,
+            config.tree.store_leaf_expiration,
         )
-        self.exact_semantics = config.tree.store_leaf_expiration
-
-    def enable_durability(self, directory: str, fsync: bool = False) -> None:
-        """Replace the fresh simulated forest with a durable one."""
-        if self.forest.leaf_entry_count:
-            raise ValueError(
-                "enable_durability requires an adapter that has not "
-                "indexed anything yet"
-            )
-        self.forest = PartitionedMovingObjectForest.create_durable(
-            directory,
-            self.forest.config,
-            self.clock,
-            self.forest.partitioner,
-            fsync=fsync,
-        )
-        self._durable_wal = lambda: sum(
-            tree.disk.wal.stats.writes for tree in self.forest.trees
-        )
-
-    def close(self) -> None:
-        self.forest.close()
-
-    def advance_time(self, t: float) -> None:
-        self.clock.advance_to(t)
-
-    def insert(self, oid: int, point: MovingPoint) -> None:
-        before = self.forest.stats.snapshot()
-        mark = self._wal_mark()
-        self.forest.insert(oid, point)
-        self.op_stats.record_update(self.forest.stats.since(before).total)
-        self._charge_wal(mark)
-
-    def delete(self, oid: int, point: MovingPoint) -> bool:
-        before = self.forest.stats.snapshot()
-        mark = self._wal_mark()
-        removed = self.forest.delete(oid, point)
-        self.op_stats.record_update(self.forest.stats.since(before).total)
-        self._charge_wal(mark)
-        return removed
-
-    def query(self, query: SpatioTemporalQuery) -> List[int]:
-        before = self.forest.stats.snapshot()
-        mark = self._wal_mark()
-        result = self.forest.query(query)
-        self.op_stats.record_search(self.forest.stats.since(before).total)
-        # Queries lazily purge expired entries, so they too can commit.
-        self._charge_wal(mark)
-        return result
-
-    def bulk_load(self, items) -> None:
-        before = self.forest.stats.snapshot()
-        mark = self._wal_mark()
-        self.forest.bulk_load([(point, oid) for oid, point in items])
-        self.op_stats.record_setup(self.forest.stats.since(before).total)
-        self._charge_wal(mark)
 
     @property
-    def page_count(self) -> int:
-        return self.forest.page_count
+    def forest(self) -> PartitionedMovingObjectForest:
+        return self.index
+
+    def _members(self) -> List[MovingObjectTree]:
+        return self.index.trees
+
+    def _create_durable(self, directory: str, fsync: bool):
+        return PartitionedMovingObjectForest.create_durable(
+            directory,
+            self.index.config,
+            self.clock,
+            self.index.partitioner,
+            fsync=fsync,
+        )
 
     @property
     def partition_page_counts(self) -> List[int]:
         return self.forest.partition_page_counts()
-
-    def audit(self) -> TreeAudit:
-        return self.forest.audit()
-
-    def enable_observability(self, registry=None, tracer=None) -> None:
-        self.forest.enable_observability(registry, tracer)
-
-    @property
-    def buffer_counters(self) -> Tuple[int, int, int]:
-        pools = [tree.buffer for tree in self.forest.trees]
-        return (
-            sum(pool.hits for pool in pools),
-            sum(pool.misses for pool in pools),
-            sum(pool.evictions for pool in pools),
-        )
 
 
 class ScheduledAdapter(IndexAdapter):

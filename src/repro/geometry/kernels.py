@@ -67,47 +67,6 @@ def numpy_enabled() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _query_lines(region: QueryRegion):
-    """Query bound lines as offset/slope arrays (offset + slope * t)."""
-    t1 = region.t1
-    q_lo = np.array(
-        [region.lo[d] - region.vlo[d] * t1 for d in range(region.dims)]
-    )
-    q_hi = np.array(
-        [region.hi[d] - region.vhi[d] * t1 for d in range(region.dims)]
-    )
-    q_vlo = np.array(region.vlo, dtype=np.float64)
-    q_vhi = np.array(region.vhi, dtype=np.float64)
-    return q_lo, q_hi, q_vlo, q_vhi
-
-
-def _batch_feasible(region, s_lo_off, s_lo_vel, s_hi_off, s_hi_vel, t_exp):
-    """Vectorized :func:`repro.geometry.intersection.feasible_window`.
-
-    Mirrors the scalar routine: constraints with |slope| < EPS act as
-    constants, the window start is the max of positive-slope roots and
-    ``t1``, the end the min of negative-slope roots and the expiration-
-    clipped ``t2``.  Max/min are exact, so sequential clipping and one
-    global reduction agree bitwise.
-    """
-    q_lo, q_hi, q_vlo, q_vhi = _query_lines(region)
-    # 1-d overlap per dimension: s_hi >= q_lo and q_hi >= s_lo.
-    offsets = np.concatenate([s_hi_off - q_lo, q_hi - s_lo_off], axis=1)
-    slopes = np.concatenate([s_hi_vel - q_vlo, q_vhi - s_lo_vel], axis=1)
-    slack = offsets + EPS
-    const = np.abs(slopes) < EPS
-    violated = np.any(const & (slack < 0.0), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = -slack / np.where(const, 1.0, slopes)
-    starts = np.where(~const & (slopes > 0.0), roots, -np.inf)
-    ends = np.where(~const & (slopes < 0.0), roots, np.inf)
-    t_end = np.minimum(region.t2, t_exp)
-    a = np.maximum(region.t1, starts.max(axis=1))
-    b = np.minimum(t_end, ends.min(axis=1))
-    ok = (t_end >= region.t1) & ~violated & (b >= a)
-    return [bool(v) for v in ok]
-
-
 def pack_points(points: Sequence[MovingPoint]):
     """Precompute the SoA form consumed by :func:`batch_region_matches`.
 
@@ -139,6 +98,15 @@ def pack_tpbrs(brs: Sequence[TPBR]):
     return (s_lo, vlo, s_hi, vhi, t_exp)
 
 
+def _region_hits(region, items, packed, pack, scalar) -> List[bool]:
+    """One region against one node's items: the kernel on a one-row pack."""
+    if np is not None and packed is None:
+        packed = pack(items)
+    if np is None or packed is None:
+        return [scalar(region, item) for item in items]
+    return multi_query_hits(pack_queries((region,)), packed)[0].tolist()
+
+
 def batch_region_matches(
     region: QueryRegion, points: Sequence[MovingPoint], packed=None
 ) -> List[bool]:
@@ -149,13 +117,9 @@ def batch_region_matches(
     unbound so a cache populated earlier can never force the
     vectorized path.
     """
-    if np is None:
-        return [region_matches_point(region, p) for p in points]
-    if packed is None:
-        packed = pack_points(points)
-    if packed is None:
-        return [region_matches_point(region, p) for p in points]
-    return _batch_feasible(region, *packed)
+    return _region_hits(
+        region, points, packed, pack_points, region_matches_point
+    )
 
 
 def batch_region_intersects(
@@ -166,13 +130,9 @@ def batch_region_intersects(
     ``packed`` — a cached :func:`pack_tpbrs` result for the same
     ``brs`` — skips re-extraction, as in :func:`batch_region_matches`.
     """
-    if np is None:
-        return [region_intersects_tpbr(region, br) for br in brs]
-    if packed is None:
-        packed = pack_tpbrs(brs)
-    if packed is None:
-        return [region_intersects_tpbr(region, br) for br in brs]
-    return _batch_feasible(region, *packed)
+    return _region_hits(
+        region, brs, packed, pack_tpbrs, region_intersects_tpbr
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +143,11 @@ def batch_region_intersects(
 def pack_queries(regions: Sequence[QueryRegion]):
     """Precompute the struct-of-arrays form of K query regions.
 
-    The per-query bound lines are evaluated with the same Python-float
-    expressions as :func:`_query_lines`, so row ``k`` of the pack holds
-    exactly the arrays a single-query evaluation of ``regions[k]``
-    would see.  Returns ``None`` when numpy is unbound (callers fall
-    back to per-query scalar loops).
+    Row ``k`` holds query ``k``'s bound lines as offset/slope pairs
+    (``offset + slope * t``), evaluated with plain Python-float
+    expressions so the row does not depend on what else is in the
+    pack.  Returns ``None`` when numpy is unbound (callers fall back
+    to per-query scalar loops).
     """
     if np is None or not regions:
         return None
@@ -217,15 +177,21 @@ def multi_query_hits(queries, soa):
 
     ``queries`` is a (possibly row-selected) :func:`pack_queries`
     result; ``soa`` is the node's cached :func:`pack_points` /
-    :func:`pack_tpbrs` tuple.  Row ``k`` is **bit-identical** to
-    ``_batch_feasible(regions[k], *soa)``: every elementwise operation
-    matches the single-query kernel, and the max/min reductions are
-    order-independent for non-NaN inputs (no NaN can arise — slack is
-    finite and const-masked divisors are at least EPS), so broadcasting
-    K queries against N entries changes nothing.
+    :func:`pack_tpbrs` tuple.  This is the only feasibility kernel: a
+    vectorized :func:`repro.geometry.intersection.feasible_window`.
+    Constraints with |slope| < EPS act as constants, the window start
+    is the max of positive-slope roots and ``t1``, the end the min of
+    negative-slope roots and the expiration-clipped ``t2``.  Max/min
+    are exact and order-independent for non-NaN inputs (no NaN can
+    arise — slack is finite and const-masked divisors are at least
+    EPS), so the scalar routine's sequential clipping, one global
+    reduction, and broadcasting K queries against N entries all agree
+    bitwise: row ``k`` is **bit-identical** whether query ``k`` is
+    evaluated alone or in any batch.
     """
     q_lo, q_hi, q_vlo, q_vhi, t1, t2 = queries
     s_lo_off, s_lo_vel, s_hi_off, s_hi_vel, t_exp = soa
+    # 1-d overlap per dimension: s_hi >= q_lo and q_hi >= s_lo.
     offsets = np.concatenate(
         [s_hi_off[None, :, :] - q_lo[:, None, :],
          q_hi[:, None, :] - s_lo_off[None, :, :]], axis=2
@@ -236,7 +202,7 @@ def multi_query_hits(queries, soa):
     )
     slack = offsets + EPS
     const = np.abs(slopes) < EPS
-    violated = np.any(const & (slack < 0.0), axis=2)
+    violated = (const & (slack < 0.0)).any(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = -slack / np.where(const, 1.0, slopes)
     starts = np.where(~const & (slopes > 0.0), roots, -np.inf)

@@ -32,7 +32,7 @@ truncation-vs-shipping rule.
 from .channel import ShippingChannel
 from .link import ReplicaLink, replication_slos
 from .maintenance import OnlineMaintainer
-from .replica import PromotionError, Replica, ReplicaSnapshot
+from .replica import PromotionError, Replica
 from .shipper import (
     ReplicationError,
     ShippedBatch,
@@ -46,7 +46,6 @@ __all__ = [
     "PromotionError",
     "Replica",
     "ReplicaLink",
-    "ReplicaSnapshot",
     "ReplicationError",
     "ShippedBatch",
     "ShippingChannel",

@@ -23,10 +23,8 @@ import os
 import shutil
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.tree import MovingObjectTree, TreeSnapshot
-from ..geometry.intersection import region_matches_point
+from ..core.tree import EntrySnapshot, MovingObjectTree
 from ..geometry.knn import brute_force_knn
-from ..rstar.node import Node
 from ..storage.faults import TransientIOError
 from ..storage.pagefile import (
     PAGES_FILENAME,
@@ -48,23 +46,6 @@ from .shipper import (
 
 class PromotionError(ReplicationError):
     """The replica's committed prefix failed verification at promotion."""
-
-
-class ReplicaSnapshot(TreeSnapshot):
-    """A :class:`~repro.core.tree.TreeSnapshot` cut from a replica.
-
-    Identical query semantics (brute-force scan over leaf entries with
-    expiration clipping), so the frontend's
-    :class:`~repro.serve.degraded.DegradedReader` can rebase onto it
-    without special cases.  The extra attribute records how far the
-    replica had applied when the snapshot was cut.
-    """
-
-    __slots__ = ("applied_op_seq",)
-
-    def __init__(self, root_pid, pages, taken_at, applied_op_seq):
-        super().__init__(root_pid, pages, taken_at)
-        self.applied_op_seq = applied_op_seq
 
 
 class Replica:
@@ -244,54 +225,45 @@ class Replica:
 
     # -- serving -------------------------------------------------------------
 
-    def _reachable_pages(self) -> Dict[int, object]:
-        pages: Dict[int, object] = {}
-        if self._root_pid < 0 or self._root_pid not in self._mirror:
-            return pages
-        stack = [self._root_pid]
-        while stack:
-            pid = stack.pop()
-            if pid in pages:
-                continue
-            node = self._mirror[pid]
-            pages[pid] = node
-            if not node.is_leaf:
-                stack.extend(node.child_ids())
-        return pages
-
     def leaf_entries(self):
         """Iterate ``(point, oid)`` over all root-reachable leaf entries."""
-        for node in self._reachable_pages().values():
+        seen = set()
+        stack = [self._root_pid] if self._root_pid in self._mirror else []
+        while stack:
+            pid = stack.pop()
+            if pid in seen:
+                continue
+            seen.add(pid)
+            node = self._mirror[pid]
             if node.is_leaf:
                 yield from node.entries
+            else:
+                stack.extend(node.child_ids())
 
-    def snapshot(self) -> ReplicaSnapshot:
-        """Cut an isolated snapshot of the applied page set.
+    def snapshot(self) -> EntrySnapshot:
+        """Cut an isolated snapshot of the applied leaf entries.
 
-        Entry lists are copied, so later applies cannot leak into a
-        reader holding the snapshot — the same isolation contract as
-        :meth:`repro.core.tree.MovingObjectTree.snapshot`.
+        The entries are copied, so later applies cannot leak into a
+        reader holding the snapshot — the same isolation contract (and
+        the same class, so the frontend's
+        :class:`~repro.serve.degraded.DegradedReader` rebases onto it
+        without special cases) as
+        :meth:`repro.core.tree.MovingObjectTree.snapshot`, stamped with
+        how far the replica had applied when it was cut.
         """
-        pages = {
-            pid: Node(node.level, list(node.entries))
-            for pid, node in self._reachable_pages().items()
-        }
-        return ReplicaSnapshot(
-            self._root_pid, pages, self._applied_clock, self._applied_op_seq
+        return EntrySnapshot(
+            self.leaf_entries(), self._applied_clock, self._applied_op_seq
         )
 
     def query(self, query) -> List[int]:
         """Answer one timeslice/window/moving query from applied state.
 
-        Brute-force scan with the same expiration-clipping predicate the
-        live tree's descent uses, so for any fully applied prefix the
-        answer equals the primary's at the same clock time.
+        The snapshot's brute-force scan — the same expiration-clipping
+        predicate the live tree's descent uses — so for any fully
+        applied prefix the answer equals the primary's at the same
+        clock time.
         """
-        region = query.region()
-        return sorted(
-            oid for point, oid in self.leaf_entries()
-            if region_matches_point(region, point)
-        )
+        return sorted(self.snapshot().query(query))
 
     def query_batch(self, queries: Sequence) -> List[List[int]]:
         """Answer a batch of queries (one scan per query, same answers)."""

@@ -1,4 +1,4 @@
-"""Classic R*-tree substrate and the generic R* heuristics."""
+"""The generic R* heuristics and the node and metric types they work on."""
 
 from .heuristics import (
     Metrics,
@@ -9,13 +9,11 @@ from .heuristics import (
 )
 from .metrics import KineticMetrics, RectMetrics
 from .node import Node
-from .tree import RStarTree
 
 __all__ = [
     "KineticMetrics",
     "Metrics",
     "Node",
-    "RStarTree",
     "RectMetrics",
     "SplitResult",
     "choose_child",

@@ -3,7 +3,7 @@
 While the circuit breaker is open the storage path is considered
 unhealthy, but queries still deserve an answer.  The
 :class:`DegradedReader` serves them from the last checkpoint's
-:class:`~repro.core.tree.TreeSnapshot` (or forest equivalent) — pure
+:class:`~repro.core.tree.EntrySnapshot` — pure
 in-memory float64 state, no storage I/O — patched with an *overlay* of
 every write that arrived since the outage began, so degraded answers see
 the frontend's own backlogged writes.
@@ -60,7 +60,7 @@ class DegradedReader:
 
     Parameters
     ----------
-    snapshot : TreeSnapshot or ForestSnapshot
+    snapshot : EntrySnapshot
         Committed state captured at the last checkpoint.
     snapshot_op_index : int
         Workload operation index the snapshot reflects (for staleness

@@ -989,7 +989,7 @@ class ServiceFrontend:
                 reader.rebase(base, self._replication.stream_mark())
         source = (
             "replica"
-            if getattr(reader.snapshot, "applied_op_seq", None) is not None
+            if reader.snapshot.applied_op_seq is not None
             else "snapshot"
         )
         answer = reader.query(request.op.query, now)

@@ -44,9 +44,8 @@ from ..core.forest import (
     _partitioner_manifest,
 )
 from ..core.partition import Partitioner, make_partitioner
-from ..core.tree import TreeAudit
+from ..core.tree import EntrySnapshot, TreeAudit
 from ..geometry.bounding import BoundingKind
-from ..geometry.intersection import region_matches_point
 from ..geometry.kinematics import MovingPoint
 from ..geometry.knn import validate_knn_args
 from ..geometry.queries import SpatioTemporalQuery
@@ -231,45 +230,12 @@ class ShardRunResult:
         return self.router_cpu_seconds + busiest
 
 
-class GatheredSnapshot:
-    """Leaf entries gathered from every shard at one instant.
-
-    The sharded counterpart of
-    :class:`~repro.core.tree.TreeSnapshot` for degraded reads: a plain
-    in-memory entry set answering queries by brute-force scan through
-    the same expiration-clipping predicate the trees use.
-    """
-
-    __slots__ = ("entries", "taken_at")
-
-    def __init__(self, entries: Sequence[Tuple[MovingPoint, int]], taken_at: float):
-        self.entries = list(entries)
-        self.taken_at = taken_at
-
-    def leaf_entries(self):
-        """Iterate over all gathered ``(point, oid)`` leaf entries."""
-        return iter(self.entries)
-
-    @property
-    def leaf_entry_count(self) -> int:
-        """Number of gathered leaf entries."""
-        return len(self.entries)
-
-    def query(self, query: SpatioTemporalQuery) -> List[int]:
-        """Answer a query by scanning the gathered entries."""
-        region = query.region()
-        return [
-            oid for point, oid in self.entries
-            if region_matches_point(region, point)
-        ]
-
-
 class _Shard:
     """Parent-side state of one worker: process, pipe, sequencing."""
 
     __slots__ = (
         "index", "directory", "process", "conn", "sent_seq", "acked_seq",
-        "down", "inflight",
+        "down",
     )
 
     def __init__(self, index: int, directory: str):
@@ -280,8 +246,6 @@ class _Shard:
         self.sent_seq = 0
         self.acked_seq = 0
         self.down = True
-        #: FIFO of (seq, metas) for pipelined apply batches.
-        self.inflight: List[tuple] = []
 
 
 def _tree_config_manifest(config: TreeConfig) -> dict:
@@ -468,7 +432,6 @@ class ShardedForest:
         shard.conn = parent_conn
         shard.sent_seq = 0
         shard.acked_seq = 0
-        shard.inflight = []
         shard.down = False
 
     def _reap(self, shard: _Shard) -> None:
@@ -486,7 +449,6 @@ class ShardedForest:
                     process.kill()
                     process.join(timeout=1.0)
             shard.process = None
-        shard.inflight = []
         shard.down = True
 
     def _fail(self, shard: _Shard, reason: str) -> None:
@@ -661,59 +623,60 @@ class ShardedForest:
         self.insert(oid, new_point)
         return existed
 
-    def _begin_trace(self, root) -> TraceContext:
-        """Mint a trace id for one fan-out and stamp its root span."""
-        self._trace_seq += 1
-        trace_id = self._trace_seq
-        root.set(trace_id=trace_id)
-        return TraceContext(trace_id, root.span_id)
+    def _fan_out(self, name: str, impl, describe):
+        """Run one scatter, ``impl(trace, enc, blocked)``, and return its result.
+
+        ``blocked`` accumulates the seconds spent waiting on replies.
+        With a router tracer the scatter runs under a root span called
+        ``name`` whose fresh trace id rides every wire batch
+        (``trace``), ``enc`` accumulates the encode seconds, and the
+        span closes with both stopwatches plus ``describe(result)``;
+        adopted worker spans hang under it, so one fan-out is one
+        cross-process span tree.  Untraced, ``trace``/``enc`` are None.
+        """
+        blocked = [0.0]
+        if self._tracer is None:
+            return impl(None, None, blocked)
+        with self._tracer.span(name) as root:
+            self._trace_seq += 1
+            root.set(trace_id=self._trace_seq)
+            enc = [0.0]
+            result = impl(
+                TraceContext(self._trace_seq, root.span_id), enc, blocked
+            )
+            root.set(encode_s=enc[0], wait_s=blocked[0], **describe(result))
+        return result
+
+    def _encode(
+        self,
+        ops: Sequence[Operation],
+        trace: Optional[TraceContext],
+        enc: Optional[List[float]],
+    ) -> bytes:
+        """Encode one wire batch; traced, stamp it and time the encode."""
+        if enc is None:
+            return self.codec.encode_ops(ops)
+        t0 = _time.perf_counter()
+        payload = self.codec.encode_ops(ops, trace=trace)
+        enc[0] += _time.perf_counter() - t0
+        return payload
 
     def query(self, query: SpatioTemporalQuery) -> List[int]:
         """Scatter a query to the reachable shards and gather answers.
 
-        The scatter is issued to every target before the first answer
-        is collected, so shards execute concurrently; answers merge in
-        shard order (each object lives in exactly one shard, so
-        concatenation preserves the single-tree answer multiset).
-        With a router tracer attached, the whole fan-out runs under a
-        ``shards.query`` span whose trace id rides the wire batches;
-        the workers' shipped spans are adopted under it, so one query
-        yields one reassembled cross-process span tree.
+        A batch of one through the :meth:`query_batch` scatter: the
+        query is issued to every target before the first answer is
+        collected, so shards execute concurrently; answers merge in
+        ``query_partitions`` order (each object lives in exactly one
+        shard, so concatenation preserves the single-tree answer
+        multiset).  Under tracing the fan-out's root span is named
+        ``shards.query``.
         """
-        if self._tracer is None:
-            return self._query_impl(query, None, None, None)
-        with self._tracer.span("shards.query") as root:
-            trace = self._begin_trace(root)
-            enc, blocked = [0.0], [0.0]
-            results = self._query_impl(query, trace, enc, blocked)
-            root.set(encode_s=enc[0], wait_s=blocked[0], results=len(results))
-        return results
-
-    def _query_impl(
-        self,
-        query: SpatioTemporalQuery,
-        trace: Optional[TraceContext],
-        enc: Optional[List[float]],
-        blocked: Optional[List[float]],
-    ) -> List[int]:
-        targets = self.partitioner.query_partitions(query.region())
-        op = QueryOp(self.clock.time, query)
-        if enc is None:
-            payload = self.codec.encode_ops([op])
-        else:
-            t0 = _time.perf_counter()
-            payload = self.codec.encode_ops([op], trace=trace)
-            enc[0] += _time.perf_counter() - t0
-        pending: List[Tuple[_Shard, int]] = []
-        for index in targets:
-            shard = self._shards[index]
-            pending.append((shard, self._send(shard, "apply", payload)))
-        results: List[int] = []
-        for shard, seq in pending:
-            reply = self._await(shard, seq, blocked=blocked)
-            for _, oids in self.codec.decode_answers(reply[2]):
-                results.extend(oids)
-        return results
+        return self._fan_out(
+            "shards.query",
+            lambda *timing: self._query_batch_impl((query,), *timing)[0],
+            lambda results: {"results": len(results)},
+        )
 
     def query_batch(
         self, queries: Sequence[SpatioTemporalQuery]
@@ -736,23 +699,18 @@ class ShardedForest:
         """
         if not queries:
             return []
-        if self._tracer is None:
-            return self._query_batch_impl(queries, None, None, None)
-        with self._tracer.span("shards.query_batch") as root:
-            trace = self._begin_trace(root)
-            enc, blocked = [0.0], [0.0]
-            answers = self._query_batch_impl(queries, trace, enc, blocked)
-            root.set(
-                encode_s=enc[0], wait_s=blocked[0], queries=len(queries)
-            )
-        return answers
+        return self._fan_out(
+            "shards.query_batch",
+            lambda *timing: self._query_batch_impl(queries, *timing),
+            lambda answers: {"queries": len(queries)},
+        )
 
     def _query_batch_impl(
         self,
         queries: Sequence[SpatioTemporalQuery],
         trace: Optional[TraceContext],
         enc: Optional[List[float]],
-        blocked: Optional[List[float]],
+        blocked: List[float],
     ) -> List[List[int]]:
         time = self.clock.time
         targets = [
@@ -767,11 +725,14 @@ class ShardedForest:
                 buffers[index].append(op)
                 metas[index].append(position)
         parts: List[Dict[int, List[int]]] = [{} for _ in queries]
+        # Per shard, the FIFO of (seq, metas) sent and not yet consumed.
+        # It lives and dies with this scatter: if a crash aborts it, the
+        # other shards' replies are discarded as stale by _await.
+        inflight: List[List[tuple]] = [[] for _ in self._shards]
 
         def consume(shard: _Shard) -> None:
-            seq, batch_metas = shard.inflight[0]
+            seq, batch_metas = inflight[shard.index].pop(0)
             reply = self._await(shard, seq, blocked=blocked)
-            shard.inflight.pop(0)
             for offset, oids in self.codec.decode_answers(reply[2]):
                 parts[batch_metas[offset]][shard.index] = oids
 
@@ -779,20 +740,16 @@ class ShardedForest:
         for index, shard in enumerate(self._shards):
             for start in range(0, len(buffers[index]), limit):
                 chunk = buffers[index][start:start + limit]
-                if enc is None:
-                    payload = self.codec.encode_ops(chunk)
-                else:
-                    t0 = _time.perf_counter()
-                    payload = self.codec.encode_ops(chunk, trace=trace)
-                    enc[0] += _time.perf_counter() - t0
-                seq = self._send(shard, "apply", payload)
-                shard.inflight.append(
+                seq = self._send(
+                    shard, "apply", self._encode(chunk, trace, enc)
+                )
+                inflight[index].append(
                     (seq, metas[index][start:start + limit])
                 )
-                while len(shard.inflight) > self.config.window:
+                while len(inflight[index]) > self.config.window:
                     consume(shard)
         for shard in self._shards:
-            while shard.inflight:
+            while inflight[shard.index]:
                 consume(shard)
         return [
             [
@@ -866,15 +823,11 @@ class ShardedForest:
         x = tuple(float(c) for c in x)
         if k == 0:
             return []
-        if self._tracer is None:
-            return self._knn_impl(x, t, k, bound_sq, None, None)
-        with self._tracer.span("shards.query_knn") as root:
-            root.set(k=k)
-            trace = self._begin_trace(root)
-            blocked = [0.0]
-            best = self._knn_impl(x, t, k, bound_sq, trace, blocked)
-            root.set(wait_s=blocked[0], results=len(best))
-        return best
+        return self._fan_out(
+            "shards.query_knn",
+            lambda *timing: self._knn_impl(x, t, k, bound_sq, *timing),
+            lambda best: {"k": k, "results": len(best)},
+        )
 
     def _knn_impl(
         self,
@@ -883,13 +836,15 @@ class ShardedForest:
         k: int,
         bound_sq: float,
         trace: Optional[TraceContext],
-        blocked: Optional[List[float]],
+        enc: Optional[List[float]],
+        blocked: List[float],
     ) -> List[Tuple[float, int]]:
         best: List[Tuple[float, int]] = []
         for shard in self._shards:
             op = KnnOp(self.clock.time, x, t, k, bound_sq)
-            payload = self.codec.encode_ops([op], trace=trace)
-            seq = self._send(shard, "apply", payload)
+            seq = self._send(
+                shard, "apply", self._encode([op], trace, enc)
+            )
             reply = self._await(shard, seq, blocked=blocked)
             _, scored = self.codec.decode_answer_frame(reply[2])
             for _, pairs in scored:
@@ -936,19 +891,11 @@ class ShardedForest:
         Under tracing, the whole replay shares one ``shards.apply_ops``
         span and one trace id across every wire batch it sends.
         """
-        if self._tracer is None:
-            return self._apply_ops_impl(ops, batch_ops, None, None)
-        with self._tracer.span("shards.apply_ops") as root:
-            trace = self._begin_trace(root)
-            enc = [0.0]
-            result = self._apply_ops_impl(ops, batch_ops, trace, enc)
-            root.set(
-                ops=result.ops,
-                batches=result.batches,
-                encode_s=enc[0],
-                wait_s=result.blocked_seconds,
-            )
-        return result
+        return self._fan_out(
+            "shards.apply_ops",
+            lambda *timing: self._apply_ops_impl(ops, batch_ops, *timing),
+            lambda result: {"ops": result.ops, "batches": result.batches},
+        )
 
     def _apply_ops_impl(
         self,
@@ -956,21 +903,22 @@ class ShardedForest:
         batch_ops: Optional[int],
         trace: Optional[TraceContext],
         enc: Optional[List[float]],
+        blocked: List[float],
     ) -> ShardRunResult:
         limit = batch_ops if batch_ops is not None else self.config.batch_ops
         result = ShardRunResult(shard_busy_seconds=[0.0] * self.partitions)
         started = _time.perf_counter()
         cpu_started = _time.process_time()
-        blocked = [0.0]
         buffers: List[List[Operation]] = [[] for _ in self._shards]
         metas: List[List[Optional[int]]] = [[] for _ in self._shards]
         #: query op index -> {shard index -> answer part}
         parts: Dict[int, Dict[int, List[int]]] = {}
+        #: per shard, the FIFO of (seq, metas) sent and not yet consumed
+        inflight: List[List[tuple]] = [[] for _ in self._shards]
 
         def consume(shard: _Shard) -> None:
-            seq, batch_metas = shard.inflight[0]
+            seq, batch_metas = inflight[shard.index].pop(0)
             reply = self._await(shard, seq, blocked=blocked)
-            shard.inflight.pop(0)
             result.shard_busy_seconds[shard.index] += reply[3]
             result.failed_deletes += reply[4]
             for position, oids in self.codec.decode_answers(reply[2]):
@@ -980,18 +928,14 @@ class ShardedForest:
             if not buffers[index]:
                 return
             shard = self._shards[index]
-            if enc is None:
-                payload = self.codec.encode_ops(buffers[index])
-            else:
-                t0 = _time.perf_counter()
-                payload = self.codec.encode_ops(buffers[index], trace=trace)
-                enc[0] += _time.perf_counter() - t0
-            seq = self._send(shard, "apply", payload)
-            shard.inflight.append((seq, metas[index]))
+            seq = self._send(
+                shard, "apply", self._encode(buffers[index], trace, enc)
+            )
+            inflight[index].append((seq, metas[index]))
             buffers[index] = []
             metas[index] = []
             result.batches += 1
-            while len(shard.inflight) > self.config.window:
+            while len(inflight[index]) > self.config.window:
                 consume(shard)
 
         def enqueue(index: int, op: Operation, query_index: Optional[int]) -> None:
@@ -1034,7 +978,7 @@ class ShardedForest:
         for index in range(self.partitions):
             flush(index)
         for shard in self._shards:
-            while shard.inflight:
+            while inflight[shard.index]:
                 consume(shard)
         result.answers = {
             op_index: [
@@ -1053,12 +997,7 @@ class ShardedForest:
 
     def checkpoint(self) -> None:
         """Checkpoint every shard's store (truncates worker WALs)."""
-        pending = [
-            (shard, self._send(shard, "checkpoint"))
-            for shard in self._shards
-        ]
-        for shard, seq in pending:
-            self._await(shard, seq)
+        self._gather("checkpoint")
 
     def close(self) -> None:
         """Checkpoint and stop every worker; bounded, idempotent.
@@ -1104,12 +1043,12 @@ class ShardedForest:
         ]
         return [self._await(shard, seq) for shard, seq in pending]
 
-    def snapshot(self) -> GatheredSnapshot:
+    def snapshot(self) -> EntrySnapshot:
         """Gather every shard's committed leaf entries for degraded reads."""
         entries: List[Tuple[MovingPoint, int]] = []
         for reply in self._gather("snapshot"):
             entries.extend(self.codec.decode_entries(reply[3]))
-        return GatheredSnapshot(entries, self.clock.time)
+        return EntrySnapshot(entries, self.clock.time)
 
     def stats_payloads(self) -> List[dict]:
         """Per-shard stats exports (metrics, I/O counters, sizes).
@@ -1188,18 +1127,8 @@ class ShardedForest:
 
     def audit(self) -> TreeAudit:
         """Shard-wide structural census (counts summed over shards)."""
-        audits = [reply[2] for reply in self._gather("audit")]
-        return TreeAudit(
-            height=max(audit.height for audit in audits),
-            nodes=sum(audit.nodes for audit in audits),
-            leaf_entries=sum(audit.leaf_entries for audit in audits),
-            expired_leaf_entries=sum(
-                audit.expired_leaf_entries for audit in audits
-            ),
-            internal_entries=sum(audit.internal_entries for audit in audits),
-            expired_internal_entries=sum(
-                audit.expired_internal_entries for audit in audits
-            ),
+        return TreeAudit.merged(
+            [reply[2] for reply in self._gather("audit")]
         )
 
     # -- test hooks ----------------------------------------------------------

@@ -94,13 +94,16 @@ def _build_tree(
 ) -> MovingObjectTree:
     """Create or recover the worker's durable member tree."""
     if spec.recover:
-        return MovingObjectTree.open_from(
+        # open_from hands registry/tracer to the page store only (so
+        # recovery itself is observed); the tree attaches below.
+        tree = MovingObjectTree.open_from(
             spec.directory, spec.config, clock,
             fsync=spec.fsync, registry=registry, tracer=tracer,
         )
-    tree = MovingObjectTree.create_durable(
-        spec.directory, spec.config, clock, fsync=spec.fsync
-    )
+    else:
+        tree = MovingObjectTree.create_durable(
+            spec.directory, spec.config, clock, fsync=spec.fsync
+        )
     if registry is not None or tracer is not None:
         tree.enable_observability(registry, tracer)
     return tree
@@ -147,12 +150,9 @@ def _apply_batch(tree, clock, codec, payload):
                 and ops[stop].time == op.time
             ):
                 stop += 1
-            if stop == position + 1:
-                answers.append((position, tree.query(op.query)))
-            else:
-                run = [ops[i].query for i in range(position, stop)]
-                for offset, oids in enumerate(tree.query_batch(run)):
-                    answers.append((position + offset, oids))
+            run = [ops[i].query for i in range(position, stop)]
+            for offset, oids in enumerate(tree.query_batch(run)):
+                answers.append((position + offset, oids))
             position = stop
             continue
         if isinstance(op, InsertOp):
@@ -263,9 +263,7 @@ def worker_main(conn, spec: WorkerSpec) -> None:
                     conn.send(("ok", seq, _stats_payload(tree, registry)))
                 elif verb == "snapshot":
                     snapshot = tree.snapshot()
-                    entries = codec.encode_entries(
-                        list(snapshot.leaf_entries())
-                    )
+                    entries = codec.encode_entries(snapshot.entries)
                     conn.send(("ok", seq, snapshot.taken_at, entries))
                 elif verb == "audit":
                     conn.send(("ok", seq, tree.audit()))

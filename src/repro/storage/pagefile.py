@@ -2,9 +2,9 @@
 
 Two layers live here.  :class:`PageFile` is the raw on-disk format —
 fixed-size slots with per-slot CRCs and a checksummed header.
-:class:`FilePageStore` implements the same ``allocate`` / ``free`` /
-``read`` / ``write`` / ``peek`` protocol (and the exact same
-:class:`~repro.storage.stats.IOStats` accounting) as the simulated
+:class:`FilePageStore` inherits the ``allocate`` / ``free`` /
+``read`` / ``write`` / ``peek`` protocol (and so the exact same
+:class:`~repro.storage.stats.IOStats` accounting) of the simulated
 :class:`~repro.storage.disk.DiskManager`, so a tree runs unchanged on
 either and every figure's I/O counts still hold.  Durability is added
 underneath: node payloads are encoded with the byte-exact
@@ -54,9 +54,9 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .disk import INVALID_PAGE, PageError, PageId
+from .disk import INVALID_PAGE, DiskManager, PageId
 from .faults import TransientIOError
 from .layout import EntryLayout
 from .serial import NodeCodec
@@ -388,11 +388,11 @@ def _all_expired_predicate(
     return check
 
 
-class FilePageStore:
-    """A durable drop-in for :class:`~repro.storage.disk.DiskManager`.
+class FilePageStore(DiskManager):
+    """A durable :class:`~repro.storage.disk.DiskManager`.
 
-    The store keeps the *decoded* payload of every allocated page in
-    memory — exactly what the simulated disk does — so reads return the
+    The store inherits the simulated disk's page table: it keeps the
+    *decoded* payload of every allocated page in memory, so reads return the
     same full-precision objects and charge the same ``IOStats`` as the
     simulation (one read per :meth:`read`, one write per :meth:`write`,
     none for :meth:`peek` or allocation).  What the simulation lacks is
@@ -430,16 +430,12 @@ class FilePageStore:
         wal: Optional[WriteAheadLog] = None,
         stats: Optional[IOStats] = None,
     ):
+        super().__init__(layout.page_size, stats)
         self._file = file
         self.layout = layout
         self.codec = NodeCodec(layout)
-        self.page_size = layout.page_size
-        self.stats = stats if stats is not None else IOStats()
         self.wal = wal
         self._now = now
-        self._pages: Dict[PageId, Any] = {}
-        self._free: List[PageId] = []
-        self._next_id: PageId = 0
         self._staged: Dict[PageId, str] = {}
         self._pending_commit: Optional[
             Tuple[int, Dict[PageId, Optional[bytes]]]
@@ -585,39 +581,11 @@ class FilePageStore:
         if self.wal is not None:
             self.wal._injector = injector
 
-    # -- DiskManager protocol (identical IOStats charges) -------------------
-
-    def allocate(self) -> PageId:
-        """Allocate a fresh page and return its id (no I/O charged)."""
-        if self._free:
-            pid = self._free.pop()
-        else:
-            pid = self._next_id
-            self._next_id += 1
-        self._pages[pid] = None
-        self.stats.allocations += 1
-        return pid
-
-    def allocate_many(self, count: int) -> List[PageId]:
-        """Allocate ``count`` pages at once (the bulk-loading path)."""
-        pids: List[PageId] = []
-        while self._free and len(pids) < count:
-            pids.append(self._free.pop())
-        fresh = count - len(pids)
-        pids.extend(range(self._next_id, self._next_id + fresh))
-        self._next_id += fresh
-        for pid in pids:
-            self._pages[pid] = None
-        self.stats.allocations += count
-        return pids
+    # -- staging on top of the inherited page table -------------------------
 
     def free(self, pid: PageId) -> None:
         """Return a page to the free list and stage the slot release."""
-        if pid not in self._pages:
-            raise PageError(f"free of unallocated page {pid}")
-        del self._pages[pid]
-        self._free.append(pid)
-        self.stats.frees += 1
+        super().free(pid)
         self._staged[pid] = "free"
 
     def read(self, pid: PageId) -> Any:
@@ -627,27 +595,15 @@ class FilePageStore:
         first — the raise site for injected transient read faults — so
         a faulted read charges no I/O (the page never arrived).
         """
-        if pid not in self._pages:
-            raise PageError(f"read of unallocated page {pid}")
         injector = self._file._injector
-        if injector is not None:
+        if injector is not None and pid in self._pages:
             injector.before_read()
-        self.stats.reads += 1
-        return self._pages[pid]
+        return super().read(pid)
 
     def write(self, pid: PageId, payload: Any) -> None:
         """Write a page, charging one write I/O and staging the image."""
-        if pid not in self._pages:
-            raise PageError(f"write of unallocated page {pid}")
-        self.stats.writes += 1
-        self._pages[pid] = payload
+        super().write(pid, payload)
         self._staged[pid] = "page"
-
-    def peek(self, pid: PageId) -> Any:
-        """Read a page without charging I/O (audits and tests only)."""
-        if pid not in self._pages:
-            raise PageError(f"peek of unallocated page {pid}")
-        return self._pages[pid]
 
     # -- introspection ------------------------------------------------------
 
@@ -656,27 +612,6 @@ class FilePageStore:
         """Directory holding the store's page file and write-ahead log."""
         return os.path.dirname(self._file.path)
 
-    @property
-    def allocated_pages(self) -> int:
-        """Number of live pages (the index-size metric of Figure 15)."""
-        return len(self._pages)
-
-    def is_allocated(self, pid: PageId) -> bool:
-        """Whether ``pid`` currently holds a live page."""
-        return pid in self._pages
-
-    def page_ids(self) -> Iterator[PageId]:
-        """Iterate over the ids of all live pages."""
-        return iter(self._pages.keys())
-
-    @property
-    def next_page_id(self) -> PageId:
-        """The allocation high-water mark (used when persisting)."""
-        return self._next_id
-
-    def free_page_ids(self) -> List[PageId]:
-        """The current free list, oldest free first (used when persisting)."""
-        return list(self._free)
 
     @property
     def op_seq(self) -> int:

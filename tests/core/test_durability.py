@@ -10,6 +10,7 @@ from repro.core.forest import ForestConfig, PartitionedMovingObjectForest
 from repro.core.tree import MovingObjectTree
 from repro.geometry import MovingQuery, Rect, TimesliceQuery, WindowQuery
 from repro.geometry.kinematics import MovingPoint
+from repro.geometry.tpbr import TPBR
 from repro.storage.faults import FaultInjector, TransientIOError
 from repro.storage.pagefile import FilePageStore, PageFileError
 
@@ -66,6 +67,52 @@ def test_tree_close_reopen_answers_identically(tmp_path):
         want_audit.nodes, want_audit.leaf_entries
     )
     reopened.close()
+
+
+def test_reopened_tree_deletes_every_entry_at_paper_scale(tmp_path):
+    """Binary32 page fields must not hide a leaf from its own bound.
+
+    On a 1000 x 1000 space the codec rounds a bound by up to 6e-5 —
+    far beyond the absolute deletion tolerance — so after a reopen the
+    containment descent used to prune the very leaf holding the entry.
+    """
+    config = TreeConfig(page_size=2048, buffer_pages=12)
+    rng = random.Random(3)
+    tree = MovingObjectTree.create_durable(str(tmp_path / "t"), config)
+    points = {
+        oid: MovingPoint(
+            (rng.uniform(0, 1000), rng.uniform(0, 1000)),
+            (rng.uniform(-3, 3), rng.uniform(-3, 3)),
+            0.0, 120.0,
+        )
+        for oid in range(700)
+    }
+    for oid, point in points.items():
+        tree.insert(oid, point)
+    tree.close()
+    clock = SimulationClock()
+    reopened = MovingObjectTree.open_from(str(tmp_path / "t"), config, clock)
+    clock.advance_to(50.0)
+    missed = [
+        oid for oid, point in points.items()
+        if not reopened.delete(oid, point)
+    ]
+    assert missed == []
+    assert reopened.leaf_entry_count == 0
+    reopened.close()
+
+
+def test_delete_slack_still_prunes_points_outside_a_bound():
+    br = TPBR((990.0, 990.0), (1000.0, 1000.0), (-3.0, -3.0), (3.0, 3.0),
+              0.0, 120.0)
+    covers = MovingObjectTree._covers_position
+    now = 50.0  # the bound has grown to [840, 1150] per dimension
+    assert covers(br, (1150.0 + 1e-4, 900.0), now)  # codec-rounding range
+    assert not covers(br, (1150.0 + 1e-2, 900.0), now)
+    assert not covers(br, (900.0, 840.0 - 1e-2), now)
+    unit = TPBR((0.25, 0.25), (0.5, 0.5), (0.0, 0.0), (0.0, 0.0), 0.0, 120.0)
+    assert covers(unit, (0.5 + 5e-7, 0.3), now)  # the absolute floor
+    assert not covers(unit, (0.5 + 2e-6, 0.3), now)
 
 
 def test_open_from_validates_page_size(tmp_path):

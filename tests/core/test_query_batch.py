@@ -79,9 +79,11 @@ def test_tree_batch_matches_sequential_scalar_path(seed):
     kernels.np = None
     try:
         got = tree.query_batch(queries)
+        singly = [tree.query(q) for q in queries]
     finally:
         kernels.np = saved
     assert got == want
+    assert singly == want
 
 
 @settings(deadline=None, max_examples=10)
@@ -133,5 +135,26 @@ def test_batch_counts_queries_in_metrics():
     tree, t = _populated_tree(rng, 80)
     registry = MetricsRegistry()
     tree.enable_observability(registry)
-    tree.query_batch([_random_query(rng, t) for _ in range(6)])
+    queries = [_random_query(rng, t) for _ in range(6)]
+    tree.query_batch(queries)
     assert registry.counter("tree.queries").value == 6
+    # Every counted query feeds the histograms, batched or not, in any
+    # interleaving of the two entry points.
+    tree.query(queries[0])
+    tree.query_batch(queries[1:3])
+    tree.query(queries[3])
+    visited = registry.get("tree.query_nodes_visited")
+    depth = registry.get("tree.query_descent_depth")
+    assert visited.count == depth.count == 10
+    assert registry.counter("tree.queries").value == 10
+    # A batched query records the visits and depth it would alone.
+    alone, together = MetricsRegistry(), MetricsRegistry()
+    tree.enable_observability(alone)
+    for query in queries:
+        tree.query(query)
+    tree.enable_observability(together)
+    tree.query_batch(queries)
+    for name in ("tree.query_nodes_visited", "tree.query_descent_depth"):
+        one, many = alone.get(name), together.get(name)
+        assert (one.buckets, one.total, one.min, one.max) == \
+            (many.buckets, many.total, many.min, many.max)

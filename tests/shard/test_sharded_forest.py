@@ -17,6 +17,7 @@ from repro.core.tree import MovingObjectTree
 from repro.geometry.kinematics import MovingPoint
 from repro.geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
 from repro.geometry.rect import Rect
+from repro.obs import MetricsRegistry
 from repro.serve import FrontendConfig, ServiceFrontend
 from repro.shard import (
     ShardConfig,
@@ -185,6 +186,28 @@ def test_close_checkpoints_and_reopen_preserves_answers(tmp_path):
         reopened.close()
 
 
+def test_reopened_and_revived_workers_keep_feeding_the_registry(tmp_path):
+    """A worker that recovers its tree must still observe it."""
+    rng = random.Random(19)
+    directory = str(tmp_path / "s")
+    ShardedForest.create(directory, shard_config()).close()
+    with ShardedForest.open(directory, shard_config()) as forest:
+        for oid in range(20):
+            forest.insert(oid, random_report(rng, forest.clock.time))
+        assert forest.registry_snapshot().value("tree.inserts") == 20
+        forest.crash_worker(0)
+        point = MovingPoint((5.0, 5.0), (0.1, 0.0), 0.0, 50.0)
+        assert forest.partitioner.partition_of(point) == 0
+        with pytest.raises(ShardCrashError):
+            forest.insert(100, point)
+        forest.insert(100, point)  # revives shard 0 through recovery
+        payloads = forest.stats_payloads()
+        assert MetricsRegistry.from_dict(
+            payloads[0]["metrics"]
+        ).value("tree.inserts") == 1  # the revived worker's own count
+        assert forest.registry_snapshot().value("buffer.hits") > 0
+
+
 def test_open_rejects_missing_or_mismatched_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         ShardedForest.open(str(tmp_path / "nowhere"))
@@ -223,6 +246,24 @@ def test_worker_crash_surfaces_as_retryable_then_revives(tmp_path):
         forest.insert(999, point)
         oracle.insert(999, point)
         assert forest.leaf_entry_count == oracle.leaf_entry_count
+
+
+def test_scatter_aborted_by_a_crash_leaves_no_stale_answers(tmp_path):
+    """Replies to an aborted scatter must not be read as the next one's."""
+    rng = random.Random(23)
+    everywhere = Rect((0.0, 0.0), (SPACE, SPACE))
+    with ShardedForest.create(str(tmp_path / "s"), shard_config()) as forest:
+        for oid in range(30):
+            forest.insert(oid, random_report(rng, 0.0))
+        wide = [TimesliceQuery(everywhere, 1.0 + i) for i in range(5)]
+        want = forest.query_batch(wide)
+        forest.crash_worker(1)
+        # Shard 0 is sent its five-query batch before shard 1 is found
+        # dead; its reply is still in the pipe when the next scatter runs.
+        with pytest.raises(ShardCrashError):
+            forest.query_batch(wide)
+        assert forest.query(wide[4]) == want[4]
+        assert forest.query_batch(wide[:2]) == want[:2]
 
 
 def test_close_is_bounded_and_idempotent_after_crash(tmp_path):

@@ -81,6 +81,9 @@ def test_single_query_trace_is_distinct(traced_run):
     batch_root = next(r for r in records
                       if r.get("name") == "shards.query_batch")
     assert root["attrs"]["trace_id"] != batch_root["attrs"]["trace_id"]
+    # A single query is a batch of one under its own root span name.
+    assert traced_run["single_answer"] == traced_run["batch_answers"][0]
+    assert root["attrs"]["results"] == len(traced_run["single_answer"])
     mine = [r for r in records
             if r.get("name") == "worker.batch"
             and r["attrs"].get("trace_id") == root["attrs"]["trace_id"]]
@@ -145,3 +148,5 @@ def test_answers_unaffected_by_tracing(traced_run, tmp_path):
             traced_run["batch_answers"]
         assert forest.query(sample_queries(0.0)[0]) == \
             traced_run["single_answer"]
+        assert forest.query_batch([sample_queries(0.0)[0]]) == \
+            [traced_run["single_answer"]]
