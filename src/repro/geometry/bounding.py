@@ -73,21 +73,6 @@ class _DimensionData:
     inf_vel_max: Optional[float] = None  # floor for the upper bound slope
 
 
-def _item_bounds(item: Boundable, dim: int, t: float) -> Tuple[float, float]:
-    """(lower, upper) coordinate of an item in one dimension at time t."""
-    if isinstance(item, MovingPoint):
-        x = item.coordinate_at(dim, t)
-        return x, x
-    return item.lower_at(dim, t), item.upper_at(dim, t)
-
-
-def _item_velocities(item: Boundable, dim: int) -> Tuple[float, float]:
-    """(lower-bound, upper-bound) velocity of an item in one dimension."""
-    if isinstance(item, MovingPoint):
-        return item.vel[dim], item.vel[dim]
-    return item.vlo[dim], item.vhi[dim]
-
-
 def _collect(items: Sequence[Boundable], dims: int, t_ref: float) -> List[_DimensionData]:
     """Build per-dimension endpoint sets P (Section 4.1.3).
 
@@ -96,33 +81,59 @@ def _collect(items: Sequence[Boundable], dims: int, t_ref: float) -> List[_Dimen
     Members that never expire contribute velocity constraints instead of
     endpoints.
     """
-    data = [_DimensionData() for _ in range(dims)]
+    axes = range(dims)
+    x_min = [math.inf] * dims
+    x_max = [-math.inf] * dims
+    v_min = [math.inf] * dims
+    v_max = [-math.inf] * dims
+    inf_v_min: List[Optional[float]] = [None] * dims
+    inf_v_max: List[Optional[float]] = [None] * dims
+    uppers: List[List[Point2]] = [[] for _ in axes]
+    lowers: List[List[Point2]] = [[] for _ in axes]
     for item in items:
+        if isinstance(item, MovingPoint):
+            lo = hi = item.pos
+            vlo = vhi = item.vel
+        else:
+            lo, hi, vlo, vhi = item.lo, item.hi, item.vlo, item.vhi
         t_exp = item.t_exp
         finite = not math.isinf(t_exp)
-        t_end = max(t_exp, t_ref) if finite else t_ref
-        for d in range(dims):
-            dd = data[d]
-            lo_ref, hi_ref = _item_bounds(item, d, t_ref)
-            dd.x_ref_min = min(dd.x_ref_min, lo_ref)
-            dd.x_ref_max = max(dd.x_ref_max, hi_ref)
-            v_lo, v_hi = _item_velocities(item, d)
-            dd.vel_min = min(dd.vel_min, v_lo)
-            dd.vel_max = max(dd.vel_max, v_hi)
+        dt_ref = t_ref - item.t_ref
+        dt_end = t_exp - item.t_ref
+        for d in axes:
+            v_lo = vlo[d]
+            v_hi = vhi[d]
+            lo_ref = lo[d] + v_lo * dt_ref
+            hi_ref = hi[d] + v_hi * dt_ref
+            if lo_ref < x_min[d]:
+                x_min[d] = lo_ref
+            if hi_ref > x_max[d]:
+                x_max[d] = hi_ref
+            if v_lo < v_min[d]:
+                v_min[d] = v_lo
+            if v_hi > v_max[d]:
+                v_max[d] = v_hi
             if finite:
-                if t_end > t_ref:
-                    lo_end, hi_end = _item_bounds(item, d, t_end)
-                    dd.upper_points.append((t_end, hi_end))
-                    dd.lower_points.append((t_end, lo_end))
+                if t_exp > t_ref:
+                    uppers[d].append((t_exp, hi[d] + v_hi * dt_end))
+                    lowers[d].append((t_exp, lo[d] + v_lo * dt_end))
             else:
-                if dd.inf_vel_max is None or v_hi > dd.inf_vel_max:
-                    dd.inf_vel_max = v_hi
-                if dd.inf_vel_min is None or v_lo < dd.inf_vel_min:
-                    dd.inf_vel_min = v_lo
-    for dd in data:
-        dd.upper_points.append((t_ref, dd.x_ref_max))
-        dd.lower_points.append((t_ref, dd.x_ref_min))
-    return data
+                cap = inf_v_max[d]
+                if cap is None or v_hi > cap:
+                    inf_v_max[d] = v_hi
+                cap = inf_v_min[d]
+                if cap is None or v_lo < cap:
+                    inf_v_min[d] = v_lo
+    for d in axes:
+        uppers[d].append((t_ref, x_max[d]))
+        lowers[d].append((t_ref, x_min[d]))
+    return [
+        _DimensionData(
+            uppers[d], lowers[d], x_min[d], x_max[d], v_min[d], v_max[d],
+            inf_v_min[d], inf_v_max[d],
+        )
+        for d in axes
+    ]
 
 
 def _constrain_upper(line: Line, dd: _DimensionData) -> Line:
@@ -183,12 +194,14 @@ def lemma42_median(
             nxt[k] += c * h
             nxt[k + 1] += c * w
         coeffs = nxt
-    numerator = sum(
-        c * delta ** (k + 2) / (k + 2) for k, c in enumerate(coeffs)
-    )
-    denominator = sum(
-        c * delta ** (k + 1) / (k + 1) for k, c in enumerate(coeffs)
-    )
+    # Plain left-to-right accumulation, not ``sum()``: the built-in is
+    # Neumaier-compensated from Python 3.12 on, and the pair kernel
+    # (:mod:`repro.geometry.kernels`) must add in this exact order.
+    numerator = 0.0
+    denominator = 0.0
+    for k, c in enumerate(coeffs):
+        numerator += c * delta ** (k + 2) / (k + 2)
+        denominator += c * delta ** (k + 1) / (k + 1)
     if denominator <= 0.0:
         return delta / 2.0
     return min(max(numerator / denominator, 0.0), delta)

@@ -8,29 +8,33 @@ algorithm, which is what this module implements.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import List, Sequence, Tuple
 
 Point2 = Tuple[float, float]
 #: A line x(t) = intercept + slope * t.
 Line = Tuple[float, float]
 
-
-def _cross(o: Point2, a: Point2, b: Point2) -> float:
-    """Cross product of OA and OB; positive for a counter-clockwise turn."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+_BY_T = itemgetter(0)
 
 
 def _dedupe_columns(points: Sequence[Point2], keep_max: bool) -> List[Point2]:
-    """Sort by t and keep one point per t (max or min x)."""
-    best: dict = {}
-    for t, x in points:
-        if t not in best:
-            best[t] = x
-        elif keep_max:
-            best[t] = max(best[t], x)
-        else:
-            best[t] = min(best[t], x)
-    return sorted(best.items())
+    """Sort by t and keep one point per t (max or min x).
+
+    The sort is stable on ``t`` alone, so each equal-``t`` run arrives in
+    input order: the column keeps the run's first ``t`` and, among equal
+    extremes, its first ``x`` — the batched pair kernel in
+    :mod:`repro.geometry.kernels` reproduces exactly this choice.
+    """
+    ordered = sorted(points, key=_BY_T)
+    columns = [ordered[0]]
+    for p in ordered:
+        last = columns[-1]
+        if p[0] != last[0]:
+            columns.append(p)
+        elif (p[1] > last[1]) if keep_max else (p[1] < last[1]):
+            columns[-1] = (last[0], p[1])
+    return columns
 
 
 def upper_hull(points: Sequence[Point2]) -> List[Point2]:
@@ -41,11 +45,17 @@ def upper_hull(points: Sequence[Point2]) -> List[Point2]:
     """
     if not points:
         raise ValueError("hull of no points")
-    pts = _dedupe_columns(points, keep_max=True)
     hull: List[Point2] = []
-    for p in pts:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) >= 0.0:
-            hull.pop()
+    for p in _dedupe_columns(points, keep_max=True):
+        t, x = p
+        while len(hull) >= 2:
+            (ot, ox), (at, ax) = hull[-2], hull[-1]
+            # Cross product of (hull[-2] -> hull[-1]) and (hull[-2] -> p):
+            # non-negative means hull[-1] is not strictly above the chord.
+            if (at - ot) * (x - ox) - (ax - ox) * (t - ot) >= 0.0:
+                hull.pop()
+            else:
+                break
         hull.append(p)
     return hull
 
@@ -54,11 +64,15 @@ def lower_hull(points: Sequence[Point2]) -> List[Point2]:
     """Lower convex hull, left to right (bounds all points from below)."""
     if not points:
         raise ValueError("hull of no points")
-    pts = _dedupe_columns(points, keep_max=False)
     hull: List[Point2] = []
-    for p in pts:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0.0:
-            hull.pop()
+    for p in _dedupe_columns(points, keep_max=False):
+        t, x = p
+        while len(hull) >= 2:
+            (ot, ox), (at, ax) = hull[-2], hull[-1]
+            if (at - ot) * (x - ox) - (ax - ox) * (t - ot) <= 0.0:
+                hull.pop()
+            else:
+                break
         hull.append(p)
     return hull
 
@@ -69,8 +83,9 @@ def bridge_edge(hull: Sequence[Point2], median_t: float) -> Tuple[Point2, Point2
     The median is clamped into the hull's t-range.  When the median
     coincides with a vertex, either adjacent edge yields a minimum-area
     trapezoid (the paper notes both interpretations are equivalent); the
-    edge to the right is returned.  A single-vertex hull yields a
-    degenerate horizontal "edge".
+    edge to the *left* is returned — the first one whose t-range holds
+    the median — and the batched pair kernel reproduces that tie-break.
+    A single-vertex hull yields a degenerate horizontal "edge".
     """
     if not hull:
         raise ValueError("bridge of empty hull")

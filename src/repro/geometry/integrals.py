@@ -52,8 +52,16 @@ def integration_end(
 
     ``t_start + min(H, max(t_exps) - t_start)``, never before ``t_start``.
     """
+    return window_end(
+        t_start, horizon, max(t_exps) if t_exps else math.inf
+    )
+
+
+def window_end(
+    t_start: float, horizon: Optional[float], t_exp: float
+) -> float:
+    """:func:`integration_end` of one (already maximal) expiration time."""
     delta = math.inf if horizon is None else horizon
-    t_exp = max(t_exps) if t_exps else math.inf
     if not math.isinf(t_exp):
         delta = min(delta, t_exp - t_start)
     if math.isinf(delta):

@@ -23,17 +23,23 @@ integrals build powers by repeated multiplication.  Property tests in
 ``tests/geometry/test_kernels.py`` enforce the equivalence on random
 inputs with and without numpy.
 
-Kernels that cannot be vectorized profitably (hull-based TPBR kinds,
-overlap integrals with data-dependent breakpoint sets) simply loop the
-scalar code; callers get one uniform batch API either way.
+One hull-based case does vectorize: the near-optimal bound of a
+*two-member* group, whose endpoint sets hold at most three points per
+dimension, so the Graham scan and the bridge search collapse to a
+closed form (:func:`_near_optimal_pairs`; ChooseSubtree asks for one
+such bound per child).  Kernels that cannot be vectorized profitably
+(hull-based TPBR kinds over larger groups, overlap integrals with
+data-dependent breakpoint sets) simply loop the scalar code; callers
+get one uniform batch API either way.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from .bounding import BoundingKind, compute_tpbr
+from .bounding import _MIN_DELTA, BoundingKind, compute_tpbr
 from .integrals import (
     area_integral,
     center_distance_sq_integral,
@@ -227,13 +233,33 @@ def batch_compute_tpbr(
 ) -> List[TPBR]:
     """One TPBR per group, as if by :func:`compute_tpbr` on each.
 
-    Only the conservative kind vectorizes: its bounds are pure min/max
-    reductions over member endpoints.  The hull-based kinds (and the
-    expiration-endpoint collection of static/update-minimum) are
-    inherently sequential per group and loop the scalar code — which
-    also keeps the near-optimal kind's rng consumption order identical
-    to per-group scalar calls.
+    Two shapes vectorize.  The conservative kind's bounds are pure
+    min/max reductions over member endpoints, whatever the group sizes.
+    The near-optimal kind has a closed form when *every* group has two
+    members and the horizon is finite (:func:`_near_optimal_pairs`);
+    the rng is consumed exactly as by per-group scalar calls.  All else
+    — hull-based kinds over larger groups, the expiration-endpoint
+    collection of static/update-minimum — is inherently sequential per
+    group and loops the scalar code.
     """
+    if _pairs_vectorize(len(groups), kind, horizon) and all(
+        len(g) == 2 for g in groups
+    ):
+        firsts = [g[0] for g in groups]
+        seconds = [g[1] for g in groups]
+        dims = firsts[0].dims
+        # Mixed dimensionality: the scalar path raises its usual error.
+        if all(a.dims == dims == b.dims for a, b in zip(firsts, seconds)):
+            return _tpbrs_from_rows(
+                *_near_optimal_pairs(
+                    _boundable_soa(firsts),
+                    _boundable_soa(seconds),
+                    t_ref,
+                    horizon,
+                    _visiting_orders(rng, len(groups), dims),
+                ),
+                t_ref,
+            )
     vectorize = (
         np is not None
         and kind is BoundingKind.CONSERVATIVE
@@ -243,7 +269,7 @@ def batch_compute_tpbr(
     )
     if not vectorize:
         return [
-            compute_tpbr(list(g), t_ref, kind, horizon=horizon, rng=rng)
+            compute_tpbr(g, t_ref, kind, horizon=horizon, rng=rng)
             for g in groups
         ]
     items = [item for g in groups for item in g]
@@ -251,7 +277,7 @@ def batch_compute_tpbr(
     if any(item.dims != dims for item in items):
         # Let the scalar path raise its usual dimensionality error.
         return [
-            compute_tpbr(list(g), t_ref, kind, horizon=horizon, rng=rng)
+            compute_tpbr(g, t_ref, kind, horizon=horizon, rng=rng)
             for g in groups
         ]
     n = len(items)
@@ -308,6 +334,234 @@ def batch_compute_tpbr(
     ]
 
 
+def _boundable_soa(items: Sequence[Boundable]):
+    """Moving points and/or TPBRs as ``(x, v, t_ref, t_exp)``, members last.
+
+    ``x`` and ``v`` have shape (2, dims, n): the (upper, lower) bound of
+    every dimension at the member's own reference time, and its
+    velocity.  A point is the degenerate rectangle upper == lower.
+    Nothing is re-evaluated: the arrays hold the members' own floats.
+    """
+    rows = np.array(
+        [
+            (*i.pos, *i.pos, *i.vel, *i.vel, i.t_ref, i.t_exp)
+            if isinstance(i, MovingPoint)
+            else (*i.hi, *i.lo, *i.vhi, *i.vlo, i.t_ref, i.t_exp)
+            for i in items
+        ],
+        dtype=np.float64,
+    )
+    n, width = rows.shape
+    dims = (width - 2) // 4
+    cols = np.ascontiguousarray(rows.T)
+    return (
+        cols[: 2 * dims].reshape(2, dims, n),
+        cols[2 * dims : 4 * dims].reshape(2, dims, n),
+        cols[-2],
+        cols[-1],
+    )
+
+
+def _tpbrs_from_rows(lo, hi, vlo, vhi, t_exp, t_ref: float) -> List[TPBR]:
+    """TPBRs at ``t_ref`` from (dims, n) bound arrays and (n,) expirations."""
+    return [
+        TPBR(*map(tuple, bounds), t_ref, exp)
+        for *bounds, exp in zip(
+            lo.T.tolist(), hi.T.tolist(), vlo.T.tolist(), vhi.T.tolist(),
+            t_exp.tolist(),
+        )
+    ]
+
+
+def _pairs_vectorize(
+    n: int, kind: BoundingKind, horizon: Optional[float]
+) -> bool:
+    """Whether ``n`` two-member groups go through :func:`_near_optimal_pairs`."""
+    return (
+        np is not None
+        and kind is BoundingKind.NEAR_OPTIMAL
+        and n >= _MIN_BATCH
+        and horizon is not None
+        and math.isfinite(horizon)
+    )
+
+
+def _visiting_orders(rng: Optional[random.Random], n: int, dims: int):
+    """Per-group dimension orders, drawn as ``n`` scalar calls would.
+
+    One ``rng.shuffle`` per group, in group order, before any arithmetic
+    — ``None`` (the natural order) without an rng.
+    """
+    if rng is None:
+        return None
+    orders = []
+    for _ in range(n):
+        order = list(range(dims))
+        rng.shuffle(order)
+        orders.append(order)
+    return np.array(orders, dtype=np.intp)
+
+
+def _near_optimal_pairs(a, b, t_ref: float, horizon: float, orders):
+    """Near-optimal bounds of the two-member groups ``[a[i], b[i]]``.
+
+    ``a`` and ``b`` are :func:`_boundable_soa` tuples (``b`` may hold a
+    single member, paired with every member of ``a``); ``orders`` comes
+    from :func:`_visiting_orders`.  Returns ``(lo, hi, vlo, vhi)`` of
+    shape (dims, n) and ``t_exp`` of shape (n,) holding, bit for bit,
+    what ``near_optimal_tpbr`` computes per group: every step below
+    names the scalar code it stands for and keeps its operand order and
+    its tie-breaks (Python's ``min``/``max`` keep their *first* argument
+    on ties, hence ``where(second beats first, second, first)``).
+
+    Per dimension the endpoint set of a pair is ``{P0, A, B}``: P0 at
+    ``t_ref`` (always the leftmost), plus each member's bound at its
+    expiration time if that is finite and later than ``t_ref``; a member
+    that never expires bounds the slope instead.  Upper and lower bounds
+    ride in one array (axis 0: upper, lower); ``beats`` is ``>`` on the
+    upper row and ``<`` on the lower.
+    """
+    xa, va, ref_a, exp_a = a
+    xb, vb, ref_b, exp_b = b
+    _, dims, n = xa.shape
+    upper = np.array([True, False]).reshape(2, 1, 1)
+
+    def beats(x, y):
+        return np.where(upper, x > y, x < y)
+
+    with np.errstate(all="ignore"):
+        # _collect: bounds at t_ref and at each usable expiration time
+        # (garbage where ``has_*`` is false, masked out below).
+        never_a = np.isinf(exp_a)
+        never_b = np.isinf(exp_b)
+        has_a = (exp_a > t_ref) & ~never_a
+        has_b = (exp_b > t_ref) & ~never_b
+        at_a = xa + va * (t_ref - ref_a)
+        at_b = xb + vb * (t_ref - ref_b)
+        end_a = xa + va * (exp_a - ref_a)
+        end_b = xb + vb * (exp_b - ref_b)
+        x0 = np.where(beats(at_b, at_a), at_b, at_a)
+        limited = never_a | never_b
+        limit = np.where(never_b & (~never_a | beats(vb, va)), vb, va)
+
+        # _max_expiration (an infinite first member decides alone) and
+        # _horizon_delta (the final clamp is positive, so plain min/max
+        # cannot differ from Python's even in the sign of a zero).
+        g_exp = np.where(
+            never_a, math.inf, np.where(exp_b > exp_a, exp_b, exp_a)
+        )
+        delta = np.maximum(np.minimum(g_exp - t_ref, horizon), _MIN_DELTA)
+
+        # _dedupe_columns: the endpoints right of P0 in hull order.  Equal
+        # times merge into one column that keeps A's time and the better x.
+        both = has_a & has_b
+        merged = both & (exp_a == exp_b)
+        two = both & ~merged
+        some = has_a | has_b
+        a_first = has_a & (~has_b | (exp_a <= exp_b))
+        t1 = np.where(a_first, exp_a, exp_b)
+        t2 = np.where(a_first, exp_b, exp_a)
+        x1 = np.where(a_first, end_a, end_b)
+        x2 = np.where(a_first, end_b, end_a)
+        x1 = np.where(merged & beats(end_b, end_a), end_b, x1)
+
+        # upper_hull/lower_hull: the one Graham-scan turn test there is.
+        cross = (t1 - t_ref) * (x2 - x0) - (x1 - x0) * (t2 - t_ref)
+        popped = two & np.where(upper, cross >= 0.0, cross <= 0.0)
+        bent = two & ~popped  # the hull keeps all three vertices
+
+        # line_through for both candidate bridge edges: P0 to the next
+        # hull vertex (horizontal when P0 is alone), and P1 to P2.
+        slope_a = (np.where(popped, x2, x1) - x0) / (
+            np.where(popped, t2, t1) - t_ref
+        )
+        icpt_a = np.where(some, x0 - slope_a * t_ref, x0)
+        slope_a = np.where(some, slope_a, 0.0)
+        slope_b = (x2 - x1) / (t2 - t1)
+        icpt_b = x1 - slope_b * t1
+
+        # _constrain_upper/_lower: a never-expiring member leaves at most
+        # one endpoint, so only the first edge can need the supporting
+        # line, over the points in _collect's order [endpoint, P0].
+        tilt = limited & np.where(upper, slope_a < limit, slope_a > limit)
+        at_p0 = x0 - limit * t_ref
+        at_p1 = x1 - limit * t1
+        support = np.where(some & ~beats(at_p0, at_p1), at_p1, at_p0)
+        slope_a = np.where(tilt, limit, slope_a)
+        icpt_a = np.where(tilt, support, icpt_a)
+
+        if orders is not None:
+            # Axis 1 becomes the visiting step: step j of group g reads
+            # dimension orders[g, j].
+            visit = (orders.T * n + np.arange(n)).ravel()
+            bent, slope_a, icpt_a, slope_b, icpt_b = (
+                arr.reshape(2, -1).take(visit, axis=1).reshape(2, dims, n)
+                for arr in (bent, slope_a, icpt_a, slope_b, icpt_b)
+            )
+
+        # near_optimal_tpbr's loop, one visiting step at a time: median,
+        # bridge_edge (the left edge when the median sits on a vertex),
+        # then the extent (h, w) the next median is computed from.
+        powers = _libm_powers(delta, dims + 1) if dims > 1 else None
+        coeffs = [1.0]
+        out = np.empty((4, dims, n))  # hi, lo, vhi, vlo
+        for j in range(dims):
+            if j:
+                median = _lemma42_rows(coeffs, delta, powers)
+            else:
+                median = delta / 2.0
+            m = t_ref + median
+            m = np.where(t_ref > m, t_ref, m)
+            m = np.where(t2 < m, t2, m)
+            right = bent[:, j] & ~(m <= t1)
+            slope = np.where(right, slope_b[:, j], slope_a[:, j])
+            edge = np.where(right, icpt_b[:, j], icpt_a[:, j]) + slope * t_ref
+            out[:2, j] = edge
+            out[2:, j] = slope
+            if j + 1 < dims:
+                h = edge[0] - edge[1]
+                coeffs = _poly_mul_linear_rows(
+                    coeffs, np.where(0.0 > h, 0.0, h), slope[0] - slope[1]
+                )
+
+        # _assemble, back in dimension order.
+        hi, lo = out[:2]
+        crossed = hi < lo
+        if crossed.any():
+            mid = (lo + hi) / 2.0
+            out[0] = np.where(crossed, mid, hi)
+            out[1] = np.where(crossed, mid, lo)
+        if orders is not None:
+            placed = np.empty((4, dims * n))
+            placed[:, visit] = out.reshape(4, dims * n)
+            out = placed.reshape(4, dims, n)
+    return out[1], out[0], out[3], out[2], g_exp
+
+
+def _libm_powers(delta, top: int):
+    """``delta ** k`` for k = 1..top (row k - 1), by libm ``pow``.
+
+    The scalar Lemma 4.2 takes ``delta ** k`` on Python floats; numpy's
+    ``**`` is not bit-compatible with that, so the powers are the one
+    thing taken per group in Python.
+    """
+    values = delta.tolist()
+    return np.array([[d ** k for d in values] for k in range(1, top + 1)])
+
+
+def _lemma42_rows(coeffs, delta, powers):
+    """``lemma42_median`` per row, given the product polynomial so far."""
+    numerator = 0.0
+    denominator = 0.0
+    for k, c in enumerate(coeffs):
+        numerator = numerator + c * powers[k + 1] / (k + 2)
+        denominator = denominator + c * powers[k] / (k + 1)
+    median = numerator / denominator
+    median = np.where(0.0 > median, 0.0, median)
+    median = np.where(delta < median, delta, median)
+    return np.where(denominator <= 0.0, delta / 2.0, median)
+
+
 # ---------------------------------------------------------------------------
 # Integral kernels
 # ---------------------------------------------------------------------------
@@ -337,9 +591,14 @@ def batch_area_integral(
         return [area_integral(br, a, b) for br, (a, b) in zip(brs, windows)]
     lo, hi, vlo, vhi, t_ref, _ = _tpbr_soa(brs)
     a, b = _windows_soa(windows)
+    return _area_integral_rows(lo, hi, vlo, vhi, t_ref[:, None], a, b)
+
+
+def _area_integral_rows(lo, hi, vlo, vhi, t_ref, a, b) -> List[float]:
+    """``area_integral`` of each struct-of-arrays row over ``[a, b]``."""
     with np.errstate(all="ignore"):
         c1 = vhi - vlo
-        c0 = (hi - lo) - c1 * t_ref[:, None]
+        c0 = (hi - lo) - c1 * t_ref
         # _clip_nonnegative: largest end <= b with all extents >= 0.
         at_a = c0 + c1 * a[:, None]
         invalid = np.any(at_a < -1e-12, axis=1)
@@ -350,7 +609,59 @@ def batch_area_integral(
         zero = invalid | (b <= a) | (end <= a)
         total = _poly_product_integral(c0, c1, a, end)
         result = np.where(zero, 0.0, total)
-    return [float(v) for v in result]
+    return result.tolist()
+
+
+def batch_extended_area_integral(
+    regions: Sequence[Boundable],
+    addition: Boundable,
+    t_ref: float,
+    kind: BoundingKind,
+    horizon: Optional[float],
+    rng: Optional[random.Random] = None,
+    ignore_expiration: bool = False,
+) -> Optional[List[float]]:
+    """Area objective of every region grown to cover ``addition``.
+
+    ChooseSubtree's what-if question, fused: the value at ``i`` is the
+    area integral, over ``[t_ref, t_ref + max(min(H, t_exp - t_ref), 0)]``,
+    of ``compute_tpbr([regions[i], addition], t_ref, ...)`` — bit for
+    bit, rng consumption included — without materializing that TPBR.
+    ``ignore_expiration`` treats every member as never expiring.
+
+    Returns ``None`` when the pair kernel does not apply (see
+    :func:`batch_compute_tpbr`); the caller composes
+    :func:`batch_compute_tpbr` and :func:`batch_area_integral` instead.
+    """
+    if not _pairs_vectorize(len(regions), kind, horizon):
+        return None
+    dims = addition.dims
+    if any(r.dims != dims for r in regions):
+        return None
+    n = len(regions)
+    a = _boundable_soa(regions)
+    b = _boundable_soa((addition,))
+    if ignore_expiration:
+        a = (*a[:3], np.full(n, math.inf))
+        b = (*b[:3], np.full(1, math.inf))
+    lo, hi, vlo, vhi, t_exp = _near_optimal_pairs(
+        a, b, t_ref, horizon, _visiting_orders(rng, n, dims)
+    )
+    # window_end, per row.
+    life = t_exp - t_ref
+    delta = np.where(~np.isinf(t_exp) & (life < horizon), life, horizon)
+    end = t_ref + np.where(0.0 > delta, 0.0, delta)
+    start = np.full(n, t_ref, dtype=np.float64)
+    return _area_integral_rows(lo.T, hi.T, vlo.T, vhi.T, t_ref, start, end)
+
+
+def _poly_mul_linear_rows(coeffs, c0, c1):
+    """``_poly_mul_linear`` per row: multiply by ``c0 + c1 * t``."""
+    nxt = [0.0] * (len(coeffs) + 1)
+    for k, c in enumerate(coeffs):
+        nxt[k] = nxt[k] + c * c0
+        nxt[k + 1] = nxt[k + 1] + c * c1
+    return nxt
 
 
 def _poly_product_integral(c0, c1, a, b):
@@ -362,11 +673,7 @@ def _poly_product_integral(c0, c1, a, b):
     n = c0.shape[0]
     coeffs = [np.ones(n)]
     for d in range(c0.shape[1]):
-        nxt = [np.zeros(n) for _ in range(len(coeffs) + 1)]
-        for k, c in enumerate(coeffs):
-            nxt[k] = nxt[k] + c * c0[:, d]
-            nxt[k + 1] = nxt[k + 1] + c * c1[:, d]
-        coeffs = nxt
+        coeffs = _poly_mul_linear_rows(coeffs, c0[:, d], c1[:, d])
     total = np.zeros(n)
     pa = a.copy()
     pb = b.copy()

@@ -75,6 +75,14 @@ class Metrics(ABC, Generic[Region]):
         """Area objective of each region."""
         return [self.area(r) for r in regions]
 
+    def extended_area_many(
+        self, regions: Sequence[Region], addition: Region
+    ) -> List[float]:
+        """Area objective of each region extended to cover ``addition``."""
+        return self.area_many(
+            self.bound_many([[r, addition] for r in regions])
+        )
+
     def margin_many(self, regions: Sequence[Region]) -> List[float]:
         """Margin objective of each region."""
         return [self.margin(r) for r in regions]
@@ -107,10 +115,13 @@ def choose_child(
     """
     if not child_regions:
         raise ValueError("choose_child on empty node")
-    extended = metrics.bound_many(
-        [[region, new_region] for region in child_regions]
-    )
-    extended_areas = metrics.area_many(extended)
+    if use_overlap:
+        extended = metrics.bound_many(
+            [[region, new_region] for region in child_regions]
+        )
+        extended_areas = metrics.area_many(extended)
+    else:
+        extended_areas = metrics.extended_area_many(child_regions, new_region)
     areas = metrics.area_many(child_regions)
     best = 0
     best_key: Tuple[float, ...] = ()

@@ -19,11 +19,13 @@ from ..geometry.integrals import (
     integration_end,
     margin_integral,
     overlap_integral,
+    window_end,
 )
 from ..geometry.kernels import (
     batch_area_integral,
     batch_center_distance_sq_integral,
     batch_compute_tpbr,
+    batch_extended_area_integral,
     batch_margin_integral,
     batch_overlap_integral,
 )
@@ -143,12 +145,10 @@ class KineticMetrics(Metrics[Boundable]):
         if self.ignore_expiration:
             return [(t0, t0 + horizon)] * len(regions)
         if anchor is None:
-            return [
-                (t0, integration_end(t0, horizon, [r.t_exp]))
-                for r in regions
-            ]
+            return [(t0, window_end(t0, horizon, r.t_exp)) for r in regions]
+        anchor_exp = anchor.t_exp
         return [
-            (t0, integration_end(t0, horizon, [r.t_exp, anchor.t_exp]))
+            (t0, window_end(t0, horizon, max(r.t_exp, anchor_exp)))
             for r in regions
         ]
 
@@ -186,6 +186,22 @@ class KineticMetrics(Metrics[Boundable]):
         return batch_area_integral(
             [as_tpbr(r) for r in regions], self._windows(regions)
         )
+
+    def extended_area_many(
+        self, regions: Sequence[Boundable], addition: Boundable
+    ) -> List[float]:
+        areas = batch_extended_area_integral(
+            regions,
+            addition,
+            self.now(),
+            self._effective_kind(),
+            self.horizon(),
+            self.rng,
+            self.ignore_expiration,
+        )
+        if areas is None:
+            return super().extended_area_many(regions, addition)
+        return areas
 
     def margin_many(self, regions: Sequence[Boundable]) -> List[float]:
         return batch_margin_integral(

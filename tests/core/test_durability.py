@@ -1,5 +1,6 @@
 """Round-trip tests for durable trees and forests."""
 
+import math
 import random
 
 import pytest
@@ -370,3 +371,55 @@ def test_forest_close_safe_after_failed_member_commit(tmp_path):
     )
     assert answer == set(inserted) | {failed}
     reopened.close()
+
+
+def test_durable_updates_are_byte_identical_with_and_without_numpy(
+    tmp_path, monkeypatch
+):
+    """The batched ChooseSubtree kernels change no decision the tree makes.
+
+    The same 300 durable updates, once with the vectorized kernels and
+    once on the scalar fallback, must leave the same bytes on disk.
+    """
+    from repro.geometry import kernels
+
+    if not kernels.numpy_enabled():
+        pytest.skip("needs numpy to compare against")
+
+    def run(directory):
+        rng = random.Random(11)
+        clock = SimulationClock()
+        tree = MovingObjectTree.create_durable(str(directory), CONFIG, clock)
+        points = {}
+        for step in range(300):
+            clock.advance_to(step * 0.1)
+            oid = rng.randrange(200)
+            life = math.inf if rng.random() < 0.1 else rng.uniform(5, 60)
+            point = MovingPoint(
+                (rng.uniform(0, 100), rng.uniform(0, 100)),
+                (rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                clock.time, clock.time + life,
+            )
+            if oid in points:
+                tree.update(oid, points[oid], point)
+            else:
+                tree.insert(oid, point)
+            points[oid] = point
+        audit = tree.audit()
+        tree.close()
+        return audit, {
+            path.name: path.read_bytes() for path in directory.iterdir()
+        }
+
+    pair_calls = []
+    real = kernels._near_optimal_pairs
+    monkeypatch.setattr(
+        kernels, "_near_optimal_pairs",
+        lambda *args: pair_calls.append(1) or real(*args),
+    )
+    vectorized = run(tmp_path / "numpy")
+    assert len(pair_calls) > 100, "the pair kernel (almost) never ran"
+    monkeypatch.setattr(kernels, "np", None)
+    scalar = run(tmp_path / "scalar")
+    assert vectorized[0] == scalar[0]
+    assert vectorized[1] == scalar[1]

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry import bounding
 from repro.geometry.bounding import (
     BoundingKind,
+    _volume_integral,
     compute_tpbr,
     lemma42_median,
     near_optimal_tpbr,
@@ -25,6 +27,9 @@ from repro.geometry.bounding import (
 from repro.geometry.integrals import area_integral
 from repro.geometry.kinematics import MovingPoint
 from repro.geometry.tpbr import TPBR
+
+from . import reference_bounding
+from .reference_bounding import tpbr_bits
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_subnormal=False)
 speed = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_subnormal=False)
@@ -179,15 +184,11 @@ def test_optimal_minimizes_volume_integral(points):
     best = optimal_tpbr(points, 0.0, horizon=horizon)
 
     def raw_integral(br):
-        import numpy as np
-
-        coeffs = np.poly1d([1.0])
-        for d in range(br.dims):
-            h = br.hi[d] - br.lo[d]
-            w = br.vhi[d] - br.vlo[d]
-            coeffs = coeffs * np.poly1d([w, h])
-        integ = coeffs.integ()
-        return float(integ(delta) - integ(0.0))
+        spans = [
+            (br.hi[d] - br.lo[d], br.vhi[d] - br.vlo[d])
+            for d in range(br.dims)
+        ]
+        return _volume_integral(spans, delta)
 
     assert raw_integral(best) <= raw_integral(near) + 1e-6 * max(
         1.0, abs(raw_integral(near))
@@ -261,3 +262,68 @@ def test_optimal_degenerate_expiration_falls_back():
     br = compute_tpbr(points, 0.0, BoundingKind.OPTIMAL, horizon=20.0)
     for p in points:
         assert br.contains_point(p, 0.0, tol=1e-6)
+
+
+# -- the one-pass _collect and the fast hulls against the textbook ones ------
+
+
+@st.composite
+def boundables(draw, dims):
+    """A moving point or a child rectangle: stale, expired, or immortal.
+
+    Expiration times come from a small pool so duplicate-t endpoint
+    columns are common; coordinates include both zeros.
+    """
+    zeroish = st.sampled_from([0.0, -0.0])
+    pos = tuple(draw(st.one_of(zeroish, coord)) for _ in range(dims))
+    vel = tuple(draw(st.one_of(zeroish, speed)) for _ in range(dims))
+    t_ref = draw(st.sampled_from([0.0, -0.0, 0.5, 1.0]))
+    t_exp = t_ref + draw(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0, 4.0, math.inf]), life)
+    )
+    if draw(st.booleans()):
+        return MovingPoint(pos, vel, t_ref, t_exp)
+    size = tuple(abs(draw(coord)) for _ in range(dims))
+    spread = tuple(draw(speed) for _ in range(dims))
+    if draw(st.booleans()):
+        t_exp = t_ref - 1.0  # a rectangle may already be expired
+    return TPBR(
+        pos,
+        tuple(p + s for p, s in zip(pos, size)),
+        vel,
+        tuple(v + w for v, w in zip(vel, spread)),
+        t_ref,
+        t_exp,
+    )
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@given(data=st.data())
+@settings(deadline=None)
+def test_compute_tpbr_equals_textbook_collect_and_hulls(kind, data):
+    dims = data.draw(st.integers(min_value=1, max_value=3))
+    items = data.draw(st.lists(boundables(dims), min_size=1, max_size=9))
+    if kind is BoundingKind.STATIC:
+        items = [i for i in items if not math.isinf(i.t_exp)] or [
+            MovingPoint((0.0,) * dims, (0.0,) * dims, 0.0, 1.0)
+        ]
+    t_ref = data.draw(st.sampled_from([1.0, 1.5, 0.0]))
+
+    def run():
+        return compute_tpbr(
+            items, t_ref, kind, horizon=6.0, rng=random.Random(9)
+        )
+
+    got = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounding, "_collect", reference_bounding.collect)
+        patch.setattr(
+            bounding, "upper_hull",
+            lambda pts: reference_bounding.hull(pts, upper=True),
+        )
+        patch.setattr(
+            bounding, "lower_hull",
+            lambda pts: reference_bounding.hull(pts, upper=False),
+        )
+        want = run()
+    assert tpbr_bits(got) == tpbr_bits(want)

@@ -1,5 +1,7 @@
 """Tests for convex hulls and bridge finding (Lemma 4.1 machinery)."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from repro.geometry.hull import (
     supporting_line,
     upper_hull,
 )
+
+from . import reference_bounding
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -103,6 +107,17 @@ def test_bridge_edge_straddles_median():
     assert p[0] <= 2.5 <= q[0]
 
 
+def test_bridge_median_on_a_vertex_returns_the_left_edge():
+    """Both adjacent edges are minimal; the first in scan order wins.
+
+    The batched pair kernel reproduces this tie-break, so it is pinned.
+    """
+    hull = upper_hull([(0.0, 0.0), (1.0, 2.0), (3.0, 3.0)])
+    assert len(hull) == 3
+    assert bridge_edge(hull, 1.0) == ((0.0, 0.0), (1.0, 2.0))
+    assert bridge_edge(hull, 1.0000001) == ((1.0, 2.0), (3.0, 3.0))
+
+
 def test_bridge_median_clamped_to_range():
     hull = upper_hull([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
     left = bridge_edge(hull, -10.0)
@@ -134,3 +149,29 @@ def test_supporting_line_lower():
     intercept, slope = supporting_line(pts, 0.0, upper=False)
     for t, x in pts:
         assert intercept <= x + 1e-12
+
+
+# -- the fast hulls against the textbook scan, bit for bit -------------------
+
+# Few distinct times, so duplicate-t columns (and 0.0 / -0.0 columns,
+# which must merge) are the rule rather than the exception.
+column_t = st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+column_x = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0]), finite)
+column_points = st.lists(
+    st.tuples(column_t, column_x), min_size=1, max_size=30
+)
+
+
+def _point_bits(points):
+    return [struct.pack("<2d", t, x) for t, x in points]
+
+
+@given(st.one_of(points_strategy, column_points))
+@settings(deadline=None)
+def test_hulls_equal_reference_graham_scan(pts):
+    assert _point_bits(upper_hull(pts)) == _point_bits(
+        reference_bounding.hull(pts, upper=True)
+    )
+    assert _point_bits(lower_hull(pts)) == _point_bits(
+        reference_bounding.hull(pts, upper=False)
+    )

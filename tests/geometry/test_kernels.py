@@ -10,13 +10,18 @@ module's ``np`` binding.
 import contextlib
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import kernels
-from repro.geometry.bounding import BoundingKind, compute_tpbr
+from repro.geometry.bounding import (
+    BoundingKind,
+    compute_tpbr,
+    lemma42_median,
+)
 from repro.geometry.integrals import (
     area_integral,
     center_distance_sq_integral,
@@ -31,6 +36,7 @@ from repro.geometry.kernels import (
     batch_area_integral,
     batch_center_distance_sq_integral,
     batch_compute_tpbr,
+    batch_extended_area_integral,
     batch_margin_integral,
     batch_overlap_integral,
     batch_region_intersects,
@@ -41,6 +47,10 @@ from repro.geometry.kinematics import MovingPoint
 from repro.geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
 from repro.geometry.rect import Rect
 from repro.geometry.tpbr import TPBR
+from repro.rstar.heuristics import Metrics
+from repro.rstar.metrics import KineticMetrics
+
+from .reference_bounding import tpbr_bits
 
 
 @contextlib.contextmanager
@@ -183,6 +193,211 @@ def test_batch_compute_tpbr_conservative_on_child_tpbrs(groups):
         compute_tpbr(g, 1.0, BoundingKind.CONSERVATIVE) for g in child_groups
     ]
     assert result == expected
+
+
+# -- pair kernel: the shape ChooseSubtree produces, bit for bit ---------------
+#
+# ``==`` cannot tell 0.0 from -0.0, so these compare ``struct.pack`` of
+# every field, and the rng state after the call.
+
+# Times share a small pool: equal expirations (the merge branch), members
+# expired before the computation time, and — with the horizons below —
+# medians that land exactly on a hull vertex.
+pair_times = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
+zeroish = st.sampled_from([0.0, -0.0, 1.0, -1.0])
+pair_coord = st.one_of(zeroish, coord)
+pair_speed = st.one_of(zeroish, speed)
+
+
+@st.composite
+def pair_members(draw, dims):
+    """A moving point or a child TPBR, possibly stale, expired or immortal."""
+    t_ref = draw(pair_times)
+    pos = tuple(draw(pair_coord) for _ in range(dims))
+    vel = tuple(draw(pair_speed) for _ in range(dims))
+    t_exp = draw(st.one_of(st.just(math.inf), pair_times, life))
+    if draw(st.booleans()):
+        return MovingPoint(pos, vel, t_ref, max(t_exp, t_ref))
+    size = tuple(abs(draw(pair_coord)) for _ in range(dims))
+    spread = tuple(draw(pair_speed) for _ in range(dims))
+    if draw(st.integers(0, 9)) == 0:
+        t_exp = -math.inf  # _max_expiration treats it by position
+    return TPBR(
+        pos,
+        tuple(p + s for p, s in zip(pos, size)),
+        vel,
+        tuple(v + w for v, w in zip(vel, spread)),
+        t_ref,
+        t_exp,  # may precede t_ref, or the computation time
+    )
+
+
+@st.composite
+def pair_cases(draw):
+    """(members a, members b, t_ref, horizon, rng seed or None)."""
+    dims = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=kernels._MIN_BATCH, max_value=9))
+    firsts = [draw(pair_members(dims)) for _ in range(n)]
+    if draw(st.booleans()):
+        seconds = [draw(pair_members(dims))] * n  # the tree: one newcomer
+    else:
+        seconds = [draw(pair_members(dims)) for _ in range(n)]
+    t_ref = draw(st.sampled_from([1.0, 0.0, -0.0, 2.5]))
+    horizon = draw(st.sampled_from([2.0, 4.0, 8.0, 0.0, 1e-12, 37.5]))
+    seed = draw(st.one_of(st.none(), st.integers(0, 2**16)))
+    return firsts, seconds, t_ref, horizon, seed
+
+
+def float_bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def seeded(seed):
+    return None if seed is None else random.Random(seed)
+
+
+def rng_state(rng):
+    return None if rng is None else rng.getstate()
+
+
+@given(case=pair_cases())
+@settings(deadline=None)
+def test_batch_compute_tpbr_pairs_equal_scalar_bits(case):
+    firsts, seconds, t_ref, horizon, seed = case
+    groups = [[a, b] for a, b in zip(firsts, seconds)]
+
+    def run():
+        rng = seeded(seed)
+        out = batch_compute_tpbr(
+            groups, t_ref, BoundingKind.NEAR_OPTIMAL, horizon=horizon, rng=rng
+        )
+        return [tpbr_bits(br) for br in out], rng_state(rng)
+
+    rng = seeded(seed)
+    expected = [
+        tpbr_bits(
+            compute_tpbr(
+                g, t_ref, BoundingKind.NEAR_OPTIMAL, horizon=horizon, rng=rng
+            )
+        )
+        for g in groups
+    ]
+    assert both_paths(run) == (expected, rng_state(rng))
+
+
+@pytest.mark.parametrize("ignore_expiration", [False, True])
+@given(case=pair_cases())
+@settings(deadline=None)
+def test_extended_area_many_equals_default_composition(
+    ignore_expiration, case
+):
+    regions, seconds, t_ref, horizon, seed = case
+    addition = seconds[0]
+
+    def metrics(rng):
+        return KineticMetrics(
+            BoundingKind.NEAR_OPTIMAL,
+            now=lambda: t_ref,
+            horizon=lambda: horizon,
+            rng=rng,
+            ignore_expiration=ignore_expiration,
+        )
+
+    def run():
+        rng = seeded(seed)
+        areas = metrics(rng).extended_area_many(regions, addition)
+        return float_bits(areas), rng_state(rng)
+
+    rng = seeded(seed)
+    expected = Metrics.extended_area_many(metrics(rng), regions, addition)
+    assert both_paths(run) == (float_bits(expected), rng_state(rng))
+
+
+def _on_vertex_groups():
+    """Four pairs whose first median (t_ref + 2) sits on a hull vertex.
+
+    Upper endpoints in dimension 0: P0 = (1, 0), A = (3, 10), B = (7, 12)
+    — a concave chain, so all three stay on the hull and the bridge at
+    the median t = 3 must be the left edge P0-A.
+    """
+    a = MovingPoint((0.0, 0.0), (5.0, 1.0), 1.0, 3.0)
+    b = MovingPoint((0.0, 0.0), (2.0, -1.0), 1.0, 7.0)
+    return [[a, b]] * kernels._MIN_BATCH
+
+
+def test_pair_kernel_median_on_a_vertex_takes_the_left_edge():
+    groups = _on_vertex_groups()
+    result = both_paths(
+        lambda: [
+            tpbr_bits(br)
+            for br in batch_compute_tpbr(
+                groups, 1.0, BoundingKind.NEAR_OPTIMAL, horizon=4.0
+            )
+        ]
+    )
+    want = compute_tpbr(groups[0], 1.0, BoundingKind.NEAR_OPTIMAL, horizon=4.0)
+    assert result == [tpbr_bits(want)] * len(groups)
+    assert want.vhi[0] == 5.0  # the slope of P0-A, not of A-B (0.5)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.lists(
+                st.tuples(st.floats(0.0, 200.0), st.floats(-10.0, 10.0)),
+                min_size=3, max_size=3,
+            ),
+            st.floats(1e-9, 60.0),
+        ),
+        min_size=1, max_size=6,
+    ),
+    fixed=st.integers(min_value=1, max_value=3),
+)
+def test_lemma42_rows_equal_scalar_median_bits(rows, fixed):
+    """Same summation order as the scalar, up to a 4-D bound's last step.
+
+    One ulp in the median flips ``m <= t1`` too rarely for the pair
+    property test to notice, so the medians are compared directly.
+    """
+    if not numpy_enabled():
+        pytest.skip("the pair kernel needs numpy")
+    np = kernels.np
+    delta = np.array([d for _, d in rows])
+    coeffs = [1.0]
+    for j in range(fixed):
+        h = np.array([spans[j][0] for spans, _ in rows])
+        w = np.array([spans[j][1] for spans, _ in rows])
+        coeffs = kernels._poly_mul_linear_rows(coeffs, h, w)
+    powers = kernels._libm_powers(delta, fixed + 2)
+    with np.errstate(all="ignore"):  # as the kernel does: 0/0 is replaced
+        got = kernels._lemma42_rows(coeffs, delta, powers).tolist()
+    want = [lemma42_median(spans[:fixed], d) for spans, d in rows]
+    assert float_bits(got) == float_bits(want)
+
+
+def test_pair_kernel_is_taken_only_for_all_pair_groups(monkeypatch):
+    """Group lengths, kind and horizon decide — nothing else does."""
+    if not numpy_enabled():
+        pytest.skip("the pair kernel needs numpy")
+    calls = []
+    real = kernels._near_optimal_pairs
+    monkeypatch.setattr(
+        kernels, "_near_optimal_pairs",
+        lambda *args: calls.append(1) or real(*args),
+    )
+    pairs = _on_vertex_groups()
+    near = BoundingKind.NEAR_OPTIMAL
+    batch_compute_tpbr(pairs, 1.0, near, horizon=4.0)
+    assert len(calls) == 1
+    batch_compute_tpbr(pairs[:-1], 1.0, near, horizon=4.0)  # < _MIN_BATCH
+    batch_compute_tpbr(pairs + [pairs[0][:1]], 1.0, near, horizon=4.0)
+    batch_compute_tpbr(pairs, 1.0, near, horizon=None)
+    batch_compute_tpbr(pairs, 1.0, near, horizon=math.inf)
+    batch_compute_tpbr(pairs, 1.0, BoundingKind.OPTIMAL, horizon=4.0)
+    assert len(calls) == 1
+    assert batch_extended_area_integral(
+        [g[0] for g in pairs[:-1]], pairs[0][1], 1.0, near, 4.0
+    ) is None
 
 
 def test_batch_compute_tpbr_dimension_mismatch():
