@@ -50,7 +50,7 @@ from repro.replication import (
     WalShipper,
 )
 from repro.storage.faults import FaultInjector
-from repro.workloads.base import DeleteOp, InsertOp, QueryOp, UpdateOp
+from repro.workloads.base import QueryOp, apply_op
 from repro.workloads.network import NetworkParams, generate_network_workload
 
 SCALE_NAME = os.environ.get("REPRO_SCALE", "tiny")
@@ -138,12 +138,8 @@ def test_replica_parity_staleness_maintenance_failover():
         start = time.perf_counter()
         for op in workload.ops:
             tree.clock.advance_to(op.time)
-            if isinstance(op, InsertOp):
-                tree.insert(op.oid, op.point)
-            elif isinstance(op, UpdateOp):
-                tree.update(op.oid, op.old_point, op.new_point)
-            elif isinstance(op, DeleteOp):
-                tree.delete(op.oid, op.point)
+            if not isinstance(op, QueryOp):
+                apply_op(tree, op)
             link.tick()
             if maintainer.cycles > cycles_seen:
                 cycles_seen = maintainer.cycles
@@ -165,7 +161,7 @@ def test_replica_parity_staleness_maintenance_failover():
         )
         centre = (params.space / 2.0, params.space / 2.0)
         knn_want = tree.query_knn(centre, now, 10)
-        assert follower.knn(centre, now, 10) == knn_want, (
+        assert follower.query_knn(centre, now, 10) == knn_want, (
             "replica kNN answer diverges from primary"
         )
         out_lines.append(

@@ -44,7 +44,7 @@ from repro.core.presets import rexp_config
 from repro.core.tree import MovingObjectTree
 from repro.experiments.scale import SCALES
 from repro.shard import ShardConfig, ShardedForest
-from repro.workloads.base import DeleteOp, InsertOp, QueryOp, UpdateOp
+from repro.workloads.base import InsertOp, QueryOp, apply_op
 from repro.workloads.expiration import FixedPeriod
 from repro.workloads.network import NetworkParams, generate_network_workload
 
@@ -84,16 +84,11 @@ def _oracle(ops, config):
     answers, failed = {}, 0
     for index, op in enumerate(ops):
         clock.advance_to(op.time)
-        if isinstance(op, InsertOp):
-            tree.insert(op.oid, op.point)
-        elif isinstance(op, UpdateOp):
-            if not tree.update(op.oid, op.old_point, op.new_point):
-                failed += 1
-        elif isinstance(op, DeleteOp):
-            if not tree.delete(op.oid, op.point):
-                failed += 1
-        elif isinstance(op, QueryOp):
-            answers[index] = sorted(tree.query(op.query))
+        outcome = apply_op(tree, op)
+        if isinstance(op, QueryOp):
+            answers[index] = sorted(outcome)
+        elif outcome is False:
+            failed += 1
     return answers, failed
 
 

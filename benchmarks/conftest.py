@@ -1,9 +1,10 @@
 """Shared fixtures for the figure benchmarks.
 
 Each ``bench_fig*.py`` regenerates one figure of the paper at the scale
-selected by ``REPRO_SCALE`` (default: tiny).  Runs are cached under
-``.repro-cache`` so re-runs (and the three NewOb figures, which share a
-sweep) are cheap.  pytest-benchmark measures one full sweep per figure.
+selected by ``REPRO_SCALE`` (default: tiny).  Runs are cached (see
+:mod:`repro.experiments.cache`) so re-runs (and the three NewOb figures,
+which share a sweep) are cheap.  pytest-benchmark measures one full sweep
+per figure.
 """
 
 from __future__ import annotations

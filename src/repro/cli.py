@@ -28,38 +28,57 @@ Figure sweeps honour the same cache as the benchmarks.
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import random
+import shutil
 import sys
+import tempfile
+import time
+from dataclasses import replace
 from typing import List, Optional
 
+from .core.clock import SimulationClock
+from .core.config import TreeConfig
+from .core.forest import (
+    MANIFEST_FILENAME,
+    ForestConfig,
+    PartitionedMovingObjectForest,
+)
 from .core.presets import forest_config, rexp_config, tpr_config
+from .core.tree import MovingObjectTree
 from .experiments.adapters import ForestAdapter, TreeAdapter
 from .experiments.figures import ALL_FIGURES
 from .experiments.report import format_checks, format_figure, shape_checks
-from .experiments.runner import run_workload
+from .experiments.runner import run_workload, split_initial_population
 from .experiments.scale import DEFAULT_SCALE, SCALES, Scale
-from .obs import MetricsRegistry, Tracer
+from .geometry.bounding import BoundingKind
+from .geometry.knn import brute_force_knn
+from .geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
+from .geometry.rect import Rect
+from .obs import (
+    MetricsRegistry, MetricsSnapshotter, SLOTracker, Tracer, accumulate,
+    check_slos, default_serve_slos, latency_breakdown, read_jsonl,
+    read_snapshots, shard_shares,
+)
 from .storage.layout import EntryLayout
+from .storage.pagefile import PAGES_FILENAME, read_header
+from .workloads.base import QueryOp, apply_op
 from .workloads.expiration import FixedDistance, FixedPeriod, NeverExpire
-from .workloads.network import NetworkParams, generate_network_workload
+from .workloads.network import (
+    SPEED_GROUPS,
+    NetworkParams,
+    generate_network_workload,
+)
 from .workloads.parameters import PAPER_PARAMETERS
 from .workloads.uniform import UniformParams, generate_uniform_workload
 
-
-def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scale", choices=sorted(SCALES), default=DEFAULT_SCALE,
-        help="experiment scale preset",
-    )
-    parser.add_argument(
-        "--population", type=int, default=None,
-        help="override the scale's target population",
-    )
-    parser.add_argument(
-        "--insertions", type=int, default=None,
-        help="override the scale's insertion count",
-    )
-    parser.add_argument("--seed", type=int, default=0)
+#: Extent of the square space every generated workload moves in.
+SPACE = NetworkParams.space
+_FITS_IN_BUFFER = (
+    "index fits entirely in the buffer pool at this scale; "
+    "increase --population for a meaningful comparison"
+)
 
 
 def _resolve_scale(args: argparse.Namespace) -> Scale:
@@ -68,13 +87,11 @@ def _resolve_scale(args: argparse.Namespace) -> Scale:
     insertions = args.insertions or base.insertions
     if (population, insertions) == (base.target_population, base.insertions):
         return base
-    return Scale(
+    return replace(
+        base,
         name=f"{base.name}-custom{population}x{insertions}",
         target_population=population,
         insertions=insertions,
-        page_size=base.page_size,
-        buffer_pages=base.buffer_pages,
-        queue_buffer_pages=base.queue_buffer_pages,
     )
 
 
@@ -86,6 +103,113 @@ def _expiration_policy(args: argparse.Namespace):
     if getattr(args, "no_expiry", False):
         return NeverExpire()
     return None
+
+
+def _workload(args, kind="uniform", default_policy=None, **knobs):
+    """Generate the workload a verb replays from its shared flags.
+
+    Sized by the scale flags and ``--ui`` where the verb has them, else
+    by ``--insertions`` alone (a quarter as many objects); expiring per
+    ``--expd/--expt/--no-expiry``, else ``default_policy``, else the
+    generator's own ExpT = 2 UI.
+    """
+    if hasattr(args, "scale"):
+        scale = _resolve_scale(args)
+        knobs.update(
+            target_population=scale.target_population,
+            insertions=scale.insertions,
+            update_interval=args.ui,
+        )
+    else:
+        knobs.update(
+            target_population=max(args.insertions // 4, 16),
+            insertions=args.insertions,
+        )
+    policy = _expiration_policy(args) or default_policy
+    if kind == "network":
+        return generate_network_workload(
+            NetworkParams(seed=args.seed, **knobs), policy
+        )
+    return generate_uniform_workload(
+        UniformParams(seed=args.seed, **knobs), policy
+    )
+
+
+def _sizing(args: argparse.Namespace) -> dict:
+    """Page and buffer sizes of the verb's scale, as tree-config fields."""
+    scale = _resolve_scale(args)
+    return dict(page_size=scale.page_size, buffer_pages=scale.buffer_pages)
+
+
+def _population(args: argparse.Namespace):
+    """``(first reports, latest report time, sizing)`` of a uniform workload.
+
+    What the build-and-probe verbs load: every first report preceding
+    the first query.  ``None`` (after a message) when there is none.
+    """
+    workload = _workload(args, "uniform", FixedPeriod(120.0))
+    initial, _ = split_initial_population(workload)
+    if not initial:
+        print("workload produced no initial population", file=sys.stderr)
+        return None
+    return initial, max(p.t_ref for _, p in initial), _sizing(args)
+
+
+def _loaded(shape: str, initial, t_end: float, sizing: dict, count: int = 0,
+            directory: Optional[str] = None):
+    """An index of the given shape holding ``initial``, its clock at ``t_end``.
+
+    A bulk-loaded (``tree``) or insert-built (``inserted``) tree, a
+    ``count``-member forest filled by ``insert_batch``, or ``count``
+    bulk-loaded shards under ``directory``.
+    """
+    if shape in ("tree", "inserted"):
+        index = MovingObjectTree(rexp_config(**sizing), SimulationClock())
+    elif shape == "forest":
+        index = PartitionedMovingObjectForest(
+            forest_config(partitions=count, **sizing), SimulationClock()
+        )
+    else:
+        from .shard import ShardConfig, ShardedForest
+
+        index = ShardedForest.create(
+            directory,
+            ShardConfig(workers=count, tree=rexp_config(**sizing), space=SPACE),
+        )
+    index.clock.advance_to(initial[0][1].t_ref)
+    if shape == "forest":
+        index.insert_batch(initial)
+    elif shape == "inserted":
+        for oid, point in initial:
+            index.clock.advance_to(point.t_ref)
+            index.insert(oid, point)
+    else:
+        index.bulk_load([(point, oid) for oid, point in initial])
+    index.clock.advance_to(t_end)
+    return index
+
+
+def _adapter(sizing: dict, index: str = "rexp", partitions: int = 4,
+             partitioner: str = "speed", name: str = "forest"):
+    """The accounted index a replaying verb drives (``--index`` et al.)."""
+    if index == "forest":
+        return ForestAdapter(name, forest_config(
+            partitions=partitions, partitioner=partitioner, **sizing
+        ))
+    if index == "tpr":
+        return TreeAdapter("TPR-tree", tpr_config(**sizing))
+    return TreeAdapter("Rexp-tree", rexp_config(**sizing))
+
+
+def _replay_traced(args, adapter, workload, first: bool, **run):
+    """One printed ``run_workload`` whose trace, if any, joins ``--trace-out``."""
+    tracer = Tracer() if args.trace_out else None
+    result = run_workload(adapter, workload, tracer=tracer, **run)
+    if tracer is not None:
+        tracer.export_jsonl(args.trace_out, append=not first,
+                            extra={"adapter": adapter.name})
+    print(result.summary())
+    return result
 
 
 # -- subcommands --------------------------------------------------------------
@@ -132,29 +256,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
-    scale = _resolve_scale(args)
-    policy = _expiration_policy(args) or FixedPeriod(2.0 * args.ui)
-    if args.kind == "network":
-        workload = generate_network_workload(
-            NetworkParams(
-                target_population=scale.target_population,
-                insertions=scale.insertions,
-                update_interval=args.ui,
-                new_object_fraction=args.newob,
-                seed=args.seed,
-            ),
-            policy,
-        )
-    else:
-        workload = generate_uniform_workload(
-            UniformParams(
-                target_population=scale.target_population,
-                insertions=scale.insertions,
-                update_interval=args.ui,
-                seed=args.seed,
-            ),
-            policy,
-        )
+    workload = _workload(args, args.kind, new_object_fraction=args.newob)
     workload.validate()
     if args.save:
         from .workloads.io import save_workload
@@ -173,95 +275,45 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    scale = _resolve_scale(args)
-    policy = _expiration_policy(args) or FixedPeriod(120.0)
-    workload = generate_network_workload(
-        NetworkParams(
-            target_population=scale.target_population,
-            insertions=scale.insertions,
-            update_interval=args.ui,
-            seed=args.seed,
-        ),
-        policy,
-    )
-    sizing = dict(page_size=scale.page_size, buffer_pages=scale.buffer_pages)
-    print(f"replaying {workload.name} at scale {scale.name} ...")
+    workload = _workload(args, "network", FixedPeriod(120.0))
+    sizing = _sizing(args)
+    print(f"replaying {workload.name} at scale {_resolve_scale(args).name} ...")
     results = []
-    for i, (name, config) in enumerate((
-        ("Rexp-tree", rexp_config(**sizing)),
-        ("TPR-tree", tpr_config(**sizing)),
-    )):
-        tracer = Tracer() if args.trace_out else None
+    for i, adapter in enumerate(
+        (_adapter(sizing, "rexp"), _adapter(sizing, "tpr"))
+    ):
         durability = None
         if args.durability:
             durability = os.path.join(
-                args.durability, name.lower().replace("^", "")
+                args.durability, adapter.name.lower().replace("^", "")
             )
-        result = run_workload(TreeAdapter(name, config), workload,
-                              tracer=tracer, durability=durability)
-        if tracer is not None:
-            tracer.export_jsonl(args.trace_out, append=i > 0,
-                                extra={"adapter": name})
-        results.append(result)
-        print(result.summary())
+        results.append(_replay_traced(
+            args, adapter, workload, i == 0, durability=durability
+        ))
     if results[0].avg_search_io > 0.0:
         ratio = results[1].avg_search_io / results[0].avg_search_io
         print(f"search I/O advantage of the R^exp-tree: {ratio:.2f}x")
     else:
-        print("index fits entirely in the buffer pool at this scale; "
-              "increase --population for a meaningful comparison")
+        print(_FITS_IN_BUFFER)
     return 0
 
 
 def cmd_forest(args: argparse.Namespace) -> int:
-    scale = _resolve_scale(args)
-    policy = _expiration_policy(args) or FixedPeriod(120.0)
-    if args.kind == "network":
-        workload = generate_network_workload(
-            NetworkParams(
-                target_population=scale.target_population,
-                insertions=scale.insertions,
-                update_interval=args.ui,
-                seed=args.seed,
-            ),
-            policy,
-        )
-    else:
-        workload = generate_uniform_workload(
-            UniformParams(
-                target_population=scale.target_population,
-                insertions=scale.insertions,
-                update_interval=args.ui,
-                seed=args.seed,
-            ),
-            policy,
-        )
-    sizing = dict(page_size=scale.page_size, buffer_pages=scale.buffer_pages)
-    print(f"replaying {workload.name} at scale {scale.name} ...")
-    adapters = [("Rexp-tree", TreeAdapter("Rexp-tree", rexp_config(**sizing)))]
-    for k in args.partitions:
-        name = f"forest/{k} ({args.partitioner})"
-        adapters.append((
-            name,
-            ForestAdapter(
-                name,
-                forest_config(
-                    partitions=k, partitioner=args.partitioner, **sizing
-                ),
-            ),
-        ))
+    workload = _workload(args, args.kind, FixedPeriod(120.0))
+    sizing = _sizing(args)
+    print(f"replaying {workload.name} at scale {_resolve_scale(args).name} ...")
+    adapters = [_adapter(sizing)] + [
+        _adapter(sizing, "forest", k, args.partitioner,
+                 name=f"forest/{k} ({args.partitioner})")
+        for k in args.partitions
+    ]
     results = []
-    for i, (name, adapter) in enumerate(adapters):
-        tracer = Tracer() if args.trace_out else None
-        result = run_workload(
-            adapter, workload, verify=args.verify, prepopulate=True,
-            tracer=tracer,
+    for i, adapter in enumerate(adapters):
+        result = _replay_traced(
+            args, adapter, workload, i == 0,
+            verify=args.verify, prepopulate=True,
         )
-        if tracer is not None:
-            tracer.export_jsonl(args.trace_out, append=i > 0,
-                                extra={"adapter": name})
         results.append(result)
-        print(result.summary())
         if args.verify:
             print(f"  oracle mismatches: {result.oracle_mismatches}")
         if isinstance(adapter, ForestAdapter):
@@ -282,8 +334,7 @@ def cmd_forest(args: argparse.Namespace) -> int:
             print(f"{result.adapter}: search I/O {factor:.2f}x {direction} "
                   f"than the single tree")
     if baseline.avg_search_io == 0.0:
-        print("index fits entirely in the buffer pool at this scale; "
-              "increase --population for a meaningful comparison")
+        print(_FITS_IN_BUFFER)
     return 1 if mismatched else 0
 
 
@@ -298,44 +349,12 @@ def _sum_metric(registry: MetricsRegistry, suffix: str) -> float:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    scale = _resolve_scale(args)
-    policy = _expiration_policy(args) or FixedPeriod(120.0)
-    if args.workload == "network":
-        workload = generate_network_workload(
-            NetworkParams(
-                target_population=scale.target_population,
-                insertions=scale.insertions,
-                update_interval=args.ui,
-                seed=args.seed,
-            ),
-            policy,
-        )
-    else:
-        workload = generate_uniform_workload(
-            UniformParams(
-                target_population=scale.target_population,
-                insertions=scale.insertions,
-                update_interval=args.ui,
-                seed=args.seed,
-            ),
-            policy,
-        )
-    sizing = dict(page_size=scale.page_size, buffer_pages=scale.buffer_pages)
-    if args.index == "forest":
-        adapter = ForestAdapter(
-            "forest", forest_config(partitions=args.partitions, **sizing)
-        )
-        backing = adapter.forest
-    elif args.index == "tpr":
-        adapter = TreeAdapter("TPR-tree", tpr_config(**sizing))
-        backing = adapter.tree
-    else:
-        adapter = TreeAdapter("Rexp-tree", rexp_config(**sizing))
-        backing = adapter.tree
+    workload = _workload(args, args.workload, FixedPeriod(120.0))
+    adapter = _adapter(_sizing(args), args.index, args.partitions)
 
     registry = MetricsRegistry()
     tracer = Tracer()
-    print(f"profiling {workload.name} at scale {scale.name} "
+    print(f"profiling {workload.name} at scale {_resolve_scale(args).name} "
           f"on {adapter.name} ...")
     result = run_workload(
         adapter, workload, prepopulate=args.prepopulate,
@@ -393,7 +412,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print()
 
     print("node occupancy by level:")
-    occupancy = backing.level_occupancy()
+    occupancy = adapter.index.level_occupancy()
     for level in sorted(occupancy, reverse=True):
         nodes, entries = occupancy[level]
         kind = "leaf" if level == 0 else "internal"
@@ -411,54 +430,20 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_bulkload(args: argparse.Namespace) -> int:
-    import random
-    import time
-
-    from .core.clock import SimulationClock
-    from .core.tree import MovingObjectTree
-    from .experiments.runner import split_initial_population
-    from .geometry.queries import TimesliceQuery
-    from .geometry.rect import Rect
-
-    scale = _resolve_scale(args)
-    policy = _expiration_policy(args) or FixedPeriod(120.0)
-    workload = generate_uniform_workload(
-        UniformParams(
-            target_population=scale.target_population,
-            insertions=scale.insertions,
-            update_interval=args.ui,
-            seed=args.seed,
-        ),
-        policy,
-    )
-    initial, _ = split_initial_population(workload)
-    if not initial:
-        print("workload produced no initial population", file=sys.stderr)
+    population = _population(args)
+    if population is None:
         return 2
-    t_end = max(point.t_ref for _, point in initial)
-    sizing = dict(page_size=scale.page_size, buffer_pages=scale.buffer_pages)
+    initial, t_end, sizing = population
     print(f"population: {len(initial)} first reports "
-          f"(uniform workload, scale {scale.name}, seed {args.seed})")
-
-    def build(bulk: bool):
-        clock = SimulationClock()
-        tree = MovingObjectTree(rexp_config(**sizing), clock)
-        start = time.perf_counter()
-        if bulk:
-            clock.advance_to(initial[0][1].t_ref)
-            tree.bulk_load([(point, oid) for oid, point in initial])
-        else:
-            for oid, point in initial:
-                clock.advance_to(point.t_ref)
-                tree.insert(oid, point)
-        wall = time.perf_counter() - start
-        clock.advance_to(t_end)
-        return tree, wall
+          f"(uniform workload, scale {_resolve_scale(args).name}, "
+          f"seed {args.seed})")
 
     print(f"{'build':<14}{'wall (s)':>10}{'writes':>9}{'pages':>7}{'height':>7}")
     rows = []
-    for label, bulk in (("insert-built", False), ("bulk-loaded", True)):
-        tree, wall = build(bulk)
+    for label, shape in (("insert-built", "inserted"), ("bulk-loaded", "tree")):
+        start = time.perf_counter()
+        tree = _loaded(shape, initial, t_end, sizing)
+        wall = time.perf_counter() - start
         rows.append((tree, wall))
         print(f"{label:<14}{wall:>10.3f}{tree.stats.writes:>9}"
               f"{tree.page_count:>7}{tree.height:>7}")
@@ -481,33 +466,10 @@ def cmd_bulkload(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    import random
-    import time
-
-    from .core.clock import SimulationClock
-    from .core.forest import PartitionedMovingObjectForest
-    from .core.tree import MovingObjectTree
-    from .experiments.runner import split_initial_population
-    from .geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
-    from .geometry.rect import Rect
-
-    scale = _resolve_scale(args)
-    policy = _expiration_policy(args) or FixedPeriod(120.0)
-    workload = generate_uniform_workload(
-        UniformParams(
-            target_population=scale.target_population,
-            insertions=scale.insertions,
-            update_interval=args.ui,
-            seed=args.seed,
-        ),
-        policy,
-    )
-    initial, _ = split_initial_population(workload)
-    if not initial:
-        print("workload produced no initial population", file=sys.stderr)
+    population = _population(args)
+    if population is None:
         return 2
-    t_end = max(point.t_ref for _, point in initial)
-    sizing = dict(page_size=scale.page_size, buffer_pages=scale.buffer_pages)
+    initial, t_end, sizing = population
 
     rng = random.Random(args.seed + 1)
 
@@ -526,31 +488,16 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
     queries = [make_query() for _ in range(args.queries)]
     print(f"population: {len(initial)} first reports, "
-          f"{len(queries)} mixed queries (scale {scale.name}, "
+          f"{len(queries)} mixed queries (scale {_resolve_scale(args).name}, "
           f"seed {args.seed})")
-
-    def build_tree():
-        clock = SimulationClock()
-        tree = MovingObjectTree(rexp_config(**sizing), clock)
-        clock.advance_to(initial[0][1].t_ref)
-        tree.bulk_load([(point, oid) for oid, point in initial])
-        clock.advance_to(t_end)
-        return tree
-
-    def build_forest():
-        clock = SimulationClock()
-        forest = PartitionedMovingObjectForest(
-            forest_config(partitions=args.partitions, **sizing), clock
-        )
-        clock.advance_to(initial[0][1].t_ref)
-        forest.insert_batch([(oid, point) for oid, point in initial])
-        clock.advance_to(t_end)
-        return forest
 
     print(f"{'index':<10}{'sequential (s)':>16}{'batched (s)':>14}"
           f"{'speedup':>9}{'answers':>9}")
     mismatches = 0
-    for label, index in (("tree", build_tree()), ("forest", build_forest())):
+    for label, index in (
+        ("tree", _loaded("tree", initial, t_end, sizing)),
+        ("forest", _loaded("forest", initial, t_end, sizing, args.partitions)),
+    ):
         start = time.perf_counter()
         sequential = [index.query(query) for query in queries]
         t_seq = time.perf_counter() - start
@@ -572,34 +519,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_knn(args: argparse.Namespace) -> int:
-    import random
-    import shutil
-    import tempfile
-    import time
-
-    from .core.clock import SimulationClock
-    from .core.forest import PartitionedMovingObjectForest
-    from .core.tree import MovingObjectTree
-    from .experiments.runner import split_initial_population
-    from .geometry.knn import brute_force_knn
-
-    scale = _resolve_scale(args)
-    policy = _expiration_policy(args) or FixedPeriod(120.0)
-    workload = generate_uniform_workload(
-        UniformParams(
-            target_population=scale.target_population,
-            insertions=scale.insertions,
-            update_interval=args.ui,
-            seed=args.seed,
-        ),
-        policy,
-    )
-    initial, _ = split_initial_population(workload)
-    if not initial:
-        print("workload produced no initial population", file=sys.stderr)
+    population = _population(args)
+    if population is None:
         return 2
-    t_end = max(point.t_ref for _, point in initial)
-    sizing = dict(page_size=scale.page_size, buffer_pages=scale.buffer_pages)
+    initial, t_end, sizing = population
     entries = [(point, oid) for oid, point in initial]
 
     rng = random.Random(args.seed + 1)
@@ -612,46 +535,21 @@ def cmd_knn(args: argparse.Namespace) -> int:
     ]
     print(f"population: {len(initial)} first reports, "
           f"{len(probes)} kNN probes at k={args.k} "
-          f"(scale {scale.name}, seed {args.seed})")
+          f"(scale {_resolve_scale(args).name}, seed {args.seed})")
 
     oracle = [brute_force_knn(entries, x, t, args.k) for x, t in probes]
 
-    def build_tree():
-        clock = SimulationClock()
-        tree = MovingObjectTree(rexp_config(**sizing), clock)
-        clock.advance_to(initial[0][1].t_ref)
-        tree.bulk_load(entries)
-        clock.advance_to(t_end)
-        return tree
-
-    def build_forest():
-        clock = SimulationClock()
-        forest = PartitionedMovingObjectForest(
-            forest_config(partitions=args.partitions, **sizing), clock
-        )
-        clock.advance_to(initial[0][1].t_ref)
-        forest.insert_batch([(oid, point) for oid, point in initial])
-        clock.advance_to(t_end)
-        return forest
-
-    indexes = [("tree", build_tree()), ("forest", build_forest())]
+    indexes = [
+        ("tree", _loaded("tree", initial, t_end, sizing)),
+        ("forest", _loaded("forest", initial, t_end, sizing, args.partitions)),
+    ]
     base = None
     if args.workers:
-        from .shard import ShardConfig, ShardedForest
-
         base = tempfile.mkdtemp(prefix="repro-knn-")
-        sharded = ShardedForest.create(
-            base,
-            ShardConfig(
-                workers=args.workers,
-                tree=rexp_config(**sizing),
-                space=1000.0,
-            ),
-        )
-        sharded.clock.advance_to(initial[0][1].t_ref)
-        sharded.bulk_load(entries)
-        sharded.clock.advance_to(t_end)
-        indexes.append((f"sharded/{args.workers}", sharded))
+        indexes.append((
+            f"sharded/{args.workers}",
+            _loaded("sharded", initial, t_end, sizing, args.workers, base),
+        ))
 
     print(f"{'index':<12}{'wall (s)':>10}{'answers':>10}")
     mismatches = 0
@@ -679,10 +577,6 @@ def cmd_knn(args: argparse.Namespace) -> int:
 
 def _sniff_tree_config(directory: str, buffer_pages: int):
     """Rebuild a tree configuration from a durable store's header."""
-    from .core.config import TreeConfig
-    from .geometry.bounding import BoundingKind
-    from .storage.pagefile import read_header
-
     header = read_header(directory)
     return TreeConfig(
         page_size=header.page_size,
@@ -700,24 +594,8 @@ def _sniff_tree_config(directory: str, buffer_pages: int):
 
 
 def cmd_persist(args: argparse.Namespace) -> int:
-    scale = _resolve_scale(args)
-    policy = _expiration_policy(args) or FixedPeriod(120.0)
-    workload = generate_uniform_workload(
-        UniformParams(
-            target_population=scale.target_population,
-            insertions=scale.insertions,
-            update_interval=args.ui,
-            seed=args.seed,
-        ),
-        policy,
-    )
-    sizing = dict(page_size=scale.page_size, buffer_pages=scale.buffer_pages)
-    if args.index == "forest":
-        adapter = ForestAdapter(
-            "forest", forest_config(partitions=args.partitions, **sizing)
-        )
-    else:
-        adapter = TreeAdapter("Rexp-tree", rexp_config(**sizing))
+    workload = _workload(args, "uniform", FixedPeriod(120.0))
+    adapter = _adapter(_sizing(args), args.index, args.partitions)
     print(f"replaying {workload.name} durably into {args.directory} ...")
     result = run_workload(
         adapter, workload, prepopulate=args.prepopulate,
@@ -737,69 +615,67 @@ def cmd_persist(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_recover(args: argparse.Namespace) -> int:
-    from .core.forest import (
-        MANIFEST_FILENAME,
-        ForestConfig,
-        PartitionedMovingObjectForest,
-    )
-    from .core.tree import MovingObjectTree
-    from .obs import MetricsRegistry
+def _open_recovered(directory: str, buffer_pages: int):
+    """Open (and so recover) whichever index shape ``directory`` holds.
 
-    registry = MetricsRegistry()
-    manifest = os.path.join(args.directory, MANIFEST_FILENAME)
+    By shard manifest, forest manifest or page file; ``None`` for none.
+    """
+    from .shard.router import MANIFEST_FILENAME as SHARD_MANIFEST
+    from .shard.router import ShardedForest
+
+    manifest = os.path.join(directory, MANIFEST_FILENAME)
+    if os.path.exists(os.path.join(directory, SHARD_MANIFEST)):
+        return ShardedForest.open(directory)
     if os.path.exists(manifest):
-        member0 = PartitionedMovingObjectForest.member_directory(
-            args.directory, 0
-        )
-        tree_config = _sniff_tree_config(member0, args.buffer_pages)
-        import json
-
+        member0 = PartitionedMovingObjectForest.member_directory(directory, 0)
         with open(manifest, "r", encoding="utf-8") as handle:
             partitions = json.load(handle)["partitions"]
         config = ForestConfig(
-            tree=tree_config, partitions=partitions, split_buffer=False
+            tree=_sniff_tree_config(member0, buffer_pages),
+            partitions=partitions,
+            split_buffer=False,
         )
-        forest = PartitionedMovingObjectForest.open_from(
-            args.directory, config, registry=registry
+        return PartitionedMovingObjectForest.open_from(directory, config)
+    if os.path.exists(os.path.join(directory, PAGES_FILENAME)):
+        return MovingObjectTree.open_from(
+            directory, _sniff_tree_config(directory, buffer_pages)
         )
-        trees = forest.trees
-        audit = forest.audit()
-        pages = forest.page_count
-        clock_time = forest.clock.time
-        index = forest
-    else:
-        config = _sniff_tree_config(args.directory, args.buffer_pages)
-        tree = MovingObjectTree.open_from(
-            args.directory, config, registry=registry
-        )
-        trees = [tree]
-        audit = tree.audit()
-        pages = tree.page_count
-        clock_time = tree.clock.time
-        index = tree
-    print(f"recovered {args.directory} (clock {clock_time:g})")
-    for i, tree in enumerate(trees):
-        report = tree.disk.recovery
-        label = f"member{i}: " if len(trees) > 1 else ""
-        print(f"  {label}scanned={report.records_scanned}  "
-              f"commits={report.commits_applied}  "
-              f"pages={report.pages_replayed}  "
-              f"frees={report.frees_replayed}  "
-              f"skipped-expired={report.wal_skipped_expired}  "
-              f"torn-bytes={report.torn_bytes}  "
-              f"op-seq={report.op_seq}")
-    print(f"  audit: {audit.nodes} nodes, {audit.leaf_entries} leaf entries "
-          f"({audit.expired_fraction:.1%} expired), {pages} pages")
-    if args.checkpoint:
-        index.checkpoint()
-        print("  checkpointed: WAL truncated")
-    index.close()
+    return None
+
+
+def cmd_recover(args: argparse.Namespace) -> int:
+    index = _open_recovered(args.directory, args.buffer_pages)
+    if index is None:
+        print(f"{args.directory}: no sharded index, forest or tree store "
+              f"to recover", file=sys.stderr)
+        return 2
+    try:
+        print(f"recovered {args.directory} (clock {index.clock.time:g})")
+        # Shards recover inside their worker processes: no local stores.
+        stores = index.local_stores()
+        for i, store in enumerate(stores):
+            report = store.recovery
+            label = f"member{i}: " if len(stores) > 1 else ""
+            print(f"  {label}scanned={report.records_scanned}  "
+                  f"commits={report.commits_applied}  "
+                  f"pages={report.pages_replayed}  "
+                  f"frees={report.frees_replayed}  "
+                  f"skipped-expired={report.wal_skipped_expired}  "
+                  f"torn-bytes={report.torn_bytes}  "
+                  f"op-seq={report.op_seq}")
+        audit = index.audit()
+        print(f"  audit: {audit.nodes} nodes, {audit.leaf_entries} leaf "
+              f"entries ({audit.expired_fraction:.1%} expired), "
+              f"{index.page_count} pages")
+        if args.checkpoint:
+            index.checkpoint()
+            print("  checkpointed: WAL truncated")
+    finally:
+        index.close()
     return 0
 
 
 def cmd_faultcheck(args: argparse.Namespace) -> int:
-    from .core.config import TreeConfig
     from .experiments.faultcheck import default_workload, run_faultcheck
 
     workload = default_workload(insertions=args.insertions, seed=args.seed)
@@ -828,11 +704,10 @@ def cmd_faultcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_soak(args: argparse.Namespace) -> int:
-    import json
-
     from .experiments.soak import (
         FaultScript,
         default_fault_script,
+        default_replica_scenario,
         default_soak_params,
         run_soak,
         write_report,
@@ -852,8 +727,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
           f"{args.subscriptions} standing queries) ...")
     scenario = None
     if args.replica:
-        from .experiments.soak import default_replica_scenario
-
         scenario = default_replica_scenario()
         print(f"  replication: poll every {scenario.poll_every} requests, "
               f"WAL soft limit {scenario.wal_soft_limit} B, "
@@ -892,12 +765,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
-    import shutil
-    import tempfile
-
-    from .core.clock import SimulationClock
-    from .core.config import TreeConfig
-    from .core.tree import MovingObjectTree
     from .replication import (
         OnlineMaintainer,
         Replica,
@@ -906,14 +773,8 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         WalShipper,
     )
     from .storage.faults import FaultInjector
-    from .workloads.base import DeleteOp, InsertOp, QueryOp, UpdateOp
 
-    params = NetworkParams(
-        target_population=max(args.insertions // 4, 16),
-        insertions=args.insertions,
-        seed=args.seed,
-    )
-    workload = generate_network_workload(params)
+    workload = _workload(args, "network")
     config = TreeConfig(
         page_size=args.page_size, buffer_pages=args.buffer_pages
     )
@@ -952,14 +813,10 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         queries = []
         for op in workload.ops:
             tree.clock.advance_to(op.time)
-            if isinstance(op, InsertOp):
-                tree.insert(op.oid, op.point)
-            elif isinstance(op, UpdateOp):
-                tree.update(op.oid, op.old_point, op.new_point)
-            elif isinstance(op, DeleteOp):
-                tree.delete(op.oid, op.point)
-            elif isinstance(op, QueryOp):
-                queries.append(op.query)
+            if isinstance(op, QueryOp):
+                queries.append(op.query)  # asked after the replay, below
+            else:
+                apply_op(tree, op)
             link.tick()
         link.tick(force=True)
 
@@ -972,9 +829,9 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         mismatches += sum(
             1 for got, want in zip(batched, answers) if got != want
         )
-        centre = (params.space / 2.0, params.space / 2.0)
+        centre = (SPACE / 2.0, SPACE / 2.0)
         knn_want = tree.query_knn(centre, tree.clock.time, 8)
-        if follower.knn(centre, tree.clock.time, 8) != knn_want:
+        if follower.query_knn(centre, tree.clock.time, 8) != knn_want:
             mismatches += 1
         print(f"  parity: {len(queries)} queries + batch + knn, "
               f"{mismatches} mismatches")
@@ -1011,31 +868,14 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def cmd_shards(args: argparse.Namespace) -> int:
-    import shutil
-    import tempfile
-    import time as _time
-
-    from .core.clock import SimulationClock
-    from .core.tree import MovingObjectTree
     from .shard import ShardConfig, ShardedForest
-    from .workloads.base import DeleteOp, InsertOp, QueryOp, UpdateOp
 
     scale = _resolve_scale(args)
-    ui = args.ui
-    policy = _expiration_policy(args) or FixedPeriod(2.0 * ui)
-    params = NetworkParams(
-        target_population=scale.target_population,
-        insertions=scale.insertions,
-        update_interval=ui,
-        queries_per_insertions=args.queries,
-        seed=args.seed,
+    policy = _expiration_policy(args) or FixedPeriod(2.0 * args.ui)
+    workload = _workload(
+        args, "network", policy, queries_per_insertions=args.queries
     )
-    workload = generate_network_workload(params, policy)
-    tree_config = rexp_config(
-        page_size=scale.page_size,
-        buffer_pages=scale.buffer_pages,
-        default_ui=ui,
-    )
+    tree_config = rexp_config(default_ui=args.ui, **_sizing(args))
     print(f"network workload: {len(workload.ops)} ops "
           f"({scale.insertions} insertions, population "
           f"{scale.target_population})")
@@ -1047,14 +887,9 @@ def cmd_shards(args: argparse.Namespace) -> int:
         expected = {}
         for index, op in enumerate(workload.ops):
             clock.advance_to(op.time)
-            if isinstance(op, InsertOp):
-                oracle.insert(op.oid, op.point)
-            elif isinstance(op, UpdateOp):
-                oracle.update(op.oid, op.old_point, op.new_point)
-            elif isinstance(op, DeleteOp):
-                oracle.delete(op.oid, op.point)
-            elif isinstance(op, QueryOp):
-                expected[index] = sorted(oracle.query(op.query))
+            outcome = apply_op(oracle, op)
+            if isinstance(op, QueryOp):
+                expected[index] = sorted(outcome)
 
     base = args.directory or tempfile.mkdtemp(prefix="repro-shards-")
     print(f"{'workers':>7} {'wall s':>8} {'ops/s':>9} {'capacity/s':>11} "
@@ -1065,9 +900,9 @@ def cmd_shards(args: argparse.Namespace) -> int:
             workers=workers,
             tree=tree_config,
             partitioner=args.partitioner,
-            max_speed=max(params.speed_groups),
-            space=params.space,
-            reach=max(params.speed_groups) * policy.period
+            max_speed=max(SPEED_GROUPS),
+            space=SPACE,
+            reach=max(SPEED_GROUPS) * policy.period
             if isinstance(policy, FixedPeriod) else None,
             batch_ops=args.batch_ops,
         )
@@ -1106,8 +941,6 @@ def _top_bar(fraction: float, width: int = 24) -> str:
 
 
 def _render_top(records, registry, slo_statuses, heading) -> None:
-    from .obs.export import latency_breakdown, shard_shares
-
     print(heading)
     shares = shard_shares(records)
     if shares:
@@ -1168,16 +1001,7 @@ def _render_top(records, registry, slo_statuses, heading) -> None:
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    import shutil
-    import tempfile
-
-    from .obs.export import (
-        MetricsSnapshotter, accumulate, read_snapshots,
-    )
-    from .obs.slo import SLOTracker, check_slos, default_serve_slos
-    from .obs.trace import read_jsonl
     from .shard import ShardConfig, ShardedForest
-    from .workloads.base import QueryOp
 
     if args.from_trace or args.from_metrics:
         records = read_jsonl(args.from_trace) if args.from_trace else []
@@ -1194,15 +1018,10 @@ def cmd_top(args: argparse.Namespace) -> int:
                     "repro top — from artifacts")
         return 0
 
-    ui = 60.0
-    params = NetworkParams(
-        target_population=max(args.insertions // 4, 16),
-        insertions=args.insertions,
-        update_interval=ui,
-        queries_per_insertions=args.queries,
-        seed=args.seed,
+    ui = NetworkParams.update_interval
+    workload = _workload(
+        args, "network", queries_per_insertions=args.queries
     )
-    workload = generate_network_workload(params, FixedPeriod(2.0 * ui))
     tree_config = rexp_config(page_size=2048, buffer_pages=64, default_ui=ui)
     registry = MetricsRegistry()
     tracer = Tracer(capacity=65536)
@@ -1211,9 +1030,9 @@ def cmd_top(args: argparse.Namespace) -> int:
     config = ShardConfig(
         workers=args.workers,
         tree=tree_config,
-        max_speed=max(params.speed_groups),
-        space=params.space,
-        reach=max(params.speed_groups) * 2.0 * ui,
+        max_speed=max(SPEED_GROUPS),
+        space=SPACE,
+        reach=max(SPEED_GROUPS) * 2.0 * ui,
         batch_ops=args.batch_ops,
         flush_every=1,
     )
@@ -1289,72 +1108,77 @@ def build_parser() -> argparse.ArgumentParser:
         "ICDE 2002)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags shared by many verbs are declared once, as argparse parents.
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument(
+        "--scale", choices=sorted(SCALES), default=DEFAULT_SCALE,
+        help="experiment scale preset",
+    )
+    scale.add_argument(
+        "--population", type=int, default=None,
+        help="override the scale's target population",
+    )
+    scale.add_argument(
+        "--insertions", type=int, default=None,
+        help="override the scale's insertion count",
+    )
+    scale.add_argument("--seed", type=int, default=0)
+    stream = argparse.ArgumentParser(add_help=False)
+    stream.add_argument("--ui", type=float, default=60.0)
+    stream.add_argument("--expt", type=float, default=None)
+    stream.add_argument("--expd", type=float, default=None)
 
-    p = sub.add_parser("figures", help="reproduce the paper's figures")
+    p = sub.add_parser("figures", parents=[scale],
+                       help="reproduce the paper's figures")
     p.add_argument("figures", nargs="+",
                    help="figure ids (fig9..fig16) or 'all'")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero if any shape check misses")
     p.add_argument("--chart", action="store_true",
                    help="also render an ASCII chart per figure")
-    _add_scale_arguments(p)
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("table1", help="print the workload parameter grid")
     p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("workload", help="generate a workload and summarize it")
+    p = sub.add_parser("workload", parents=[stream, scale],
+                       help="generate a workload and summarize it")
     p.add_argument("--kind", choices=("network", "uniform"), default="network")
-    p.add_argument("--ui", type=float, default=60.0)
-    p.add_argument("--expt", type=float, default=None)
-    p.add_argument("--expd", type=float, default=None)
     p.add_argument("--no-expiry", action="store_true")
     p.add_argument("--newob", type=float, default=0.0)
     p.add_argument("--save", metavar="PATH", default=None,
                    help="write the generated trace to a JSONL file")
-    _add_scale_arguments(p)
     p.set_defaults(func=cmd_workload)
 
-    p = sub.add_parser("compare", help="R^exp-tree vs TPR-tree on one workload")
-    p.add_argument("--ui", type=float, default=60.0)
-    p.add_argument("--expt", type=float, default=None)
-    p.add_argument("--expd", type=float, default=None)
+    p = sub.add_parser("compare", parents=[stream, scale],
+                       help="R^exp-tree vs TPR-tree on one workload")
     p.add_argument("--trace-out", metavar="FILE.jsonl", default=None,
                    help="append both runs' span/event traces as JSON Lines")
     p.add_argument("--durability", metavar="DIR", default=None,
                    help="run each tree on a durable page store under DIR "
                    "(write-ahead-log I/O reported as auxiliary)")
-    _add_scale_arguments(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser(
-        "bulkload",
+        "bulkload", parents=[stream, scale],
         help="STR bulk loading vs repeated insertion on one population",
     )
-    p.add_argument("--ui", type=float, default=60.0)
-    p.add_argument("--expt", type=float, default=None)
-    p.add_argument("--expd", type=float, default=None)
     p.add_argument("--queries", type=int, default=20,
                    help="timeslice queries compared across both trees")
-    _add_scale_arguments(p)
     p.set_defaults(func=cmd_bulkload)
 
     p = sub.add_parser(
-        "batch",
+        "batch", parents=[stream, scale],
         help="cross-query batched traversal vs sequential queries",
     )
-    p.add_argument("--ui", type=float, default=60.0)
-    p.add_argument("--expt", type=float, default=None)
-    p.add_argument("--expd", type=float, default=None)
     p.add_argument("--queries", type=int, default=1000,
                    help="queries answered both ways and compared")
     p.add_argument("--partitions", type=int, default=4,
                    help="velocity classes in the forest comparison")
-    _add_scale_arguments(p)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser(
-        "knn",
+        "knn", parents=[stream, scale],
         help="best-first k-nearest-neighbor search vs a brute-force oracle",
     )
     p.add_argument("--k", type=int, default=10,
@@ -1365,14 +1189,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="velocity classes in the forest comparison")
     p.add_argument("--workers", type=int, default=0,
                    help="also run a sharded index with this many workers")
-    p.add_argument("--ui", type=float, default=60.0)
-    p.add_argument("--expt", type=float, default=None)
-    p.add_argument("--expd", type=float, default=None)
-    _add_scale_arguments(p)
     p.set_defaults(func=cmd_knn)
 
     p = sub.add_parser(
-        "forest",
+        "forest", parents=[stream, scale],
         help="velocity-partitioned forest vs a single R^exp-tree",
     )
     p.add_argument("--kind", choices=("uniform", "network"), default="uniform")
@@ -1380,18 +1200,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="forest sizes to compare against the single tree")
     p.add_argument("--partitioner", choices=("speed", "direction"),
                    default="speed")
-    p.add_argument("--ui", type=float, default=60.0)
-    p.add_argument("--expt", type=float, default=None)
-    p.add_argument("--expd", type=float, default=None)
     p.add_argument("--verify", action="store_true",
                    help="check every answer against a brute-force oracle")
     p.add_argument("--trace-out", metavar="FILE.jsonl", default=None,
                    help="append every run's span/event trace as JSON Lines")
-    _add_scale_arguments(p)
     p.set_defaults(func=cmd_forest)
 
     p = sub.add_parser(
-        "profile",
+        "profile", parents=[stream, scale],
         help="traced run: I/O and latency tails, structural events, "
         "buffer hit rate, node occupancy",
     )
@@ -1406,14 +1222,10 @@ def build_parser() -> argparse.ArgumentParser:
                    "replaying it as insertions")
     p.add_argument("--top", type=int, default=10,
                    help="slowest operations to list")
-    p.add_argument("--ui", type=float, default=60.0)
-    p.add_argument("--expt", type=float, default=None)
-    p.add_argument("--expd", type=float, default=None)
     p.add_argument("--trace-out", metavar="FILE.jsonl", default=None,
                    help="write the span/event trace as JSON Lines")
     p.add_argument("--metrics-out", metavar="FILE.json", default=None,
                    help="write the metrics registry as JSON")
-    _add_scale_arguments(p)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("layout", help="node fan-outs for a page size")
@@ -1422,7 +1234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_layout)
 
     p = sub.add_parser(
-        "persist",
+        "persist", parents=[stream, scale],
         help="replay a workload on a durable page store (WAL + page file)",
     )
     p.add_argument("directory", help="target directory for the durable store")
@@ -1431,10 +1243,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="forest size (with --index forest)")
     p.add_argument("--prepopulate", action="store_true",
                    help="bulk-load the initial population")
-    p.add_argument("--ui", type=float, default=60.0)
-    p.add_argument("--expt", type=float, default=None)
-    p.add_argument("--expd", type=float, default=None)
-    _add_scale_arguments(p)
     p.set_defaults(func=cmd_persist)
 
     p = sub.add_parser(
@@ -1508,7 +1316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replicate)
 
     p = sub.add_parser(
-        "shards",
+        "shards", parents=[stream, scale],
         help="process-parallel sharded index: scatter-gather replay "
         "with per-worker durable stores",
     )
@@ -1520,14 +1328,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="operations per wire batch")
     p.add_argument("--queries", type=int, default=100,
                    help="queries per 100 insertions (paper's parameter)")
-    p.add_argument("--ui", type=float, default=60.0)
-    p.add_argument("--expt", type=float, default=None)
-    p.add_argument("--expd", type=float, default=None)
     p.add_argument("--verify", action="store_true",
                    help="check answers against a single-tree oracle")
     p.add_argument("--directory", default=None,
                    help="keep the shard stores here (default: temp dir)")
-    _add_scale_arguments(p)
     p.set_defaults(func=cmd_shards)
 
     p = sub.add_parser(

@@ -4,6 +4,7 @@ from .clock import SimulationClock
 from .config import TreeConfig
 from .forest import ForestConfig, PartitionedMovingObjectForest
 from .horizon import HorizonTracker
+from .index import MovingObjectIndex
 from .partition import (
     DirectionPartitioner,
     Partitioner,
@@ -24,6 +25,7 @@ __all__ = [
     "DirectionPartitioner",
     "ForestConfig",
     "HorizonTracker",
+    "MovingObjectIndex",
     "MovingObjectTree",
     "PartitionedMovingObjectForest",
     "Partitioner",

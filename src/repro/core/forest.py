@@ -11,10 +11,10 @@ fraction of the population's, its TPBRs sweep far less dead space and
 queries touch fewer pages — the Xu et al. / Nguyen et al. result, here
 layered on the paper's expiration-aware trees.
 
-The forest mirrors the single tree's interface (insert / delete /
-update / query / bulk_load / audit / page_count / stats), so it drops
-into :class:`repro.core.scheduled.ScheduledDeletionIndex`, the
-experiment adapters and the benchmarks unchanged.  I/O is accounted per
+The forest implements the index contract (:mod:`repro.core.index`) plus
+the tree's bulk_load / page_count / stats, so it drops into
+:class:`repro.core.scheduled.ScheduledDeletionIndex`, the experiment
+adapters and the benchmarks unchanged.  I/O is accounted per
 member tree and aggregated on demand, so experiments can report both
 the total cost and the per-partition breakdown.
 """
@@ -28,17 +28,20 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..geometry.kinematics import MovingPoint
+from ..geometry.knn import merge_knn
 from ..geometry.queries import SpatioTemporalQuery
 from ..obs.metrics import NULL_REGISTRY
 from ..storage.pagefile import PersistReport
 from ..storage.stats import IOSnapshot
 from .clock import SimulationClock
 from .config import TreeConfig
+from .index import MovingObjectIndex
 from .partition import (
     DirectionPartitioner,
     GridPartitioner,
     Partitioner,
     SpeedPartitioner,
+    gather,
     make_partitioner,
 )
 from .tree import EntrySnapshot, LeafEntry, MovingObjectTree, TreeAudit
@@ -93,6 +96,15 @@ def _partitioner_from_manifest(payload: dict) -> Partitioner:
             y_cuts=payload.get("y_cuts"),
         )
     raise ValueError(f"unknown partitioner kind {kind!r} in manifest")
+
+
+def write_manifest(path: str, manifest: dict) -> None:
+    """Write a JSON manifest atomically (a reader sees old or new, never half)."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -171,57 +183,30 @@ class ForestStats:
     Supports the same ``snapshot()`` / ``since()`` protocol as
     :class:`repro.storage.stats.IOStats`, so adapters and the scheduled
     deletion wrapper can attribute forest I/O exactly as they do for a
-    single tree.
+    single tree, and reads like one: ``reads`` / ``writes`` /
+    ``allocations`` / ``frees`` / ``total`` are the members' sums.
     """
 
     def __init__(self, forest: "PartitionedMovingObjectForest"):
         self._forest = forest
 
-    def _sum(self, attribute: str) -> int:
-        return sum(
-            getattr(tree.stats, attribute) for tree in self._forest.trees
-        )
-
-    @property
-    def reads(self) -> int:
-        """Page reads summed over all members."""
-        return self._sum("reads")
-
-    @property
-    def writes(self) -> int:
-        """Page writes summed over all members."""
-        return self._sum("writes")
-
-    @property
-    def allocations(self) -> int:
-        """Page allocations summed over all members."""
-        return self._sum("allocations")
-
-    @property
-    def frees(self) -> int:
-        """Page frees summed over all members."""
-        return self._sum("frees")
-
-    @property
-    def total(self) -> int:
-        """Total page I/O operations (reads plus writes)."""
-        return self.reads + self.writes
-
     def snapshot(self) -> IOSnapshot:
         """Capture the current aggregate counters as a snapshot."""
-        return IOSnapshot(self.reads, self.writes, self.allocations, self.frees)
+        return sum(
+            (tree.stats.snapshot() for tree in self._forest.trees),
+            IOSnapshot(),
+        )
 
     def since(self, snap: IOSnapshot) -> IOSnapshot:
         """Aggregate I/O accrued since ``snap`` was captured."""
-        return IOSnapshot(
-            self.reads - snap.reads,
-            self.writes - snap.writes,
-            self.allocations - snap.allocations,
-            self.frees - snap.frees,
-        )
+        return self.snapshot() - snap
+
+    def __getattr__(self, name: str):
+        """A counter summed over all members: a fresh snapshot's field."""
+        return getattr(self.snapshot(), name)
 
 
-class PartitionedMovingObjectForest:
+class PartitionedMovingObjectForest(MovingObjectIndex):
     """Routes updates to velocity-class member trees; fans queries out.
 
     The forest is interface-compatible with a single
@@ -273,17 +258,14 @@ class PartitionedMovingObjectForest:
         return os.path.join(directory, f"member{index}")
 
     def _write_manifest(self, directory: str) -> None:
-        manifest = {
-            "version": 1,
-            "partitions": self.partitions,
-            "partitioner": _partitioner_manifest(self.partitioner),
-        }
-        path = os.path.join(directory, MANIFEST_FILENAME)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
+        write_manifest(
+            os.path.join(directory, MANIFEST_FILENAME),
+            {
+                "version": 1,
+                "partitions": self.partitions,
+                "partitioner": _partitioner_manifest(self.partitioner),
+            },
+        )
 
     @classmethod
     def create_durable(
@@ -437,18 +419,9 @@ class PartitionedMovingObjectForest:
     # ------------------------------------------------------------------ API --
 
     @property
-    def now(self) -> float:
-        """The current simulation time."""
-        return self.clock.time
-
-    @property
     def partitions(self) -> int:
         """Number of member trees in the forest."""
         return len(self.trees)
-
-    def tree_for(self, point: MovingPoint) -> MovingObjectTree:
-        """The member tree a report routes to."""
-        return self.trees[self.partitioner.partition_of(point)]
 
     def insert(self, oid: int, point: MovingPoint) -> None:
         """Index a report in its velocity class's tree."""
@@ -467,19 +440,6 @@ class PartitionedMovingObjectForest:
         if self._obs_routes is not None:
             self._obs_routes[idx].inc()
         return self.trees[idx].delete(oid, point)
-
-    def update(
-        self, oid: int, old_point: MovingPoint, new_point: MovingPoint
-    ) -> bool:
-        """Delete the old report and insert the new one.
-
-        When the object's speed class changed, the entry migrates
-        between member trees; otherwise this is the single tree's
-        delete-then-insert within one member.
-        """
-        existed = self.delete(oid, old_point)
-        self.insert(oid, new_point)
-        return existed
 
     def query(self, query: SpatioTemporalQuery) -> List[int]:
         """Fan a query out across the reachable members and merge answers.
@@ -510,34 +470,20 @@ class PartitionedMovingObjectForest:
         is bit-identical (including order) to
         ``[self.query(q) for q in queries]``.
         """
-        if not queries:
-            return []
-        targets = [
-            self.partitioner.query_partitions(query.region())
-            for query in queries
-        ]
-        per_member: Dict[int, List[int]] = {}
-        for position, members in enumerate(targets):
-            for index in members:
-                per_member.setdefault(index, []).append(position)
-        parts: List[Dict[int, List[int]]] = [{} for _ in queries]
+        targets, per_member = self.partitioner.scatter(queries)
+        parts: Dict[int, Dict[int, List[int]]] = {}
         for index, positions in per_member.items():
             answers = self.trees[index].query_batch(
                 [queries[position] for position in positions]
             )
             for position, answer in zip(positions, answers):
-                parts[position][index] = answer
-        return [
-            [
-                oid
-                for index in targets[position]
-                for oid in parts[position][index]
-            ]
-            for position in range(len(queries))
-        ]
+                parts.setdefault(position, {})[index] = answer
+        return gather(targets, parts)
 
-    def query_knn(self, x, t: float, k: int) -> List[int]:
-        """The ``k`` objects nearest to ``x`` at ``t``, across all members.
+    def knn_entries(
+        self, x, t: float, k: int, bound_sq: float = math.inf
+    ) -> List[Tuple[float, int]]:
+        """Scored forest kNN (see :meth:`MovingObjectTree.knn_entries`).
 
         A kNN query has no region, so it fans out to *every* member
         (velocity partitioners are spatially uninformative anyway); the
@@ -548,28 +494,6 @@ class PartitionedMovingObjectForest:
         Per-member candidates merge by the canonical
         ``(squared distance, oid)`` order, so the answer is
         bit-identical to a single tree's over the same population.
-
-        Parameters
-        ----------
-        x : tuple of float
-            The query location.
-        t : float
-            The evaluation time.
-        k : int
-            Number of neighbors.
-
-        Returns
-        -------
-        list of int
-            Object ids ordered by ``(squared distance at t, oid)``.
-        """
-        return [oid for _, oid in self.knn_entries(x, t, k)]
-
-    def knn_entries(
-        self, x, t: float, k: int, bound_sq: float = math.inf
-    ) -> List[Tuple[float, int]]:
-        """Scored forest kNN (see :meth:`MovingObjectTree.knn_entries`).
-
         Accepts and propagates an external ``bound_sq`` so the shard
         router can thread one tightening bound through a whole scatter.
 
@@ -594,11 +518,9 @@ class PartitionedMovingObjectForest:
             return []
         best: List[Tuple[float, int]] = []
         for tree in self.trees:
-            best.extend(tree.knn_entries(x, t, k, bound_sq))
-            best.sort()
-            del best[k:]
-            if len(best) == k:
-                bound_sq = min(bound_sq, best[-1][0])
+            bound_sq = merge_knn(
+                best, tree.knn_entries(x, t, k, bound_sq), k, bound_sq
+            )
         return best
 
     def insert_batch(self, reports: Sequence[Tuple[int, MovingPoint]]) -> None:
@@ -651,6 +573,15 @@ class PartitionedMovingObjectForest:
             tree.bulk_load(group)
 
     # -- introspection ----------------------------------------------------------
+
+    def local_stores(self) -> list:
+        """The members' page stores (see :mod:`repro.core.index`)."""
+        return [tree.disk for tree in self.trees]
+
+    @property
+    def aux_io(self) -> int:
+        """Cumulative WAL writes over all (durable) members."""
+        return sum(tree.aux_io for tree in self.trees)
 
     @property
     def height(self) -> int:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..geometry.kinematics import MovingPoint
 
@@ -78,6 +78,44 @@ class Partitioner(ABC):
         :meth:`GridPartitioner.query_partitions`).
         """
         return tuple(range(self.partitions))
+
+    def scatter(
+        self, queries: Sequence
+    ) -> Tuple[List[Tuple[int, ...]], Dict[int, List[int]]]:
+        """The scatter plan of a query batch: ``(targets, per_member)``.
+
+        ``targets[position]`` is that query's :meth:`query_partitions`
+        in the partitioner's own enumeration order (a grid with a
+        finite reach does not enumerate cells in ascending order);
+        ``per_member`` maps every reached bucket to the positions of
+        the queries it must answer, ascending.
+        """
+        targets = [
+            self.query_partitions(query.region()) for query in queries
+        ]
+        per_member: Dict[int, List[int]] = {}
+        for position, members in enumerate(targets):
+            for index in members:
+                per_member.setdefault(index, []).append(position)
+        return targets, per_member
+
+
+def gather(
+    targets: Sequence[Sequence[int]], parts: Dict[int, Dict[int, List[int]]]
+) -> List[List[int]]:
+    """Merge per-member answers, each query in its *own* target order.
+
+    ``parts[position][index]`` is member ``index``'s answer to the
+    query at ``position`` of a :meth:`Partitioner.scatter` plan.  Each
+    object lives in exactly one member, so concatenation preserves the
+    single tree's answer multiset, and following the query's own
+    ``targets`` order makes a batched answer bit-identical to the
+    one-query scatter's.
+    """
+    return [
+        [oid for index in members for oid in parts[position][index]]
+        for position, members in enumerate(targets)
+    ]
 
 
 class SpeedPartitioner(Partitioner):

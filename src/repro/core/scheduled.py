@@ -16,18 +16,23 @@ from typing import List, Optional, Union
 
 from ..btree.bptree import BPlusTree
 from ..geometry.kinematics import MovingPoint
-from ..geometry.queries import SpatioTemporalQuery
 from .forest import PartitionedMovingObjectForest
+from .index import MovingObjectIndex
 from .tree import LeafEntry, MovingObjectTree
 
 
-class ScheduledDeletionIndex:
+class ScheduledDeletionIndex(MovingObjectIndex):
     """A moving-object tree paired with a B+-tree deletion queue.
 
     Wraps either a TPR-tree ("TPR-tree with scheduled deletions") or an
     R^exp-tree ("R^exp-tree with scheduled deletions") — the two
     comparison architectures of Section 5.4 — or a velocity-partitioned
     forest of either, which exposes the same interface.
+
+    Only the write half is the wrapper's own: every insertion and
+    deletion also maintains the queue.  Everything else — queries,
+    ``stats``, ``page_count``, ``audit``, ``snapshot``, ``close`` — is
+    the wrapped index's and is forwarded to it.
 
     The B+-tree's I/O is accounted separately (``queue.stats``); the
     paper's figures exclude it, and note that including it roughly
@@ -55,6 +60,10 @@ class ScheduledDeletionIndex:
         #: Tree I/O consumed by scheduled deletions (reads, writes).
         self._sched_hook = None
 
+    def __getattr__(self, name: str):
+        """Forward what the wrapper does not own to the wrapped index."""
+        return getattr(self.tree, name)
+
     # -- primary operations -----------------------------------------------------
 
     def insert(self, oid: int, point: MovingPoint) -> None:
@@ -74,16 +83,6 @@ class ScheduledDeletionIndex:
         if math.isfinite(point.t_exp):
             self.queue.delete((point.t_exp, oid))
         return removed
-
-    def update(
-        self, oid: int, old_point: MovingPoint, new_point: MovingPoint
-    ) -> bool:
-        existed = self.delete(oid, old_point)
-        self.insert(oid, new_point)
-        return existed
-
-    def query(self, query: SpatioTemporalQuery) -> List[int]:
-        return self.tree.query(query)
 
     # -- time -----------------------------------------------------------------------
 
@@ -118,9 +117,9 @@ class ScheduledDeletionIndex:
     # -- introspection ---------------------------------------------------------------
 
     @property
-    def page_count(self) -> int:
-        """Primary index size in pages (the queue is reported separately)."""
-        return self.tree.page_count
+    def aux_io(self) -> int:
+        """Cumulative I/O outside ``stats``: the queue's, plus the tree's WAL."""
+        return self.queue.stats.total + self.tree.aux_io
 
     @property
     def queue_page_count(self) -> int:

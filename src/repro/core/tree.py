@@ -56,6 +56,7 @@ from .bulkload import bulk_load_tree
 from .clock import SimulationClock
 from .config import TreeConfig
 from .horizon import HorizonTracker
+from .index import MovingObjectIndex
 
 #: Tolerance for the point-in-rectangle pruning used by deletions: an
 #: absolute floor, and a relative slack for what the page codec's
@@ -202,7 +203,7 @@ class _TreeInstruments:
         self.knn_nodes = histogram("tree.knn_nodes_visited")
 
 
-class MovingObjectTree:
+class MovingObjectTree(MovingObjectIndex):
     """Disk-based index over expiring moving points.
 
     With the default :class:`TreeConfig` this is the paper's R^exp-tree;
@@ -477,11 +478,6 @@ class MovingObjectTree:
 
     # ------------------------------------------------------------------ API --
 
-    @property
-    def now(self) -> float:
-        """The current simulation time."""
-        return self.clock.time
-
     def insert(self, oid: int, point: MovingPoint) -> None:
         """Index a (new or re-appearing) object's reported movement."""
         if self._tracer is not None:
@@ -586,18 +582,6 @@ class MovingObjectTree:
         self._shrink_root()
         self.buffer.flush_all()
         return True
-
-    def update(
-        self, oid: int, old_point: MovingPoint, new_point: MovingPoint
-    ) -> bool:
-        """Delete the old report and insert the new one.
-
-        Returns:
-            True if the old entry was found (it may have expired).
-        """
-        existed = self.delete(oid, old_point)
-        self.insert(oid, new_point)
-        return existed
 
     def query(self, query: SpatioTemporalQuery) -> List[int]:
         """Object ids matching a timeslice/window/moving query.
@@ -752,50 +736,26 @@ class MovingObjectTree:
                 obs.query_depth.record(depth)
         return results, visits, depths
 
-    def query_knn(self, x, t: float, k: int) -> List[int]:
-        """The ``k`` objects nearest to ``x`` at time ``t``, nearest first.
+    def knn_entries(
+        self, x, t: float, k: int, bound_sq: float = math.inf
+    ) -> List[Tuple[float, int]]:
+        """Scored kNN: the ``(squared distance, oid)`` pairs behind ``query_knn``.
 
         Best-first descent on a priority queue keyed by the admissible
         TPBR min-distance lower bound of :mod:`repro.geometry.knn`:
         internal entries enter the queue under their rectangle's lower
         bound at ``t``, leaf points under their exact squared distance,
         and a point popped from the queue is final — every unexplored
-        subtree's bound already exceeds its distance.  Expired
-        information never qualifies: subtrees whose bounding rectangle
-        expires before ``t`` are pruned and leaf points must satisfy
-        ``not t_exp < t`` (alive at the exact expiration instant, the
-        tree's usual convention).  Ties in distance resolve by
-        ascending oid, so the answer is bit-identical to the
-        brute-force oracle :func:`repro.geometry.knn.brute_force_knn`.
-
-        Parameters
-        ----------
-        x : tuple of float
-            The query location (``config.dims`` finite coordinates).
-        t : float
-            The evaluation time.
-        k : int
-            Number of neighbors; ``k = 0`` returns ``[]`` and a ``k``
-            beyond the live population returns every live object.
-
-        Returns
-        -------
-        list of int
-            Object ids ordered by ``(squared distance at t, oid)``.
-        """
-        return [oid for _, oid in self.knn_entries(x, t, k)]
-
-    def knn_entries(
-        self, x, t: float, k: int, bound_sq: float = math.inf
-    ) -> List[Tuple[float, int]]:
-        """Scored kNN: the ``(squared distance, oid)`` pairs behind ``query_knn``.
+        subtree's bound already exceeds its distance.  Subtrees whose
+        bounding rectangle expires before ``t`` are pruned and leaf
+        points must satisfy ``not t_exp < t``.
 
         The forest and shard layers merge per-member answers by exact
-        distance, so this variant exposes the scores and accepts an
-        external pruning bound: entries whose distance (or subtree
-        lower bound) strictly exceeds ``bound_sq`` are skipped —
-        entries *at* the bound survive so equal-distance ties can still
-        be resolved by oid across members.
+        distance, so the scores are exposed and an external pruning
+        bound is accepted: entries whose distance (or subtree lower
+        bound) strictly exceeds ``bound_sq`` are skipped — entries *at*
+        the bound survive so equal-distance ties can still be resolved
+        by oid across members.
 
         Parameters
         ----------
@@ -896,6 +856,20 @@ class MovingObjectTree:
     def leaf_entry_count(self) -> int:
         """Physical leaf entries currently stored (live plus expired)."""
         return self.horizon.leaf_entries
+
+    def local_stores(self) -> list:
+        """The one page store this tree owns (see :mod:`repro.core.index`)."""
+        return [self.disk]
+
+    @property
+    def aux_io(self) -> int:
+        """Cumulative I/O outside ``stats``: a durable tree's WAL writes.
+
+        Zero for a simulated tree.  Experiment adapters charge its
+        growth as auxiliary I/O, beside the deletion queue's B-tree.
+        """
+        wal = getattr(self.disk, "wal", None)
+        return wal.stats.writes if wal is not None else 0
 
     def audit(self) -> TreeAudit:
         """Walk the whole tree without charging I/O and count entries."""

@@ -3,15 +3,20 @@
 Replaying a workload takes seconds to minutes depending on scale; the
 figure benchmarks share many runs (Figures 14-16 are three views of the
 same sweep), so completed runs are cached as JSON keyed by a hash of the
-workload signature, the adapter flavour and the scale.
+workload signature, the adapter flavour, the scale — and the package's
+own sources, so a change to any heuristic can never be answered with
+numbers an older build produced.
 
-Set ``REPRO_CACHE_DIR`` to relocate the cache, or ``REPRO_NO_CACHE=1``
+The cache lives in the per-user cache directory
+(``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``), never in the work
+tree.  Set ``REPRO_CACHE_DIR`` to relocate it, or ``REPRO_NO_CACHE=1``
 to disable it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -20,23 +25,43 @@ from typing import Optional
 
 from .runner import RunResult
 
-_CACHE_VERSION = 4
-
 
 def cache_enabled() -> bool:
     return os.environ.get("REPRO_NO_CACHE", "") not in ("1", "true", "yes")
 
 
 def cache_dir() -> Path:
-    root = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
-    return Path(root)
+    root = os.environ.get("REPRO_CACHE_DIR")
+    if root:
+        return Path(root)
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "repro"
+
+
+def digest_sources(root: Path) -> str:
+    """A digest of every ``*.py`` under ``root``: relative paths and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """The digest of this package's own sources, computed once per process.
+
+    Hashing all ~120 files is cheaper than deciding which modules can
+    change a result.
+    """
+    return digest_sources(Path(__file__).resolve().parents[1])
 
 
 def run_key(adapter_label: str, workload_signature: dict, scale_name: str) -> str:
-    """Stable key identifying one (workload, adapter, scale) run."""
+    """Stable key identifying one (workload, adapter, scale) run of this code."""
     blob = json.dumps(
         {
-            "version": _CACHE_VERSION,
+            "sources": source_digest(),
             "adapter": adapter_label,
             "workload": workload_signature,
             "scale": scale_name,

@@ -43,7 +43,14 @@ from ..geometry import MovingQuery, Rect, TimesliceQuery, WindowQuery
 from ..storage.faults import MODES, FaultInjector, SimulatedCrash
 from ..storage.pagefile import WAL_FILENAME
 from ..storage.wal import COMMIT_RECORD, scan_wal
-from ..workloads.base import DeleteOp, InsertOp, Operation, QueryOp, UpdateOp
+from ..workloads.base import (
+    DeleteOp,
+    InsertOp,
+    Operation,
+    UpdateOp,
+    apply_op,
+    op_atoms,
+)
 from ..workloads.expiration import FixedPeriod
 from ..workloads.uniform import UniformParams, generate_uniform_workload
 
@@ -118,40 +125,10 @@ def default_workload(insertions: int = 80, seed: int = 0):
     return generate_uniform_workload(params, FixedPeriod(20.0))
 
 
-def _atomic_ops(ops: Sequence[Operation]) -> List[tuple]:
-    """Flatten workload operations into single-commit index actions.
-
-    An :class:`~repro.workloads.base.UpdateOp` is a deletion followed by
-    an insertion — *two* commits — so recovery can legitimately land
-    between them.  Flattening first keeps the committed-prefix mapping
-    exact at commit granularity.
-    """
-    atoms: List[tuple] = []
-    for op in ops:
-        if isinstance(op, InsertOp):
-            atoms.append(("insert", op.time, op.oid, op.point))
-        elif isinstance(op, UpdateOp):
-            atoms.append(("delete", op.time, op.oid, op.old_point))
-            atoms.append(("insert", op.time, op.oid, op.new_point))
-        elif isinstance(op, DeleteOp):
-            atoms.append(("delete", op.time, op.oid, op.point))
-        elif isinstance(op, QueryOp):
-            atoms.append(("query", op.time, op.query))
-        else:  # pragma: no cover - exhaustive over Operation
-            raise TypeError(f"unknown operation {op!r}")
-    return atoms
-
-
-def _apply(tree: MovingObjectTree, clock: SimulationClock, atom: tuple):
-    """Replay one atomic action against a raw tree."""
-    kind, time = atom[0], atom[1]
-    clock.advance_to(time)
-    if kind == "insert":
-        tree.insert(atom[2], atom[3])
-    elif kind == "delete":
-        tree.delete(atom[2], atom[3])
-    else:
-        tree.query(atom[2])
+def _apply(tree: MovingObjectTree, clock: SimulationClock, op: Operation):
+    """Replay one single-commit operation against a raw tree."""
+    clock.advance_to(op.time)
+    apply_op(tree, op)
 
 
 def _space_extent(ops: Sequence[Operation]) -> Tuple[Tuple[float, ...], ...]:
@@ -242,7 +219,10 @@ def run_faultcheck(
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     lo, hi = _space_extent(workload.ops)
-    ops = _atomic_ops(workload.ops)
+    # An update is two commits, so recovery can legitimately land
+    # between its halves: flattening to atoms first keeps the
+    # committed-prefix mapping exact at commit granularity.
+    ops = [atom for op in workload.ops for atom in op_atoms(op)]
 
     with tempfile.TemporaryDirectory(prefix="faultcheck-") as tmp:
         # Recording pass: count writes, map op prefix -> committed seq.

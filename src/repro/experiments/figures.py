@@ -129,15 +129,16 @@ def architecture_adapters(scale: Scale) -> Dict[str, AdapterFactory]:
 # ---------------------------------------------------------------------------
 
 
-def _network_workload(
+def _workload(
     scale: Scale,
     policy: ExpirationPolicy,
     update_interval: float = 60.0,
     window: Optional[float] = None,
     new_ob: float = 0.0,
     seed: int = 0,
+    kind: str = "network",
 ) -> Workload:
-    params = NetworkParams(
+    knobs = dict(
         target_population=scale.target_population,
         insertions=scale.insertions,
         update_interval=update_interval,
@@ -145,24 +146,9 @@ def _network_workload(
         new_object_fraction=new_ob,
         seed=seed,
     )
-    return generate_network_workload(params, policy)
-
-
-def _uniform_workload(
-    scale: Scale,
-    policy: ExpirationPolicy,
-    update_interval: float = 60.0,
-    window: Optional[float] = None,
-    seed: int = 0,
-) -> Workload:
-    params = UniformParams(
-        target_population=scale.target_population,
-        insertions=scale.insertions,
-        update_interval=update_interval,
-        querying_window=window,
-        seed=seed,
-    )
-    return generate_uniform_workload(params, policy)
+    if kind == "uniform":
+        return generate_uniform_workload(UniformParams(**knobs), policy)
+    return generate_network_workload(NetworkParams(**knobs), policy)
 
 
 def _run_series(
@@ -221,7 +207,7 @@ def figure9(scale: Optional[Scale] = None, seed: int = 0) -> FigureResult:
         "Expiration Period, ExpT", "Search I/O", list(EXPT_VALUES),
     )
     workloads = [
-        _network_workload(
+        _workload(
             scale,
             FixedPeriod(expt),
             window=querying_window(STANDARD_UI, expt),
@@ -243,7 +229,7 @@ def figure10(scale: Optional[Scale] = None, seed: int = 0) -> FigureResult:
         "Update Interval, UI", "Search I/O", list(UI_VALUES),
     )
     workloads = [
-        _network_workload(
+        _workload(
             scale,
             FixedPeriod(STANDARD_EXPT),
             update_interval=ui,
@@ -266,11 +252,12 @@ def figure11(scale: Optional[Scale] = None, seed: int = 0) -> FigureResult:
         "Expiration Period, ExpT", "Search I/O", list(EXPT_VALUES),
     )
     workloads = [
-        _uniform_workload(
+        _workload(
             scale,
             FixedPeriod(expt),
             window=querying_window(STANDARD_UI, expt),
             seed=seed,
+            kind="uniform",
         )
         for expt in EXPT_VALUES
     ]
@@ -288,7 +275,7 @@ def figure12(scale: Optional[Scale] = None, seed: int = 0) -> FigureResult:
         "Expiration Distance, ExpD", "Search I/O", list(EXPD_VALUES),
     )
     workloads = [
-        _network_workload(scale, FixedDistance(expd), seed=seed)
+        _workload(scale, FixedDistance(expd), seed=seed)
         for expd in EXPD_VALUES
     ]
     return _run_series(
@@ -305,7 +292,7 @@ def figure13(scale: Optional[Scale] = None, seed: int = 0) -> FigureResult:
         "Expiration Distance, ExpD", "Search I/O", list(EXPD_VALUES),
     )
     workloads = [
-        _network_workload(scale, FixedDistance(expd), seed=seed)
+        _workload(scale, FixedDistance(expd), seed=seed)
         for expd in EXPD_VALUES
     ]
     return _run_series(
@@ -316,7 +303,7 @@ def figure13(scale: Optional[Scale] = None, seed: int = 0) -> FigureResult:
 
 def _newob_workloads(scale: Scale, seed: int) -> List[Workload]:
     return [
-        _network_workload(
+        _workload(
             scale, FixedDistance(STANDARD_EXPD), new_ob=new_ob, seed=seed
         )
         for new_ob in NEWOB_VALUES
@@ -393,7 +380,7 @@ def ablation_overlap_heuristic(
         "Expiration Period, ExpT", "Search I/O", list(EXPT_VALUES),
     )
     workloads = [
-        _network_workload(
+        _workload(
             scale, FixedPeriod(expt),
             window=querying_window(STANDARD_UI, expt), seed=seed,
         )
@@ -425,7 +412,7 @@ def ablation_buffer_size(
         "ablation-buffer", "Buffer-pool size sensitivity",
         "Buffer pages", "Search I/O", [float(b) for b in buffer_sizes],
     )
-    workload = _network_workload(scale, FixedPeriod(STANDARD_EXPT), seed=seed)
+    workload = _workload(scale, FixedPeriod(STANDARD_EXPT), seed=seed)
     values: List[float] = []
     runs: List[RunResult] = []
     for pages in buffer_sizes:
@@ -461,7 +448,7 @@ def ablation_lazy_purge(
         list(EXPT_VALUES),
     )
     workloads = [
-        _network_workload(
+        _workload(
             scale, FixedPeriod(expt),
             window=querying_window(STANDARD_UI, expt), seed=seed,
         )

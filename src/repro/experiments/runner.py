@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..geometry.intersection import region_matches_point
 from ..geometry.kinematics import MovingPoint
 from ..obs.metrics import LATENCY_BUCKETS, Histogram
-from ..workloads.base import DeleteOp, InsertOp, QueryOp, UpdateOp, Workload
+from ..workloads.base import DeleteOp, InsertOp, QueryOp, Workload, apply_op
 from .adapters import IndexAdapter
 
 
@@ -161,10 +161,9 @@ def run_workload(
         adapter.enable_durability(durability)
     if registry is not None or tracer is not None:
         adapter.enable_observability(registry, tracer)
-    search_latency = update_latency = None
-    if profile:
-        search_latency = Histogram("search_latency_s", LATENCY_BUCKETS)
-        update_latency = Histogram("update_latency_s", LATENCY_BUCKETS)
+    # Filled only when profiling; empty histograms report 0.0 tails.
+    search_latency = Histogram("search_latency_s", LATENCY_BUCKETS)
+    update_latency = Histogram("update_latency_s", LATENCY_BUCKETS)
     timed = _wall.perf_counter
 
     ops: Sequence[object] = workload.ops
@@ -181,64 +180,41 @@ def run_workload(
 
     for op in ops:
         adapter.advance_time(op.time)
-        if isinstance(op, InsertOp):
-            if profile:
-                t0 = timed()
-                adapter.insert(op.oid, op.point)
-                update_latency.record(timed() - t0)
-            else:
-                adapter.insert(op.oid, op.point)
-            if verify:
-                oracle[op.oid] = op.point
-        elif isinstance(op, UpdateOp):
-            if profile:
-                t0 = timed()
-                existed = adapter.update(op.oid, op.old_point, op.new_point)
-                update_latency.record(timed() - t0)
-            else:
-                existed = adapter.update(op.oid, op.old_point, op.new_point)
-            if not existed:
-                failed_deletes += 1
-            if verify:
-                oracle[op.oid] = op.new_point
-        elif isinstance(op, DeleteOp):
-            if profile:
-                t0 = timed()
-                removed = adapter.delete(op.oid, op.point)
-                update_latency.record(timed() - t0)
-            else:
-                removed = adapter.delete(op.oid, op.point)
-            if not removed:
-                failed_deletes += 1
-            if verify:
-                oracle.pop(op.oid, None)
-        elif isinstance(op, QueryOp):
-            if profile:
-                t0 = timed()
-                answer = adapter.query(op.query)
-                search_latency.record(timed() - t0)
-            else:
-                answer = adapter.query(op.query)
-            result_sizes += len(answer)
-            if verify:
-                region = op.query.region()
-                expected = {
-                    oid
-                    for oid, point in oracle.items()
-                    if region_matches_point(region, point)
-                }
-                got = set(answer)
-                if getattr(adapter, "exact_semantics", True):
-                    if got != expected:
-                        mismatches += 1
-                elif not got >= expected:
-                    # Indexes of non-expiring trajectories (the TPR-tree)
-                    # legitimately return false drops that a filter step
-                    # would remove (Section 3); they must still return
-                    # every live match.
+        is_query = isinstance(op, QueryOp)
+        t0 = timed()
+        outcome = apply_op(adapter, op)
+        if profile:
+            latency = search_latency if is_query else update_latency
+            latency.record(timed() - t0)
+        if is_query:
+            result_sizes += len(outcome)
+        elif outcome is False:
+            failed_deletes += 1
+        if not verify:
+            continue
+        if isinstance(op, DeleteOp):
+            oracle.pop(op.oid, None)
+        elif not is_query:
+            oracle[op.oid] = (
+                op.point if isinstance(op, InsertOp) else op.new_point
+            )
+        else:
+            region = op.query.region()
+            expected = {
+                oid
+                for oid, point in oracle.items()
+                if region_matches_point(region, point)
+            }
+            got = set(outcome)
+            if getattr(adapter, "exact_semantics", True):
+                if got != expected:
                     mismatches += 1
-        else:  # pragma: no cover - exhaustive over Operation
-            raise TypeError(f"unknown operation {op!r}")
+            elif not got >= expected:
+                # Indexes of non-expiring trajectories (the TPR-tree)
+                # legitimately return false drops that a filter step
+                # would remove (Section 3); they must still return
+                # every live match.
+                mismatches += 1
 
     stats = adapter.op_stats
     audit = adapter.audit()
@@ -270,12 +246,12 @@ def run_workload(
         update_io_p50=stats.update_io_hist.p50,
         update_io_p95=stats.update_io_hist.p95,
         update_io_p99=stats.update_io_hist.p99,
-        search_latency_p50=search_latency.p50 if profile else 0.0,
-        search_latency_p95=search_latency.p95 if profile else 0.0,
-        search_latency_p99=search_latency.p99 if profile else 0.0,
-        update_latency_p50=update_latency.p50 if profile else 0.0,
-        update_latency_p95=update_latency.p95 if profile else 0.0,
-        update_latency_p99=update_latency.p99 if profile else 0.0,
+        search_latency_p50=search_latency.p50,
+        search_latency_p95=search_latency.p95,
+        search_latency_p99=search_latency.p99,
+        update_latency_p50=update_latency.p50,
+        update_latency_p95=update_latency.p95,
+        update_latency_p99=update_latency.p99,
         buffer_hits=hits,
         buffer_misses=misses,
         buffer_evictions=evictions,
@@ -291,18 +267,14 @@ def run_workload(
         adapter.close()
     if registry is not None:
         registry.gauge("runner.buffer_hit_rate").set(result.buffer_hit_rate)
-        if search_latency is not None and search_latency.count:
-            hist = registry.histogram("runner.search_latency_s", LATENCY_BUCKETS)
-            hist.buckets = list(search_latency.buckets)
-            hist.count = search_latency.count
-            hist.total = search_latency.total
-            hist.min = search_latency.min
-            hist.max = search_latency.max
-        if update_latency is not None and update_latency.count:
-            hist = registry.histogram("runner.update_latency_s", LATENCY_BUCKETS)
-            hist.buckets = list(update_latency.buckets)
-            hist.count = update_latency.count
-            hist.total = update_latency.total
-            hist.min = update_latency.min
-            hist.max = update_latency.max
+        for latency in (search_latency, update_latency):
+            if latency.count:
+                hist = registry.histogram(
+                    f"runner.{latency.name}", LATENCY_BUCKETS
+                )
+                hist.buckets = list(latency.buckets)
+                hist.count = latency.count
+                hist.total = latency.total
+                hist.min = latency.min
+                hist.max = latency.max
     return result

@@ -41,7 +41,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.clock import SimulationClock
@@ -64,6 +64,28 @@ from ..storage.faults import FaultInjector
 from ..workloads.base import DeleteOp, InsertOp, QueryOp, UpdateOp
 from ..workloads.network import NetworkParams, generate_network_workload
 from ..workloads.pacing import ArrivalPacer, BurstWindow
+
+
+def _to_json(spec) -> dict:
+    """A frozen dataclass as JSON-serializable data: tuples become lists."""
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in asdict(spec).items()
+    }
+
+
+def _from_json(cls, payload: dict):
+    """Rebuild a dataclass from its :func:`_to_json` form.
+
+    Missing fields take their defaults and unknown keys are ignored, so
+    a script survives the format growing a field.
+    """
+    known = {spec.name for spec in fields(cls)}
+    return cls(**{
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in payload.items()
+        if key in known
+    })
 
 
 @dataclass(frozen=True)
@@ -138,41 +160,12 @@ class FaultScript:
 
     def to_json(self) -> dict:
         """A JSON-serializable form (the documented fault-script format)."""
-        payload = asdict(self)
-        payload["transient_writes"] = list(self.transient_writes)
-        payload["transient_reads"] = list(self.transient_reads)
-        payload["post_kill_transient_writes"] = list(
-            self.post_kill_transient_writes
-        )
-        payload["post_kill_transient_reads"] = list(
-            self.post_kill_transient_reads
-        )
-        payload["overload"] = (
-            list(self.overload) if self.overload is not None else None
-        )
-        return payload
+        return _to_json(self)
 
     @classmethod
     def from_json(cls, payload: dict) -> "FaultScript":
         """Rebuild a script from its :meth:`to_json` form."""
-        overload = payload.get("overload")
-        return cls(
-            transient_writes=tuple(payload.get("transient_writes", ())),
-            transient_reads=tuple(payload.get("transient_reads", ())),
-            kill_at_write=payload.get("kill_at_write"),
-            post_kill_transient_writes=tuple(
-                payload.get("post_kill_transient_writes", ())
-            ),
-            post_kill_transient_reads=tuple(
-                payload.get("post_kill_transient_reads", ())
-            ),
-            overload=tuple(overload) if overload is not None else None,
-            seed=payload.get("seed", 0),
-            staleness_bound=payload.get("staleness_bound", 60.0),
-            expected_trips=payload.get("expected_trips"),
-            expected_probes=payload.get("expected_probes"),
-            expected_recoveries=payload.get("expected_recoveries"),
-        )
+        return _from_json(cls, payload)
 
 
 def default_fault_script(seed: int = 0) -> FaultScript:
@@ -257,19 +250,12 @@ class ReplicaScenario:
 
     def to_json(self) -> dict:
         """A JSON-serializable form, symmetric with :meth:`from_json`."""
-        payload = asdict(self)
-        payload["channel_transients"] = list(self.channel_transients)
-        return payload
+        return _to_json(self)
 
     @classmethod
     def from_json(cls, payload: dict) -> "ReplicaScenario":
         """Rebuild a scenario from its :meth:`to_json` form."""
-        known = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: v for k, v in payload.items() if k in known}
-        kwargs["channel_transients"] = tuple(
-            kwargs.get("channel_transients", ())
-        )
-        return cls(**kwargs)
+        return _from_json(cls, payload)
 
 
 def default_replica_scenario() -> ReplicaScenario:

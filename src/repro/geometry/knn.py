@@ -246,3 +246,25 @@ def brute_force_knn(
         if not point.t_exp < t
     )
     return scored[:k]
+
+
+def merge_knn(
+    best: List[Tuple[float, int]],
+    more: Sequence[Tuple[float, int]],
+    k: int,
+    bound_sq: float,
+) -> float:
+    """Fold one member's scored candidates into the running ``k`` best.
+
+    ``best`` is updated in place and stays in :func:`brute_force_knn`'s
+    ``(squared distance, oid)`` order.  Returns the pruning bound for
+    the next member: once ``k`` candidates are held it tightens to the
+    k-th distance, so a scatter threads one shrinking bound through
+    every member it visits.
+    """
+    best.extend(more)
+    best.sort()
+    del best[k:]
+    if len(best) == k:
+        return min(bound_sq, best[-1][0])
+    return bound_sq

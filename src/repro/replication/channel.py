@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..obs.metrics import NULL_REGISTRY
 from ..storage.faults import SimulatedCrash, TransientIOError
 from ..storage.wal import _COMMIT, COMMIT_RECORD, encode_record, scan_wal_bytes
 from .shipper import ShippedBatch, WalShipper, batches_of
@@ -81,12 +82,9 @@ class ShippingChannel:
     def __init__(self, shipper: WalShipper, injector=None, registry=None):
         self.shipper = shipper
         self._injector = injector
-        if registry is not None:
-            self._bytes = registry.counter("replication.shipped_bytes")
-            self._faults = registry.counter("replication.channel_faults")
-        else:
-            self._bytes = None
-            self._faults = None
+        registry = registry or NULL_REGISTRY
+        self._bytes = registry.counter("replication.shipped_bytes")
+        self._faults = registry.counter("replication.channel_faults")
 
     def _transfer(self, data: bytes) -> ShippedBatch:
         delivered: Optional[bytes] = None
@@ -97,8 +95,7 @@ class ShippingChannel:
                 injector.after_write()
                 data = delivered
             except TransientIOError:
-                if self._faults is not None:
-                    self._faults.inc()
+                self._faults.inc()
                 raise
             except SimulatedCrash:
                 # The connection died.  Whatever before_write handed
@@ -106,16 +103,14 @@ class ShippingChannel:
                 # a death before that delivered nothing at all.  Either
                 # way this injector is spent — reconnect without it.
                 self._injector = None
-                if self._faults is not None:
-                    self._faults.inc()
+                self._faults.inc()
                 if delivered is None:
                     raise TransientIOError(
                         "shipping connection lost before transfer"
                     ) from None
                 data = delivered
         batch = decode_batch(data)
-        if self._bytes is not None:
-            self._bytes.inc(len(data))
+        self._bytes.inc(len(data))
         return batch
 
     def poll(self, limit: Optional[int] = None) -> List[ShippedBatch]:

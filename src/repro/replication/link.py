@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 from typing import Callable, List, Optional, Tuple
 
+from ..obs.metrics import NULL_REGISTRY
 from ..obs.slo import SLO
 from ..storage.faults import TransientIOError
 from .channel import ShippingChannel
@@ -126,30 +127,24 @@ class ReplicaLink:
         self._mark_seqs: List[int] = []
         self._mark_indices: List[int] = []
         self._snapshot_cache: Tuple[int, object] = (-1, None)
+        #: As given (maybe None): handed on to a promoted tree, and what
+        #: tick() asks before computing gauge values nobody would read.
         self._registry = registry
-        if registry is not None:
-            self._g_staleness = registry.gauge("replication.staleness_seconds")
-            self._g_lag = registry.gauge("replication.cursor_lag_batches")
-            self._g_promoted = registry.gauge(
-                "replication.last_promotion_time"
-            )
-            registry.gauge(
-                "replication.wal_footprint_bytes", fn=self.wal_footprint
-            )
-            registry.gauge(
-                "replication.footprint_high_water",
-                fn=lambda: self.footprint_high_water,
-            )
-            self._c_polls = registry.counter("replication.polls")
-            self._c_within = registry.counter(
-                "replication.polls_within_budget"
-            )
-            self._c_over = registry.counter("replication.polls_over_budget")
-            self._c_promotions = registry.counter("replication.promotions")
-        else:
-            self._g_staleness = self._g_lag = self._g_promoted = None
-            self._c_polls = self._c_within = self._c_over = None
-            self._c_promotions = None
+        registry = registry or NULL_REGISTRY
+        self._g_staleness = registry.gauge("replication.staleness_seconds")
+        self._g_lag = registry.gauge("replication.cursor_lag_batches")
+        self._g_promoted = registry.gauge("replication.last_promotion_time")
+        registry.gauge(
+            "replication.wal_footprint_bytes", fn=self.wal_footprint
+        )
+        registry.gauge(
+            "replication.footprint_high_water",
+            fn=lambda: self.footprint_high_water,
+        )
+        self._c_polls = registry.counter("replication.polls")
+        self._c_within = registry.counter("replication.polls_within_budget")
+        self._c_over = registry.counter("replication.polls_over_budget")
+        self._c_promotions = registry.counter("replication.promotions")
 
     # -- health --------------------------------------------------------------
 
@@ -258,7 +253,8 @@ class ReplicaLink:
                 self.replica.apply(batches)
                 self.channel.ack(self.replica.applied_op_seq)
             self.max_staleness = max(self.max_staleness, lag)
-            if self._c_polls is not None:
+            if self._registry is not None:
+                # Both gauge values scan the primary's log: not free.
                 self._c_polls.inc()
                 self._g_staleness.set(self.staleness())
                 self._g_lag.set(self.channel.shipper.lag_batches())
@@ -322,9 +318,8 @@ class ReplicaLink:
             tracer=self._tracer,
         )
         self.promotions += 1
-        if self._c_promotions is not None:
-            self._c_promotions.inc()
-            self._g_promoted.set(tree.clock.time)
+        self._c_promotions.inc()
+        self._g_promoted.set(tree.clock.time)
         if self._tracer is not None:
             self._tracer.event("replication.promote", at=tree.clock.time)
         self.channel = self.replica = self.maintainer = None

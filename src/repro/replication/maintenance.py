@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 from typing import List, Optional
 
+from ..obs.metrics import NULL_REGISTRY
 from ..storage.faults import TransientIOError
 from ..storage.pagefile import FilePageStore
 from .shipper import ShippingLagError
@@ -72,20 +73,13 @@ class OnlineMaintainer:
         self._pos = 0
         self._prev = -1
         self._count = 0
-        if registry is not None:
-            self._c_cycles = registry.counter("replication.truncation_cycles")
-            self._c_deferred = registry.counter(
-                "replication.truncation_deferred"
-            )
-            registry.gauge(
-                "replication.primary_wal_bytes", fn=self.wal_bytes
-            )
-            registry.gauge(
-                "replication.primary_wal_high_water", fn=lambda: self.high_water
-            )
-        else:
-            self._c_cycles = None
-            self._c_deferred = None
+        registry = registry or NULL_REGISTRY
+        self._c_cycles = registry.counter("replication.truncation_cycles")
+        self._c_deferred = registry.counter("replication.truncation_deferred")
+        registry.gauge("replication.primary_wal_bytes", fn=self.wal_bytes)
+        registry.gauge(
+            "replication.primary_wal_high_water", fn=lambda: self.high_water
+        )
 
     def wal_bytes(self) -> int:
         """Current size of the primary's live write-ahead log."""
@@ -145,16 +139,14 @@ class OnlineMaintainer:
             self.store.finish_checkpoint(self._prev, self._count)
         except ShippingLagError:
             self.deferred += 1
-            if self._c_deferred is not None:
-                self._c_deferred.inc()
+            self._c_deferred.inc()
             self._phase = "idle"
             return True
         except TransientIOError:
             self._phase = "idle"
             return True
         self.cycles += 1
-        if self._c_cycles is not None:
-            self._c_cycles.inc()
+        self._c_cycles.inc()
         self._phase = "idle"
         self._observe()
         return True

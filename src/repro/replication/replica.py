@@ -12,19 +12,22 @@ the invariant :meth:`Replica.promote` cashes in.
 Serving: the replica answers all five query classes — timeslice, window
 and moving-window queries (:meth:`Replica.query`), batched queries
 (:meth:`Replica.query_batch`) and k-nearest-neighbor requests
-(:meth:`Replica.knn`) — from its applied page set, with the same
+(:meth:`Replica.query_knn`) — from its applied page set, with the same
 expiration-clipping predicates the live tree uses.  Staleness is
 whatever the shipping lag makes it, and is measured, not assumed.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.index import MovingObjectIndex
 from ..core.tree import EntrySnapshot, MovingObjectTree
 from ..geometry.knn import brute_force_knn
+from ..obs.metrics import NULL_REGISTRY
 from ..storage.faults import TransientIOError
 from ..storage.pagefile import (
     PAGES_FILENAME,
@@ -48,8 +51,12 @@ class PromotionError(ReplicationError):
     """The replica's committed prefix failed verification at promotion."""
 
 
-class Replica:
+class Replica(MovingObjectIndex):
     """A WAL-tailing follower of one durable primary store.
+
+    The read half of the index contract (:mod:`repro.core.index`): a
+    replica takes no writes of its own and has no clock — its time is
+    :attr:`applied_clock_time`.
 
     Use :meth:`bootstrap` to seed a replica from a live primary, or the
     constructor to (re)open an existing replica directory — the latter
@@ -86,18 +93,12 @@ class Replica:
             if slot.state == SLOT_ALLOCATED:
                 node, _t_ref = self.codec.decode(slot.payload)
                 self._mirror[pid] = node
-        if registry is not None:
-            self._applied_batches = registry.counter(
-                "replication.applied_batches"
-            )
-            self._applied_pages = registry.counter(
-                "replication.applied_pages"
-            )
-            self._skipped = registry.counter("replication.skipped_expired")
-        else:
-            self._applied_batches = None
-            self._applied_pages = None
-            self._skipped = None
+        registry = registry or NULL_REGISTRY
+        self._applied_batches = registry.counter(
+            "replication.applied_batches"
+        )
+        self._applied_pages = registry.counter("replication.applied_pages")
+        self._skipped = registry.counter("replication.skipped_expired")
 
     # -- construction --------------------------------------------------------
 
@@ -211,10 +212,9 @@ class Replica:
                     self._mirror[record.page_id] = node
         self._applied_op_seq = report.op_seq
         self._applied_clock = report.clock_time
-        if self._applied_batches is not None:
-            self._applied_batches.inc(len(fresh))
-            self._applied_pages.inc(report.pages_replayed)
-            self._skipped.inc(report.wal_skipped_expired)
+        self._applied_batches.inc(len(fresh))
+        self._applied_pages.inc(report.pages_replayed)
+        self._skipped.inc(report.wal_skipped_expired)
         return len(fresh)
 
     def wal_bytes(self) -> int:
@@ -269,18 +269,20 @@ class Replica:
         """Answer a batch of queries (one scan per query, same answers)."""
         return [self.query(query) for query in queries]
 
-    def knn(self, x, t: float, k: int) -> List[int]:
-        """The ``k`` nearest live objects at ``t``, nearest first.
+    def knn_entries(
+        self, x, t: float, k: int, bound_sq: float = math.inf
+    ) -> List[Tuple[float, int]]:
+        """Scored kNN over the applied state, nearest first.
 
-        Delegates to the brute-force oracle
+        The brute-force oracle
         :func:`repro.geometry.knn.brute_force_knn` over the replica's
         leaf entries — bit-identical, by definition, to the answer the
         primary's best-first descent gives over the same entry set.
         """
         return [
-            oid for _dist, oid in brute_force_knn(
-                list(self.leaf_entries()), x, t, k
-            )
+            pair
+            for pair in brute_force_knn(list(self.leaf_entries()), x, t, k)
+            if not pair[0] > bound_sq
         ]
 
     # -- promotion -----------------------------------------------------------

@@ -28,6 +28,7 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..obs.metrics import NULL_REGISTRY
 from ..storage.pagefile import WAL_FILENAME
 from ..storage.wal import (
     _COMMIT,
@@ -156,15 +157,11 @@ class WalShipper:
         self.cursor_path = os.path.join(directory, CURSOR_FILENAME)
         self.archive_dir = os.path.join(directory, ARCHIVE_DIRNAME)
         self._acked = self._read_cursor()
-        self._registry = registry
-        if registry is not None:
-            self._shipped_batches = registry.counter(
-                "replication.shipped_batches"
-            )
-            self._spills = registry.counter("replication.spills")
-        else:
-            self._shipped_batches = None
-            self._spills = None
+        registry = registry or NULL_REGISTRY
+        self._shipped_batches = registry.counter(
+            "replication.shipped_batches"
+        )
+        self._spills = registry.counter("replication.spills")
 
     # -- durable cursor ------------------------------------------------------
 
@@ -307,8 +304,7 @@ class WalShipper:
             expected = batch.op_seq
         if limit is not None:
             pending = pending[:limit]
-        if self._shipped_batches is not None and pending:
-            self._shipped_batches.inc(len(pending))
+        self._shipped_batches.inc(len(pending))
         return pending
 
     def last_committed(self) -> Tuple[int, float]:
@@ -370,5 +366,4 @@ class WalShipper:
                 f"batches (cursor {self._acked}, committed {op_seq})"
             )
         self._write_segment(unshipped)
-        if self._spills is not None:
-            self._spills.inc()
+        self._spills.inc()

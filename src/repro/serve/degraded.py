@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from ..geometry.intersection import region_matches_point
 from ..geometry.kinematics import MovingPoint
 from ..geometry.queries import SpatioTemporalQuery
+from ..workloads.base import DeleteOp, InsertOp, Operation
 
 
 @dataclass(frozen=True)
@@ -88,23 +89,22 @@ class DegradedReader:
         self.snapshot = snapshot
         self.snapshot_op_index = snapshot_op_index
 
-    def apply(self, atom: tuple) -> None:
+    def apply(self, atom: Operation) -> None:
         """Fold one backlogged write atom into the overlay.
 
         Parameters
         ----------
-        atom : tuple
-            ``("insert", time, oid, point)`` or
-            ``("delete", time, oid, point)`` — the same atomic-action
-            tuples the frontend drives the index with.
+        atom : InsertOp or DeleteOp
+            The same single-commit atoms
+            (:func:`repro.workloads.base.op_atoms`) the frontend drives
+            the index with.
         """
-        kind, _, oid, point = atom
-        if kind == "insert":
-            self.overlay[oid] = point
-        elif kind == "delete":
-            self.overlay[oid] = None
+        if isinstance(atom, InsertOp):
+            self.overlay[atom.oid] = atom.point
+        elif isinstance(atom, DeleteOp):
+            self.overlay[atom.oid] = None
         else:  # pragma: no cover - queries are never backlogged
-            raise ValueError(f"cannot overlay non-write atom {kind!r}")
+            raise ValueError(f"cannot overlay non-write atom {atom!r}")
 
     def query(self, query: SpatioTemporalQuery, now: float) -> DegradedAnswer:
         """Answer ``query`` from the snapshot, shadowed by the overlay.

@@ -1,7 +1,7 @@
 """The overload-safe serving frontend.
 
-:class:`ServiceFrontend` wraps a :class:`~repro.core.tree.MovingObjectTree`
-or :class:`~repro.core.forest.PartitionedMovingObjectForest` and processes
+:class:`ServiceFrontend` wraps any index shape (the contract of
+:mod:`repro.core.index`: a tree, a forest, a sharded forest) and processes
 a workload operation stream as a traffic-shaped request flow:
 
 * **Admission.**  Requests arrive on a virtual serving clock (see
@@ -46,7 +46,7 @@ from ..obs.slo import SLOTracker, default_serve_slos
 from ..obs.trace import NULL_TRACER
 from ..storage.faults import SimulatedCrash, TransientIOError
 from ..storage.pagefile import FilePageStore
-from ..workloads.base import DeleteOp, InsertOp, Operation, QueryOp, UpdateOp
+from ..workloads.base import InsertOp, Operation, QueryOp, apply_op, op_atoms
 from ..workloads.pacing import ArrivalPacer
 from .breaker import OPEN, CircuitBreaker, HealthMonitor
 from .degraded import DegradedReader
@@ -203,20 +203,6 @@ class ServiceReport:
         )
 
 
-def _atoms_of(op: Operation) -> List[tuple]:
-    """Split one workload write into single-commit index atoms."""
-    if isinstance(op, InsertOp):
-        return [("insert", op.time, op.oid, op.point)]
-    if isinstance(op, UpdateOp):
-        return [
-            ("delete", op.time, op.oid, op.old_point),
-            ("insert", op.time, op.oid, op.new_point),
-        ]
-    if isinstance(op, DeleteOp):
-        return [("delete", op.time, op.oid, op.point)]
-    raise TypeError(f"not a write operation: {op!r}")
-
-
 class ServiceFrontend:
     """Serve a workload stream against an index, riding out faults.
 
@@ -291,8 +277,8 @@ class ServiceFrontend:
         self.health = HealthMonitor()
         self.report = ServiceReport()
         self._reader: Optional[DegradedReader] = None
-        self._backlog: List[tuple] = []
-        self._pending: List[Tuple[tuple, int]] = []
+        self._backlog: List[Operation] = []
+        self._pending: List[Tuple[Operation, int]] = []
         self._vfree = 0.0
         self._retry_budget = self.config.retry.budget
         self._snapshot = None
@@ -338,16 +324,6 @@ class ServiceFrontend:
 
     # -- plumbing -----------------------------------------------------------
 
-    @property
-    def breaker(self) -> CircuitBreaker:
-        """The frontend's circuit breaker (read-mostly introspection)."""
-        return self._breaker
-
-    @property
-    def slo_tracker(self) -> Optional[SLOTracker]:
-        """The frontend's SLO tracker (``None`` without a registry)."""
-        return self._slo
-
     def slo_status(self) -> Dict[str, Dict[str, object]]:
         """Current per-objective SLO status (empty without a registry).
 
@@ -359,10 +335,10 @@ class ServiceFrontend:
             return {}
         return self._slo.to_dict()
 
-    def _tick_slo(self) -> None:
-        """Advance the SLO burn window by one served-request checkpoint."""
-        if self._slo is not None:
-            self._slo.checkpoint()
+    def _count(self, field: str, metric: Optional[str] = None) -> None:
+        """Bump a report counter and its ``serve.*`` registry mirror together."""
+        setattr(self.report, field, getattr(self.report, field) + 1)
+        self._c[metric or field].inc()
 
     def _maintain(self, serving_now: float, force: bool = False) -> None:
         """Tick the replication link between requests.
@@ -385,34 +361,33 @@ class ServiceFrontend:
     def _is_open(self) -> bool:
         return self._breaker.state == OPEN
 
-    def _stores(self):
-        local = getattr(self.index, "local_stores", None)
-        if local is not None:
-            # Sharded indexes keep their page stores in worker
-            # processes; commit bookkeeping happens there, not here.
-            return local()
-        if hasattr(self.index, "trees"):
-            return [tree.disk for tree in self.index.trees]
-        return [self.index.disk]
-
     @property
     def _durable(self) -> bool:
+        # A sharded index has no local stores (they live in its worker
+        # processes, as does their commit bookkeeping): vacuously durable.
         return all(
-            isinstance(store, FilePageStore) for store in self._stores()
+            isinstance(store, FilePageStore)
+            for store in self.index.local_stores()
         )
 
     def _op_seq_mark(self) -> int:
-        if not self._durable:
+        stores = self.index.local_stores()
+        if not all(isinstance(store, FilePageStore) for store in stores):
             return 0
-        return sum(store.op_seq for store in self._stores())
+        return sum(store.op_seq for store in stores)
 
     def _disarm_reads(self) -> None:
         if self._injector is not None:
             self._injector.reads_armed = False
 
-    def _arm_reads(self) -> None:
+    def _guarded_read(self, read, argument):
+        """Run one index read with the injector's read guard armed."""
         if self._injector is not None:
             self._injector.reads_armed = True
+        try:
+            return read(argument)
+        finally:
+            self._disarm_reads()
 
     # -- snapshots and degraded state ---------------------------------------
 
@@ -438,13 +413,12 @@ class ServiceFrontend:
             self._reader = DegradedReader(
                 self._snapshot, self._snapshot_op_index
             )
-        self.report.trips += 1
-        self._c["breaker_trips"].inc()
+        self._count("trips", "breaker_trips")
         self._tracer.event("serve.trip", at=now)
 
     # -- atom application with crash/pending bookkeeping --------------------
 
-    def _drive(self, atom: tuple) -> None:
+    def _drive(self, atom: Operation) -> None:
         """Apply one atom to the live index at its workload time.
 
         A successfully applied atom also notifies the subscription
@@ -453,20 +427,16 @@ class ServiceFrontend:
         A faulted apply notifies nothing — the atom re-drives later and
         notification is idempotent anyway.
         """
-        kind, time, oid, point = atom
-        self.index.clock.advance_to(time)
-        if kind == "insert":
-            self.index.insert(oid, point)
-        else:
-            self.index.delete(oid, point)
+        self.index.clock.advance_to(atom.time)
+        apply_op(self.index, atom)
         if self._subs is not None:
-            self._subs.advance_to(time)
-            if kind == "insert":
-                self._subs.notify_insert(oid, point)
+            self._subs.advance_to(atom.time)
+            if isinstance(atom, InsertOp):
+                self._subs.notify_insert(atom.oid, atom.point)
             else:
-                self._subs.notify_delete(oid)
+                self._subs.notify_delete(atom.oid)
 
-    def _apply_atom(self, atom: tuple, serving_now: float) -> None:
+    def _apply_atom(self, atom: Operation, serving_now: float) -> None:
         """Apply and commit one atom, surviving crashes.
 
         Raises
@@ -499,7 +469,7 @@ class ServiceFrontend:
             The commit faulted again; everything stays pending.
         """
         try:
-            for store in self._stores():
+            for store in self.index.local_stores():
                 store.commit()
         except SimulatedCrash:
             self._handle_crash(serving_now)
@@ -517,25 +487,22 @@ class ServiceFrontend:
         the atoms whose commits did not survive are re-driven against
         the new incarnation.
         """
-        self.report.kills += 1
-        self._c["kills"].inc()
+        self._count("kills")
         self._tracer.event("serve.kill", at=serving_now)
         link = self._replication
         failing_over = link is not None and link.can_failover
         if not failing_over and self._reopen is None:
             raise SimulatedCrash("no reopen callback configured")
-        for store in self._stores():
+        for store in self.index.local_stores():
             if isinstance(store, FilePageStore):
                 store.abandon()
         if failing_over:
             self.index, self._injector = link.failover()
-            self.report.promotions += 1
-            self._c["promotions"].inc()
+            self._count("promotions")
             self._tracer.event("serve.failover", at=serving_now)
         else:
             self.index, self._injector = self._reopen()
-            self.report.reopens += 1
-            self._c["reopens"].inc()
+            self._count("reopens")
         self._disarm_reads()
         recovered = self._op_seq_mark()
         redo = [(atom, m) for atom, m in self._pending if recovered <= m]
@@ -557,8 +524,7 @@ class ServiceFrontend:
     def _attempt_probe(self, serving_now: float) -> None:
         """Half-open probe: land pending commits, replay the backlog."""
         self._breaker.begin_probe()
-        self.report.probes += 1
-        self._c["breaker_probes"].inc()
+        self._count("probes", "breaker_probes")
         self._tracer.event("serve.probe", at=serving_now)
         try:
             self._commit_pending(serving_now)
@@ -566,8 +532,7 @@ class ServiceFrontend:
                 atom = self._backlog[0]
                 self._apply_atom(atom, serving_now)
                 self._backlog.pop(0)
-                self.report.backlog_replayed += 1
-                self._c["backlog_replayed"].inc()
+                self._count("backlog_replayed")
         except TransientIOError:
             # A transiently faulted atom is applied with its commit
             # pending: it must leave the backlog now or a later replay
@@ -576,14 +541,12 @@ class ServiceFrontend:
                 self._backlog[0] is self._pending[-1][0]
             ):
                 self._backlog.pop(0)
-                self.report.backlog_replayed += 1
-                self._c["backlog_replayed"].inc()
+                self._count("backlog_replayed")
             self._breaker.probe_failed(serving_now)
             self.report.probe_failures += 1
             return
         self._breaker.probe_succeeded()
-        self.report.recoveries += 1
-        self._c["breaker_recoveries"].inc()
+        self._count("recoveries", "breaker_recoveries")
         self._tracer.event("serve.recovery", at=serving_now)
         self._reader = None
         self._refresh_snapshot()
@@ -629,8 +592,7 @@ class ServiceFrontend:
             if shed is not None:
                 self._record_shed(shed)
             else:
-                self.report.admitted += 1
-                self._c["admitted"].inc()
+                self._count("admitted")
         self._drain_until(float("inf"))
         self._finalize()
         return self.report
@@ -690,47 +652,47 @@ class ServiceFrontend:
             for request in live:
                 self.index.clock.advance_to(request.op.time)
             try:
-                self._arm_reads()
-                try:
-                    if hasattr(self.index, "query_batch"):
-                        answers = self.index.query_batch(
-                            [request.op.query for request in live]
-                        )
-                    else:
-                        answers = [
-                            self.index.query(request.op.query)
-                            for request in live
-                        ]
-                finally:
-                    self._disarm_reads()
+                answers = self._guarded_read(
+                    self.index.query_batch,
+                    [request.op.query for request in live],
+                )
             except SimulatedCrash:
                 self._handle_crash(start)
                 self._serve_queries_sequentially(live, start)
             except TransientIOError:
                 self._serve_queries_sequentially(live, start)
             else:
-                self._breaker.record_success()
-                self.health.record(True)
-                self._vfree = start + self.config.service_time
-                self.report.served_queries += len(live)
-                self._since_checkpoint += len(live)
-                self._c["queries_ok"].inc(len(live))
-                for request, answer in zip(live, answers):
-                    self.report.outcomes.append(
-                        QueryOutcome(
-                            request.index, request.op.time, "ok",
-                            answer=tuple(sorted(answer)),
-                        )
-                    )
+                self._answered(live, answers, start)
         for request in batch:
             self._served = max(self._served, request.index + 1)
+        self._end_tick(start)
+
+    def _end_tick(self, start: float) -> None:
+        """What every serving tick ends with, whatever it served."""
         self._maintain(start)
-        self._tick_slo()
+        if self._slo is not None:
+            self._slo.checkpoint()  # one served-request burn-window step
         if (
             not self._is_open
             and self._since_checkpoint >= self.config.checkpoint_interval
         ):
             self._refresh_snapshot()
+
+    def _answered(self, requests, answers, cur: float) -> None:
+        """Book the fresh answers one successful read attempt produced."""
+        self._breaker.record_success()
+        self.health.record(True)
+        self._vfree = cur + self.config.service_time
+        self.report.served_queries += len(requests)
+        self._since_checkpoint += len(requests)
+        self._c["queries_ok"].inc(len(requests))
+        for request, answer in zip(requests, answers):
+            self.report.outcomes.append(
+                QueryOutcome(
+                    request.index, request.op.time, "ok",
+                    answer=tuple(sorted(answer)),
+                )
+            )
 
     def _serve_queries_sequentially(
         self, requests: List[Request], start: float
@@ -743,14 +705,12 @@ class ServiceFrontend:
 
     def _record_shed(self, shed: Request) -> None:
         if shed.is_query:
-            self.report.shed_queries += 1
-            self._c["shed_queries"].inc()
+            self._count("shed_queries")
             self.report.outcomes.append(
                 QueryOutcome(shed.index, shed.op.time, "shed")
             )
         else:
-            self.report.shed_writes += 1
-            self._c["shed_writes"].inc()
+            self._count("shed_writes")
         self._tracer.event(
             "serve.shed", index=shed.index, query=shed.is_query
         )
@@ -772,13 +732,7 @@ class ServiceFrontend:
             # of requests served so far.  stream_mark() inverts this
             # when a degraded read rebases onto the replica.
             self._replication.note_write(self._op_seq_mark(), self._served)
-        self._maintain(start)
-        self._tick_slo()
-        if (
-            not self._is_open
-            and self._since_checkpoint >= self.config.checkpoint_interval
-        ):
-            self._refresh_snapshot()
+        self._end_tick(start)
 
     # -- closed-breaker paths -----------------------------------------------
 
@@ -792,11 +746,9 @@ class ServiceFrontend:
                 self._timeout(request, cur)
                 return
             try:
-                self._arm_reads()
-                try:
-                    answer = self.index.query(request.op.query)
-                finally:
-                    self._disarm_reads()
+                answer = self._guarded_read(
+                    self.index.query, request.op.query
+                )
             except TransientIOError:
                 cur = self._retry_or_fail(request, cur, attempt)
                 if cur is None:
@@ -806,20 +758,9 @@ class ServiceFrontend:
                 self._handle_crash(cur)
                 # Recovery re-drove every lost write; re-run the query.
             else:
-                self._breaker.record_success()
-                self.health.record(True)
-                self._vfree = cur + self.config.service_time
                 if attempt > 1:
                     self.report.retry_successes += 1
-                self.report.served_queries += 1
-                self._since_checkpoint += 1
-                self._c["queries_ok"].inc()
-                self.report.outcomes.append(
-                    QueryOutcome(
-                        request.index, now, "ok",
-                        answer=tuple(sorted(answer)),
-                    )
-                )
+                self._answered([request], [answer], cur)
                 return
 
     def _retry_or_fail(
@@ -830,44 +771,52 @@ class ServiceFrontend:
         Returns ``None`` when the request will not be retried (the
         outcome has been recorded: degraded, timeout or failed).
         """
+        tripped, exhausted = self._record_fault(cur, attempt)
+        if tripped:
+            self._answer_degraded(request, cur)
+        elif exhausted:
+            self._count("failed_queries")
+            self.report.outcomes.append(
+                QueryOutcome(request.index, request.op.time, "failed")
+            )
+        else:
+            return cur + self._backoff(attempt, index=request.index)
+        self._vfree = cur
+        return None
+
+    def _record_fault(self, cur: float, attempt: int) -> Tuple[bool, bool]:
+        """Book one transiently failed attempt: ``(tripped, exhausted)``.
+
+        ``exhausted``: the attempt cap or the run's retry budget is
+        spent, which force-trips the breaker.  ``tripped``: this fault
+        opened the breaker (degraded mode is entered here); what that
+        means for the request is the caller's decision.
+        """
         self.health.record(False)
         tripped = self._breaker.record_failure(cur)
-        if tripped:
-            self._open_degraded(cur)
-            self._answer_degraded(request, cur)
-            self._vfree = cur
-            return None
-        if (
+        exhausted = (
             attempt >= self.config.retry.max_attempts
             or self._retry_budget <= 0
-        ):
-            self.report.retry_exhausted += 1
-            self._c["retry_exhausted"].inc()
-            if self._breaker.trip(cur):
-                self._open_degraded(cur)
-                self._answer_degraded(request, cur)
-            else:
-                self.report.failed_queries += 1
-                self._c["failed_queries"].inc()
-                self.report.outcomes.append(
-                    QueryOutcome(request.index, request.op.time, "failed")
-                )
-            self._vfree = cur
-            return None
+        )
+        if not tripped and exhausted:
+            self._count("retry_exhausted")
+            tripped = self._breaker.trip(cur)
+        if tripped:
+            self._open_degraded(cur)
+        return tripped, exhausted
+
+    def _backoff(self, attempt: int, **where) -> float:
+        """Spend one retry from the budget; return the delay before it."""
         delay = self.config.retry.delay(attempt, self._rng)
         self._retry_budget -= 1
-        self.report.retries += 1
-        self._c["retries"].inc()
+        self._count("retries")
         self._retry_latency.record(delay)
-        with self._tracer.span(
-            "serve.retry", index=request.index, attempt=attempt
-        ):
+        with self._tracer.span("serve.retry", **where, attempt=attempt):
             pass
-        return cur + delay
+        return delay
 
     def _timeout(self, request: Request, cur: float) -> None:
-        self.report.deadline_timeouts += 1
-        self._c["deadline_timeouts"].inc()
+        self._count("deadline_timeouts")
         self.health.record(False)
         if self._breaker.record_failure(cur):
             self._open_degraded(cur)
@@ -876,7 +825,7 @@ class ServiceFrontend:
         )
 
     def _serve_write(self, request: Request, start: float) -> None:
-        atoms = _atoms_of(request.op)
+        atoms = op_atoms(request.op)
         cur = start
         for position, atom in enumerate(atoms):
             cur = self._write_atom(atom, cur)
@@ -885,15 +834,14 @@ class ServiceFrontend:
                 # not applied joins the backlog behind it.
                 for rest in atoms[position + 1:]:
                     self._backlog_atom(rest)
-                self._vfree = cur
-                self.report.served_writes += 1
-                self._since_checkpoint += 1
-                return
-        self._vfree = cur + self.config.service_time
+                break
+        else:
+            cur += self.config.service_time
+        self._vfree = cur
         self.report.served_writes += 1
         self._since_checkpoint += 1
 
-    def _write_atom(self, atom: tuple, cur: float) -> float:
+    def _write_atom(self, atom: Operation, cur: float) -> float:
         """Apply one write atom with retries; return the serving time."""
         attempt = 1
         applied = False
@@ -909,32 +857,14 @@ class ServiceFrontend:
                     self._apply_atom(atom, cur)
             except TransientIOError:
                 applied = True
-                self.health.record(False)
-                tripped = self._breaker.record_failure(cur)
-                exhausted = (
-                    attempt >= self.config.retry.max_attempts
-                    or self._retry_budget <= 0
-                )
-                if not tripped and exhausted:
-                    self.report.retry_exhausted += 1
-                    self._c["retry_exhausted"].inc()
-                    tripped = self._breaker.trip(cur)
-                if tripped:
-                    self._open_degraded(cur)
+                if self._record_fault(cur, attempt)[0]:
                     # The atom is applied with its commit pending (it
                     # lands with the probe's first commit), so it must
                     # not join the backlog — but degraded reads need it.
                     if self._reader is not None:
                         self._reader.apply(atom)
                     return cur
-                delay = self.config.retry.delay(attempt, self._rng)
-                self._retry_budget -= 1
-                self.report.retries += 1
-                self._c["retries"].inc()
-                self._retry_latency.record(delay)
-                with self._tracer.span("serve.retry", attempt=attempt):
-                    pass
-                cur += delay
+                cur += self._backoff(attempt)
                 attempt += 1
             else:
                 self._breaker.record_success()
@@ -949,19 +879,17 @@ class ServiceFrontend:
         if request.is_query:
             self._answer_degraded(request, start)
             return
-        for atom in _atoms_of(request.op):
+        for atom in op_atoms(request.op):
             self._backlog_atom(atom)
         self.report.served_writes += 1
         self._since_checkpoint += 1
 
-    def _backlog_atom(self, atom: tuple) -> None:
+    def _backlog_atom(self, atom: Operation) -> None:
         if len(self._backlog) >= self.config.backlog_capacity:
-            self.report.shed_writes += 1
-            self._c["shed_writes"].inc()
+            self._count("shed_writes")
             return
         self._backlog.append(atom)
-        self.report.backlog_enqueued += 1
-        self._c["backlog_enqueued"].inc()
+        self._count("backlog_enqueued")
         self.report.backlog_peak = max(
             self.report.backlog_peak, len(self._backlog)
         )
@@ -993,11 +921,9 @@ class ServiceFrontend:
             else "snapshot"
         )
         answer = reader.query(request.op.query, now)
-        self.report.degraded_answers += 1
-        self._c["degraded_answers"].inc()
+        self._count("degraded_answers")
         if source == "replica":
-            self.report.replica_answers += 1
-            self._c["replica_answers"].inc()
+            self._count("replica_answers")
         self.report.served_queries += 1
         self._since_checkpoint += 1
         self.report.max_staleness = max(

@@ -5,11 +5,11 @@ It spawns one :mod:`~repro.shard.worker` process per shard, routes
 every report through a pure :class:`~repro.core.partition.Partitioner`
 (so deletions reach the shard their insertion chose without a routing
 table), scatters queries to the shards whose partition can intersect
-them, and gathers the merged answer.  The interface mirrors the
-in-process forest — ``insert`` / ``delete`` / ``update`` / ``query`` /
-``bulk_load`` / ``snapshot`` / ``checkpoint`` / ``close`` — so it drops
-behind :class:`~repro.serve.frontend.ServiceFrontend` unchanged, and
-adds :meth:`ShardedForest.apply_ops`, the pipelined batch driver that
+them, and gathers the merged answer.  It implements the index contract
+(:mod:`repro.core.index`) plus the forest's ``bulk_load`` /
+``checkpoint`` / ``close``, so it drops behind
+:class:`~repro.serve.frontend.ServiceFrontend` unchanged, and adds
+:meth:`ShardedForest.apply_ops`, the pipelined batch driver that
 amortizes IPC across operations (the benchmark hot path).
 
 Failure semantics are deliberately simple.  A worker that dies (or
@@ -33,8 +33,8 @@ import math
 import multiprocessing
 import os
 import time as _time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.clock import SimulationClock
 from ..core.config import TreeConfig
@@ -42,12 +42,14 @@ from ..core.forest import (
     ForestConfig,
     _partitioner_from_manifest,
     _partitioner_manifest,
+    write_manifest,
 )
-from ..core.partition import Partitioner, make_partitioner
+from ..core.index import MovingObjectIndex
+from ..core.partition import Partitioner, gather, make_partitioner
 from ..core.tree import EntrySnapshot, TreeAudit
 from ..geometry.bounding import BoundingKind
 from ..geometry.kinematics import MovingPoint
-from ..geometry.knn import validate_knn_args
+from ..geometry.knn import merge_knn, validate_knn_args
 from ..geometry.queries import SpatioTemporalQuery
 from ..storage.faults import TransientIOError
 from ..storage.stats import IOSnapshot
@@ -60,6 +62,7 @@ from ..workloads.base import (
     Operation,
     QueryOp,
     UpdateOp,
+    route_op,
 )
 from .wire import OpCodec
 from .worker import WorkerSpec, worker_main
@@ -250,10 +253,7 @@ class _Shard:
 
 def _tree_config_manifest(config: TreeConfig) -> dict:
     """Serialize a tree configuration for the shard manifest."""
-    payload = {
-        fname: getattr(config, fname)
-        for fname in config.__dataclass_fields__
-    }
+    payload = asdict(config)
     payload["bounding"] = config.bounding.name
     return payload
 
@@ -265,7 +265,7 @@ def _tree_config_from_manifest(payload: dict) -> TreeConfig:
     return TreeConfig(**fields_)
 
 
-class ShardedForest:
+class ShardedForest(MovingObjectIndex):
     """N worker processes, one durable member tree each, one router.
 
     Build with :meth:`create` (fresh directory) or :meth:`open`
@@ -359,7 +359,11 @@ class ShardedForest:
         registry: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> "ShardedForest":
-        """Reopen a sharded index; every worker runs WAL recovery."""
+        """Reopen a sharded index; every worker runs WAL recovery.
+
+        Like the in-process forest's ``open_from``, the clock resumes
+        at the latest committed time any shard recovered.
+        """
         path = os.path.join(directory, MANIFEST_FILENAME)
         with open(path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -389,22 +393,22 @@ class ShardedForest:
         )
         for shard in forest._shards:
             forest._spawn(shard, recover=True)
+        forest.clock.advance_to(
+            max(payload["clock"] for payload in forest.stats_payloads())
+        )
         return forest
 
     def _write_manifest(self) -> None:
-        manifest = {
-            "version": 1,
-            "workers": self.config.workers,
-            "partitioner": _partitioner_manifest(self.partitioner),
-            "tree": _tree_config_manifest(self.config.tree),
-            "fsync": self.config.fsync,
-        }
-        path = os.path.join(self.directory, MANIFEST_FILENAME)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
+        write_manifest(
+            os.path.join(self.directory, MANIFEST_FILENAME),
+            {
+                "version": 1,
+                "workers": self.config.workers,
+                "partitioner": _partitioner_manifest(self.partitioner),
+                "tree": _tree_config_manifest(self.config.tree),
+                "fsync": self.config.fsync,
+            },
+        )
 
     # -- worker lifecycle ----------------------------------------------------
 
@@ -555,31 +559,12 @@ class ShardedForest:
         if stats is not None:
             self._worker_exports[shard.index] = stats
 
-    def _request(
-        self, shard: _Shard, verb: str, *parts, timeout: Optional[float] = None
-    ) -> tuple:
-        """One synchronous request/reply exchange with a shard."""
-        seq = self._send(shard, verb, *parts)
-        return self._await(shard, seq, timeout=timeout)
-
-    def _apply_sync(self, shard_index: int, ops: List[Operation]) -> int:
-        """Apply a small batch synchronously; return failed deletions."""
-        shard = self._shards[shard_index]
-        payload = self.codec.encode_ops(ops)
-        reply = self._request(shard, "apply", payload)
-        return reply[4]
-
     # -- the forest-like interface -------------------------------------------
 
     @property
     def partitions(self) -> int:
         """Number of shards (mirrors the in-process forest's property)."""
         return self.config.workers
-
-    @property
-    def now(self) -> float:
-        """Current router clock time."""
-        return self.clock.time
 
     def local_stores(self) -> list:
         """No parent-process page stores: shard stores live in workers.
@@ -591,37 +576,37 @@ class ShardedForest:
 
     def insert(self, oid: int, point: MovingPoint) -> None:
         """Index a report in its shard (synchronous round trip)."""
-        index = self.partitioner.partition_of(point)
-        self._apply_sync(index, [InsertOp(self.clock.time, oid, point)])
+        self._apply_routed(InsertOp(self.clock.time, oid, point))
 
     def delete(self, oid: int, point: MovingPoint) -> bool:
         """Remove a report from the shard its insertion chose."""
-        index = self.partitioner.partition_of(point)
-        failed = self._apply_sync(
-            index, [DeleteOp(self.clock.time, oid, point)]
-        )
-        return failed == 0
+        return self._apply_routed(DeleteOp(self.clock.time, oid, point))
 
     def update(
         self, oid: int, old_point: MovingPoint, new_point: MovingPoint
     ) -> bool:
         """Delete the old report and insert the new one.
 
-        Routes as one shard-local update when both halves share a
-        shard, and as a cross-shard migration (delete there, insert
-        here) otherwise.
+        Routes as one shard-local update (one wire record) when both
+        halves share a shard, and as a cross-shard migration (delete
+        there, insert here) otherwise.
         """
-        old_shard = self.partitioner.partition_of(old_point)
-        new_shard = self.partitioner.partition_of(new_point)
-        if old_shard == new_shard:
-            failed = self._apply_sync(
-                old_shard,
-                [UpdateOp(self.clock.time, oid, old_point, new_point)],
-            )
-            return failed == 0
-        existed = self.delete(oid, old_point)
-        self.insert(oid, new_point)
-        return existed
+        return self._apply_routed(
+            UpdateOp(self.clock.time, oid, old_point, new_point)
+        )
+
+    def _apply_routed(self, op: Operation) -> bool:
+        """Apply one write synchronously wherever :func:`route_op` sends it.
+
+        Returns False when a deletion (an update's included) found no
+        live entry.
+        """
+        failed = 0
+        for index, part in route_op(self.partitioner, op):
+            shard = self._shards[index]
+            seq = self._send(shard, "apply", self.codec.encode_ops([part]))
+            failed += self._await(shard, seq)[4]
+        return failed == 0
 
     def _fan_out(self, name: str, impl, describe):
         """Run one scatter, ``impl(trace, enc, blocked)``, and return its result.
@@ -674,7 +659,7 @@ class ShardedForest:
         """
         return self._fan_out(
             "shards.query",
-            lambda *timing: self._query_batch_impl((query,), *timing)[0],
+            lambda *timing: self._scatter_queries((query,), *timing)[0],
             lambda results: {"results": len(results)},
         )
 
@@ -701,30 +686,50 @@ class ShardedForest:
             return []
         return self._fan_out(
             "shards.query_batch",
-            lambda *timing: self._query_batch_impl(queries, *timing),
+            lambda *timing: self._scatter_queries(queries, *timing),
             lambda answers: {"queries": len(queries)},
         )
 
-    def _query_batch_impl(
+    def _scatter_queries(
+        self, queries: Sequence[SpatioTemporalQuery], *timing
+    ) -> List[List[int]]:
+        targets, per_member = self.partitioner.scatter(queries)
+        time = self.clock.time
+        ops = [QueryOp(time, query) for query in queries]
+        routed = (
+            (index, ops[position], position)
+            for index in sorted(per_member)
+            for position in per_member[index]
+        )
+        parts = self._scatter(
+            routed, self.config.batch_ops, lambda index, reply: None, *timing
+        )
+        return gather(targets, parts)
+
+    def _scatter(
         self,
-        queries: Sequence[SpatioTemporalQuery],
+        routed: Iterable[Tuple[int, Operation, Optional[int]]],
+        limit: int,
+        on_reply,
         trace: Optional[TraceContext],
         enc: Optional[List[float]],
         blocked: List[float],
-    ) -> List[List[int]]:
-        time = self.clock.time
-        targets = [
-            self.partitioner.query_partitions(query.region())
-            for query in queries
-        ]
+    ) -> Dict[int, Dict[int, List[int]]]:
+        """The pipelined scatter over ``(shard index, operation, key)`` triples.
+
+        Each operation joins its shard's pending wire batch (per-shard
+        order is the stream's order); a batch is sent once it holds
+        ``limit`` operations, the rest when the stream ends, and up to
+        ``config.window`` batches ride in flight per shard before the
+        router blocks on an acknowledgement.  Every acknowledgement
+        goes to ``on_reply(shard index, reply)`` for the caller's
+        tallies.  Returns ``{key: {shard index: oids}}`` for every
+        non-``None`` key, in stream order; how one answer's per-shard
+        parts merge is the caller's choice.
+        """
         buffers: List[List[Operation]] = [[] for _ in self._shards]
-        metas: List[List[int]] = [[] for _ in self._shards]
-        for position, (query, reach) in enumerate(zip(queries, targets)):
-            op = QueryOp(time, query)
-            for index in reach:
-                buffers[index].append(op)
-                metas[index].append(position)
-        parts: List[Dict[int, List[int]]] = [{} for _ in queries]
+        metas: List[List[Optional[int]]] = [[] for _ in self._shards]
+        parts: Dict[int, Dict[int, List[int]]] = {}
         # Per shard, the FIFO of (seq, metas) sent and not yet consumed.
         # It lives and dies with this scatter: if a crash aborts it, the
         # other shards' replies are discarded as stale by _await.
@@ -733,61 +738,36 @@ class ShardedForest:
         def consume(shard: _Shard) -> None:
             seq, batch_metas = inflight[shard.index].pop(0)
             reply = self._await(shard, seq, blocked=blocked)
+            on_reply(shard.index, reply)
             for offset, oids in self.codec.decode_answers(reply[2]):
                 parts[batch_metas[offset]][shard.index] = oids
 
-        limit = self.config.batch_ops
-        for index, shard in enumerate(self._shards):
-            for start in range(0, len(buffers[index]), limit):
-                chunk = buffers[index][start:start + limit]
-                seq = self._send(
-                    shard, "apply", self._encode(chunk, trace, enc)
-                )
-                inflight[index].append(
-                    (seq, metas[index][start:start + limit])
-                )
-                while len(inflight[index]) > self.config.window:
-                    consume(shard)
+        def flush(index: int) -> None:
+            if not buffers[index]:
+                return
+            shard = self._shards[index]
+            seq = self._send(
+                shard, "apply", self._encode(buffers[index], trace, enc)
+            )
+            inflight[index].append((seq, metas[index]))
+            buffers[index] = []
+            metas[index] = []
+            while len(inflight[index]) > self.config.window:
+                consume(shard)
+
+        for index, op, key in routed:
+            if key is not None:
+                parts.setdefault(key, {})
+            buffers[index].append(op)
+            metas[index].append(key)
+            if len(buffers[index]) >= limit:
+                flush(index)
+        for index in range(self.partitions):
+            flush(index)
         for shard in self._shards:
             while inflight[shard.index]:
                 consume(shard)
-        return [
-            [
-                oid
-                for index in targets[position]
-                for oid in parts[position][index]
-            ]
-            for position in range(len(queries))
-        ]
-
-    def query_knn(self, x: Sequence[float], t: float, k: int) -> List[int]:
-        """The ``k`` objects nearest to ``x`` at time ``t``, nearest first.
-
-        Scatters a kNN record to every shard *sequentially*, tightening
-        the shared squared-distance bound between shards: once ``k``
-        candidates are held, the running k-th distance rides the next
-        shard's wire record as its ``bound_sq`` cutoff, so later shards
-        prune their descents against everything earlier shards found.
-        The merged answer is bit-identical (distances, membership and
-        tie order) to a single-tree descent over the union population.
-
-        Parameters
-        ----------
-        x : sequence of float
-            The query location (``config.tree.dims`` coordinates).
-        t : float
-            The evaluation time; objects whose expiration precedes
-            ``t`` are invisible.
-        k : int
-            The number of neighbors to return.
-
-        Returns
-        -------
-        list of int
-            At most ``k`` object ids, ascending by
-            ``(squared distance, oid)``.
-        """
-        return [oid for _, oid in self.knn_entries(x, t, k)]
+        return parts
 
     def knn_entries(
         self,
@@ -798,10 +778,16 @@ class ShardedForest:
     ) -> List[Tuple[float, int]]:
         """kNN with distances: ``(squared distance, oid)`` pairs, ascending.
 
-        The scatter-side primitive behind :meth:`query_knn`; ``bound_sq``
-        is an optional externally-known cutoff (candidates strictly
-        farther are never returned).  Under tracing the whole scatter
-        runs beneath one ``shards.query_knn`` span.
+        Scatters a kNN record to every shard *sequentially*, tightening
+        the shared squared-distance bound between shards: once ``k``
+        candidates are held, the running k-th distance rides the next
+        shard's wire record as its ``bound_sq`` cutoff, so later shards
+        prune their descents against everything earlier shards found.
+        The merged answer is bit-identical (distances, membership and
+        tie order) to a single-tree descent over the union population.
+        ``bound_sq`` is an optional externally-known cutoff (candidates
+        strictly farther are never returned).  Under tracing the whole
+        scatter runs beneath one ``shards.query_knn`` span.
 
         Parameters
         ----------
@@ -823,37 +809,25 @@ class ShardedForest:
         x = tuple(float(c) for c in x)
         if k == 0:
             return []
+
+        def scatter(trace, enc, blocked, bound_sq=bound_sq):
+            best: List[Tuple[float, int]] = []
+            for shard in self._shards:
+                op = KnnOp(self.clock.time, x, t, k, bound_sq)
+                seq = self._send(
+                    shard, "apply", self._encode([op], trace, enc)
+                )
+                reply = self._await(shard, seq, blocked=blocked)
+                _, scored = self.codec.decode_answer_frame(reply[2])
+                found = [pair for _, pairs in scored for pair in pairs]
+                bound_sq = merge_knn(best, found, k, bound_sq)
+            return best
+
         return self._fan_out(
             "shards.query_knn",
-            lambda *timing: self._knn_impl(x, t, k, bound_sq, *timing),
+            scatter,
             lambda best: {"k": k, "results": len(best)},
         )
-
-    def _knn_impl(
-        self,
-        x: Tuple[float, ...],
-        t: float,
-        k: int,
-        bound_sq: float,
-        trace: Optional[TraceContext],
-        enc: Optional[List[float]],
-        blocked: List[float],
-    ) -> List[Tuple[float, int]]:
-        best: List[Tuple[float, int]] = []
-        for shard in self._shards:
-            op = KnnOp(self.clock.time, x, t, k, bound_sq)
-            seq = self._send(
-                shard, "apply", self._encode([op], trace, enc)
-            )
-            reply = self._await(shard, seq, blocked=blocked)
-            _, scored = self.codec.decode_answer_frame(reply[2])
-            for _, pairs in scored:
-                best.extend(pairs)
-            best.sort()
-            del best[k:]
-            if len(best) == k:
-                bound_sq = min(bound_sq, best[-1][0])
-        return best
 
     def bulk_load(self, entries: Sequence[Tuple[MovingPoint, int]]) -> None:
         """Partition a population and STR-pack every shard's tree."""
@@ -893,93 +867,36 @@ class ShardedForest:
         """
         return self._fan_out(
             "shards.apply_ops",
-            lambda *timing: self._apply_ops_impl(ops, batch_ops, *timing),
+            lambda *timing: self._replay(ops, batch_ops, *timing),
             lambda result: {"ops": result.ops, "batches": result.batches},
         )
 
-    def _apply_ops_impl(
-        self,
-        ops: Sequence[Operation],
-        batch_ops: Optional[int],
-        trace: Optional[TraceContext],
-        enc: Optional[List[float]],
-        blocked: List[float],
-    ) -> ShardRunResult:
+    def _replay(self, ops, batch_ops, trace, enc, blocked) -> ShardRunResult:
         limit = batch_ops if batch_ops is not None else self.config.batch_ops
         result = ShardRunResult(shard_busy_seconds=[0.0] * self.partitions)
         started = _time.perf_counter()
         cpu_started = _time.process_time()
-        buffers: List[List[Operation]] = [[] for _ in self._shards]
-        metas: List[List[Optional[int]]] = [[] for _ in self._shards]
-        #: query op index -> {shard index -> answer part}
-        parts: Dict[int, Dict[int, List[int]]] = {}
-        #: per shard, the FIFO of (seq, metas) sent and not yet consumed
-        inflight: List[List[tuple]] = [[] for _ in self._shards]
 
-        def consume(shard: _Shard) -> None:
-            seq, batch_metas = inflight[shard.index].pop(0)
-            reply = self._await(shard, seq, blocked=blocked)
-            result.shard_busy_seconds[shard.index] += reply[3]
-            result.failed_deletes += reply[4]
-            for position, oids in self.codec.decode_answers(reply[2]):
-                parts[batch_metas[position]][shard.index] = oids
+        def routed():
+            for op_index, op in enumerate(ops):
+                self.clock.advance_to(op.time)
+                targets = route_op(self.partitioner, op)
+                key = None
+                if isinstance(op, QueryOp):
+                    key = op_index
+                    result.scattered_queries += len(targets)
+                result.ops += 1
+                for index, part in targets:
+                    yield index, part, key
 
-        def flush(index: int) -> None:
-            if not buffers[index]:
-                return
-            shard = self._shards[index]
-            seq = self._send(
-                shard, "apply", self._encode(buffers[index], trace, enc)
-            )
-            inflight[index].append((seq, metas[index]))
-            buffers[index] = []
-            metas[index] = []
+        def tally(index: int, reply: tuple) -> None:
             result.batches += 1
-            while len(inflight[index]) > self.config.window:
-                consume(shard)
+            result.shard_busy_seconds[index] += reply[3]
+            result.failed_deletes += reply[4]
 
-        def enqueue(index: int, op: Operation, query_index: Optional[int]) -> None:
-            buffers[index].append(op)
-            metas[index].append(query_index)
-            if len(buffers[index]) >= limit:
-                flush(index)
-
-        for op_index, op in enumerate(ops):
-            self.clock.advance_to(op.time)
-            if isinstance(op, InsertOp):
-                enqueue(self.partitioner.partition_of(op.point), op, None)
-            elif isinstance(op, DeleteOp):
-                enqueue(self.partitioner.partition_of(op.point), op, None)
-            elif isinstance(op, UpdateOp):
-                old_shard = self.partitioner.partition_of(op.old_point)
-                new_shard = self.partitioner.partition_of(op.new_point)
-                if old_shard == new_shard:
-                    enqueue(old_shard, op, None)
-                else:
-                    enqueue(
-                        old_shard,
-                        DeleteOp(op.time, op.oid, op.old_point),
-                        None,
-                    )
-                    enqueue(
-                        new_shard,
-                        InsertOp(op.time, op.oid, op.new_point),
-                        None,
-                    )
-            elif isinstance(op, QueryOp):
-                targets = self.partitioner.query_partitions(op.query.region())
-                parts[op_index] = {}
-                result.scattered_queries += len(targets)
-                for index in targets:
-                    enqueue(index, op, op_index)
-            else:
-                raise TypeError(f"cannot route operation {op!r}")
-            result.ops += 1
-        for index in range(self.partitions):
-            flush(index)
-        for shard in self._shards:
-            while inflight[shard.index]:
-                consume(shard)
+        parts = self._scatter(routed(), limit, tally, trace, enc, blocked)
+        # Shard-order concatenation, as ShardRunResult documents — not
+        # query_batch's per-query target order.
         result.answers = {
             op_index: [
                 oid
@@ -1063,12 +980,9 @@ class ShardedForest:
 
     def io_snapshot(self) -> IOSnapshot:
         """Summed I/O counters across all shards."""
-        payloads = self.stats_payloads()
-        return IOSnapshot(
-            sum(p["io"]["reads"] for p in payloads),
-            sum(p["io"]["writes"] for p in payloads),
-            sum(p["io"]["allocations"] for p in payloads),
-            sum(p["io"]["frees"] for p in payloads),
+        return sum(
+            (IOSnapshot(**p["io"]) for p in self.stats_payloads()),
+            IOSnapshot(),
         )
 
     def registry_snapshot(self) -> MetricsRegistry:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import time as _time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from ..core.clock import SimulationClock
@@ -37,7 +37,7 @@ from ..core.config import TreeConfig
 from ..core.tree import MovingObjectTree
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
-from ..workloads.base import DeleteOp, InsertOp, KnnOp, QueryOp, UpdateOp
+from ..workloads.base import KnnOp, QueryOp, apply_op
 from .wire import OpCodec
 
 #: Span name a worker records around one applied batch; the router
@@ -135,13 +135,6 @@ def _apply_batch(tree, clock, codec, payload):
     while position < total:
         op = ops[position]
         clock.advance_to(op.time)
-        if isinstance(op, KnnOp):
-            scored.append((
-                position,
-                tree.knn_entries(op.x, op.t, op.k, bound_sq=op.bound_sq),
-            ))
-            position += 1
-            continue
         if isinstance(op, QueryOp):
             stop = position + 1
             while (
@@ -155,16 +148,11 @@ def _apply_batch(tree, clock, codec, payload):
                 answers.append((position + offset, oids))
             position = stop
             continue
-        if isinstance(op, InsertOp):
-            tree.insert(op.oid, op.point)
-        elif isinstance(op, UpdateOp):
-            if not tree.update(op.oid, op.old_point, op.new_point):
-                failed_deletes += 1
-        elif isinstance(op, DeleteOp):
-            if not tree.delete(op.oid, op.point):
-                failed_deletes += 1
-        else:  # pragma: no cover - decode_ops only yields known kinds
-            raise TypeError(f"unsupported operation {op!r}")
+        outcome = apply_op(tree, op)
+        if isinstance(op, KnnOp):
+            scored.append((position, outcome))
+        elif outcome is False:
+            failed_deletes += 1
         position += 1
     if scored:
         payload = codec.encode_answer_frame(answers, scored)
@@ -177,15 +165,11 @@ def _stats_payload(tree, registry: Optional[MetricsRegistry]) -> dict:
     """The worker's aggregable state summary for a ``stats`` request."""
     return {
         "metrics": registry.to_dict() if registry is not None else {},
-        "io": {
-            "reads": tree.stats.reads,
-            "writes": tree.stats.writes,
-            "allocations": tree.stats.allocations,
-            "frees": tree.stats.frees,
-        },
+        "io": asdict(tree.stats.snapshot()),
         "pages": tree.page_count,
         "entries": tree.leaf_entry_count,
         "height": tree.height,
+        "clock": tree.now,
     }
 
 

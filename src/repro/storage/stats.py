@@ -45,12 +45,7 @@ class IOStats:
 
     def since(self, snap: "IOSnapshot") -> "IOSnapshot":
         """Return the delta between now and an earlier :meth:`snapshot`."""
-        return IOSnapshot(
-            self.reads - snap.reads,
-            self.writes - snap.writes,
-            self.allocations - snap.allocations,
-            self.frees - snap.frees,
-        )
+        return self.snapshot() - snap
 
     def reset(self) -> None:
         """Zero all counters."""
@@ -81,6 +76,15 @@ class IOSnapshot:
             self.writes + other.writes,
             self.allocations + other.allocations,
             self.frees + other.frees,
+        )
+
+    def __sub__(self, other: "IOSnapshot") -> "IOSnapshot":
+        """Subtract an earlier snapshot counter-wise."""
+        return IOSnapshot(
+            self.reads - other.reads,
+            self.writes - other.writes,
+            self.allocations - other.allocations,
+            self.frees - other.frees,
         )
 
 

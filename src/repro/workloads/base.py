@@ -74,6 +74,72 @@ class KnnOp:
 Operation = Union[InsertOp, UpdateOp, DeleteOp, QueryOp]
 
 
+def apply_op(index, op):
+    """Apply one operation to an index; return what the index returned.
+
+    The single interpreter of the operation vocabulary: ``index`` is
+    anything implementing the index contract
+    (:mod:`repro.core.index`).  Writes return ``None`` (insert) or
+    whether the old entry was found (update, delete — ``False`` is a
+    failed deletion); a query returns its oids, a kNN request its
+    scored ``(squared distance, oid)`` pairs.  The caller advances the
+    index clock to ``op.time`` first.
+    """
+    if isinstance(op, UpdateOp):
+        return index.update(op.oid, op.old_point, op.new_point)
+    if isinstance(op, InsertOp):
+        return index.insert(op.oid, op.point)
+    if isinstance(op, DeleteOp):
+        return index.delete(op.oid, op.point)
+    if isinstance(op, QueryOp):
+        return index.query(op.query)
+    if isinstance(op, KnnOp):
+        return index.knn_entries(op.x, op.t, op.k, op.bound_sq)
+    raise TypeError(f"unknown operation {op!r}")
+
+
+def op_atoms(op) -> tuple:
+    """The single-commit atoms of an operation, in application order.
+
+    An update is a deletion followed by an insertion — *two* commits on
+    a durable index, so a crash, a breaker trip or a partition boundary
+    can legitimately fall between them.  Every other operation is its
+    own atom.
+    """
+    if isinstance(op, UpdateOp):
+        return (
+            DeleteOp(op.time, op.oid, op.old_point),
+            InsertOp(op.time, op.oid, op.new_point),
+        )
+    return (op,)
+
+
+def route_op(partitioner, op) -> List[tuple]:
+    """Where an operation goes: ``[(partition, operation), ...]``.
+
+    A report routes by the pure ``partition_of`` its insertion used; an
+    update whose halves land in one partition stays one operation, and
+    one that migrates decomposes into its :func:`op_atoms`; a query
+    goes to every partition its region can reach, in the partitioner's
+    own ``query_partitions`` order.
+    """
+    if isinstance(op, UpdateOp):
+        old = partitioner.partition_of(op.old_point)
+        new = partitioner.partition_of(op.new_point)
+        if old == new:
+            return [(old, op)]
+        delete, insert = op_atoms(op)
+        return [(old, delete), (new, insert)]
+    if isinstance(op, (InsertOp, DeleteOp)):
+        return [(partitioner.partition_of(op.point), op)]
+    if isinstance(op, QueryOp):
+        return [
+            (index, op)
+            for index in partitioner.query_partitions(op.query.region())
+        ]
+    raise TypeError(f"cannot route operation {op!r}")
+
+
 @dataclass
 class Workload:
     """A generated operation stream plus its generation parameters."""

@@ -20,6 +20,14 @@ hypothesis_settings.register_profile(
 hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
+@pytest.fixture(autouse=True, scope="session")
+def hermetic_run_cache(tmp_path_factory):
+    """Keep cached experiment runs out of the user's cache directory."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.forest import ForestConfig
 from repro.core.presets import rexp_config
-from repro.experiments.adapters import IndexAdapter, ForestAdapter, TreeAdapter
+from repro.experiments.adapters import (
+    ForestAdapter,
+    ScheduledAdapter,
+    TreeAdapter,
+)
 from repro.experiments.runner import run_workload
 from repro.geometry.kinematics import MovingPoint
 from repro.workloads.expiration import FixedPeriod
@@ -81,27 +85,13 @@ def test_enable_durability_rejects_used_adapter(tmp_path):
 
 
 def test_base_adapter_has_no_durable_backend(tmp_path):
-    class Bare(IndexAdapter):
-        def advance_time(self, t):
-            pass
-
-        def insert(self, oid, point):
-            pass
-
-        def delete(self, oid, point):
-            return False
-
-        def query(self, query):
-            return []
-
-        @property
-        def page_count(self):
-            return 0
-
-    adapter = Bare("bare")
+    # The scheduled-deletion adapter supplies no _create_durable, so it
+    # gets the base class's answer.
+    adapter = ScheduledAdapter("bare", CONFIG)
+    assert "_create_durable" not in vars(ScheduledAdapter)
     with pytest.raises(NotImplementedError):
         adapter.enable_durability(str(tmp_path / "x"))
-    adapter.close()  # the default close is a harmless no-op
+    adapter.close()  # closing a simulated index is a harmless no-op
 
 
 def test_runner_closes_durable_store_for_reopen(tmp_path):

@@ -178,7 +178,8 @@ def test_prepopulate_default_adapter_falls_back_to_inserts():
     class Recorder(TreeAdapter):
         pass
 
-    # Route bulk_load through the ABC default (insert loop).
+    # Route bulk_load through the base class: its accounted bulk load is
+    # the only one (the insert-loop fallback left with the ABC).
     adapter = Recorder("r", CONFIG)
     adapter.bulk_load = lambda items: IndexAdapter.bulk_load(adapter, items)
     result = run_workload(adapter, bigger_workload(), verify=True,

@@ -82,3 +82,42 @@ def test_cache_tolerates_corrupt_files(tmp_path, monkeypatch):
     key = run_key("a", {"name": "w"}, "tiny")
     (tmp_path / f"{key}.json").write_text("{not json")
     assert load_result(key) is None
+
+
+def test_run_key_follows_the_package_sources(tmp_path, monkeypatch):
+    """A cached run is only ever served to the code that produced it."""
+    from repro.experiments import cache
+
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_bytes(b"x = 1\n")
+    (tmp_path / "pkg" / "b.py").write_bytes(b"y = 2\n")
+    (tmp_path / "pkg" / "notes.txt").write_bytes(b"not hashed\n")
+    before = cache.digest_sources(tmp_path)
+    assert cache.digest_sources(tmp_path) == before
+    (tmp_path / "pkg" / "notes.txt").write_bytes(b"still not hashed\n")
+    assert cache.digest_sources(tmp_path) == before
+    (tmp_path / "pkg" / "b.py").write_bytes(b"y = 3\n")
+    after = cache.digest_sources(tmp_path)
+    assert after != before
+
+    # The key folds the package digest in: stable while the sources
+    # are, different as soon as one hashed byte differs.
+    assert cache.source_digest() == cache.digest_sources(
+        cache.Path(cache.__file__).resolve().parents[1]
+    )
+    key = run_key("a", {"name": "w"}, "tiny")
+    assert run_key("a", {"name": "w"}, "tiny") == key
+    monkeypatch.setattr(cache, "source_digest", lambda: after)
+    assert run_key("a", {"name": "w"}, "tiny") != key
+
+
+def test_cache_defaults_outside_the_work_tree(tmp_path, monkeypatch):
+    from repro.experiments import cache
+
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert cache.cache_dir() == tmp_path / "xdg" / "repro"
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    assert cache.cache_dir() == cache.Path.home() / ".cache" / "repro"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "mine"))
+    assert cache.cache_dir() == tmp_path / "mine"

@@ -28,7 +28,7 @@ def test_replica_answers_match_primary_on_all_query_classes(tmp_path):
     want = [sorted(tree.query(q)) for q in queries]
     assert [replica.query(q) for q in queries] == want
     assert replica.query_batch(queries) == want
-    assert replica.knn((50.0, 50.0), now, 5) == tree.query_knn(
+    assert replica.query_knn((50.0, 50.0), now, 5) == tree.query_knn(
         (50.0, 50.0), now, 5
     )
     # Entry sets are trajectory-identical, not just answer-identical.

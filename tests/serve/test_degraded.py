@@ -8,6 +8,7 @@ from repro.core.tree import MovingObjectTree
 from repro.geometry import Rect, TimesliceQuery
 from repro.geometry.kinematics import MovingPoint
 from repro.serve.degraded import DegradedReader
+from repro.workloads.base import DeleteOp, InsertOp, QueryOp
 
 
 def _point(x, y, vx=0.0, vy=0.0, t_ref=0.0, t_exp=1000.0):
@@ -39,7 +40,7 @@ def test_snapshot_answers_without_overlay():
 def test_overlay_insert_adds_and_is_flagged():
     tree = _tree_with([(1, _point(10, 10))])
     reader = DegradedReader(tree.snapshot(), 0)
-    reader.apply(("insert", 2.0, 7, _point(15, 15)))
+    reader.apply(InsertOp(2.0, 7, _point(15, 15)))
     answer = reader.query(_ts((0, 0), (20, 20), 2.0), now=2.0)
     assert answer.oids == (1, 7)
     assert answer.overlay_oids == (7,)
@@ -48,7 +49,7 @@ def test_overlay_insert_adds_and_is_flagged():
 def test_overlay_delete_hides_snapshot_entry():
     tree = _tree_with([(1, _point(10, 10)), (2, _point(12, 12))])
     reader = DegradedReader(tree.snapshot(), 0)
-    reader.apply(("delete", 2.0, 1, _point(10, 10)))
+    reader.apply(DeleteOp(2.0, 1, _point(10, 10)))
     answer = reader.query(_ts((0, 0), (20, 20), 2.0), now=2.0)
     assert answer.oids == (2,)
 
@@ -57,8 +58,8 @@ def test_overlay_update_shadows_old_position():
     tree = _tree_with([(1, _point(10, 10))])
     reader = DegradedReader(tree.snapshot(), 0)
     # An update is delete-then-insert; the new position is far away.
-    reader.apply(("delete", 2.0, 1, _point(10, 10)))
-    reader.apply(("insert", 2.0, 1, _point(90, 90)))
+    reader.apply(DeleteOp(2.0, 1, _point(10, 10)))
+    reader.apply(InsertOp(2.0, 1, _point(90, 90)))
     near = reader.query(_ts((0, 0), (20, 20), 2.0), now=2.0)
     far = reader.query(_ts((80, 80), (100, 100), 2.0), now=2.0)
     assert near.oids == ()
@@ -87,4 +88,4 @@ def test_query_atoms_cannot_be_overlaid():
     tree = _tree_with([(1, _point(10, 10))])
     reader = DegradedReader(tree.snapshot(), 0)
     with pytest.raises(ValueError):
-        reader.apply(("query", 1.0, 0, None))
+        reader.apply(QueryOp(1.0, _ts((0, 0), (20, 20), 1.0)))

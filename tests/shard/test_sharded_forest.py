@@ -378,3 +378,50 @@ def test_frontend_batched_serving_matches_oracle(tmp_path):
             assert by_index[index].answer == tuple(sorted(answer))
     finally:
         forest.close()
+
+
+def test_scatter_merge_orders_on_a_pruning_grid(tmp_path):
+    """One scatter, two merge orders — each exactly what its caller promises.
+
+    A 2x2 grid with a finite reach enumerates a query's cells
+    column-major (0, 2, 1, 3), not ascending.  ``query`` and
+    ``query_batch`` concatenate the per-shard parts in that own-targets
+    order; ``apply_ops`` concatenates them in ascending shard order.
+    """
+    config = shard_config(workers=4, reach=10.0)
+    with ShardedForest.create(str(tmp_path / "sharded"), config) as forest:
+        assert forest.partitioner.query_partitions(
+            TimesliceQuery(Rect((0.0, 0.0), (100.0, 100.0)), 1.0).region()
+        ) == (0, 2, 1, 3)
+        # One stationary object per cell: oid == its shard.
+        for shard, (x, y) in enumerate(
+            [(25.0, 25.0), (75.0, 25.0), (25.0, 75.0), (75.0, 75.0)]
+        ):
+            point = MovingPoint((x, y), (0.0, 0.0), 0.0, 50.0)
+            assert forest.partitioner.partition_of(point) == shard
+            forest.insert(shard, point)
+        forest.clock.advance_to(1.0)
+        everywhere = TimesliceQuery(Rect((0.0, 0.0), (100.0, 100.0)), 1.0)
+        east = TimesliceQuery(Rect((60.0, 0.0), (100.0, 100.0)), 1.0)
+        assert forest.query(everywhere) == [0, 2, 1, 3]
+        assert forest.query(east) == [1, 3]
+        assert forest.query_batch([everywhere, east, everywhere]) == [
+            [0, 2, 1, 3], [1, 3], [0, 2, 1, 3],
+        ]
+        moved = MovingPoint((80.0, 80.0), (0.0, 0.0), 1.0, 50.0)
+        result = forest.apply_ops([
+            QueryOp(1.0, everywhere),
+            UpdateOp(1.0, 0, MovingPoint((25.0, 25.0), (0.0, 0.0), 0.0, 50.0),
+                     moved),  # migrates shard 0 -> 3: two wire records
+            QueryOp(1.0, east),
+            QueryOp(1.0, everywhere),
+        ], batch_ops=2)
+        assert result.answers == {
+            0: [0, 1, 2, 3], 2: [1, 3, 0], 3: [1, 2, 3, 0],
+        }
+        assert list(result.answers) == [0, 2, 3]
+        assert result.ops == 4
+        assert result.failed_deletes == 0
+        assert result.scattered_queries == 4 + 2 + 4
+        # Every batch sent was acknowledged and tallied.
+        assert result.batches >= 4

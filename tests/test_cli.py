@@ -318,3 +318,114 @@ def test_top_from_metrics_renders_replication_health(tmp_path, capsys):
     assert "cursor lag 3 batches" in out
     assert "promotions 1" in out
     assert "last promoted at t=41.0" in out
+
+
+def test_recover_opens_a_sharded_directory(tmp_path, capsys):
+    """``recover`` knows all three durable shapes, not just tree and forest."""
+    from repro.core.config import TreeConfig
+    from repro.geometry.kinematics import MovingPoint
+    from repro.shard import ShardConfig, ShardedForest
+    from repro.workloads.base import InsertOp
+
+    directory = str(tmp_path / "sharded")
+    config = ShardConfig(
+        workers=2, tree=TreeConfig(page_size=512, buffer_pages=8),
+        space=100.0, join_timeout=10.0,
+    )
+    with ShardedForest.create(directory, config) as forest:
+        forest.apply_ops([
+            InsertOp(
+                float(i), i,
+                MovingPoint((8.0 * i, 90.0 - 7.0 * i), (1.0, 0.5),
+                            float(i), 200.0),
+            )
+            for i in range(12)
+        ])
+
+    assert main(["recover", directory, "--checkpoint"]) == 0
+    captured = capsys.readouterr()
+    assert "recovered" in captured.out and "(clock 11)" in captured.out
+    assert "12 leaf entries" in captured.out
+    assert "checkpointed" in captured.out
+    assert "member" not in captured.out  # shards recover in their workers
+    assert captured.err == ""
+
+
+def test_recover_rejects_a_directory_without_a_store(tmp_path, capsys):
+    assert main(["recover", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert str(tmp_path) in captured.err
+
+
+def test_bulkload_micro(capsys):
+    code = main([
+        "bulkload", "--population", "40", "--insertions", "300",
+        "--queries", "5",
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "insert-built" in out and "bulk-loaded" in out
+    assert "5 timeslice queries, identical answers" in out
+
+
+@pytest.mark.parametrize("index", ["rexp", "forest"])
+def test_profile_micro(index, tmp_path, capsys):
+    trace, metrics = tmp_path / "trace.jsonl", tmp_path / "metrics.json"
+    code = main([
+        "profile", "--index", index, "--partitions", "2", "--prepopulate",
+        "--population", "40", "--insertions", "300", "--top", "3",
+        "--trace-out", str(trace), "--metrics-out", str(metrics),
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "per-operation cost" in out and "search latency (ms)" in out
+    assert "buffer pool: hits=" in out
+    assert "slowest operations (top 3):" in out
+    assert "node occupancy by level:" in out and "level 0 (leaf" in out
+    assert trace.stat().st_size and metrics.stat().st_size
+
+
+def _documented_commands(text):
+    """Every ``python -m repro ...`` command line in ``text``, tokenized."""
+    import re
+    import shlex
+
+    commands = []
+    for match in re.finditer(r"python -m repro ([^`\n]*)", text):
+        line = match.group(1).split("#")[0].strip()
+        commands.append(shlex.split(line))
+    return commands
+
+
+def test_documented_commands_parse_and_cover_every_verb():
+    """README and the CLI docstring cannot drift from the parser."""
+    import pathlib
+
+    import repro.cli as cli
+
+    parser = cli.build_parser()
+    subparsers = next(
+        action for action in parser._actions
+        if hasattr(action, "choices") and action.choices
+    )
+    verbs = set(subparsers.choices)
+    readme = pathlib.Path(cli.__file__).resolve().parents[2] / "README.md"
+    sources = {
+        "README.md": readme.read_text(encoding="utf-8"),
+        "repro.cli docstring": cli.__doc__,
+    }
+    for name, text in sources.items():
+        commands = _documented_commands(text)
+        assert commands, f"{name} documents no commands"
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{name}: `python -m repro {' '.join(argv)}` "
+                            f"does not parse")
+        documented = {argv[0] for argv in commands}
+        assert verbs <= documented, (
+            f"{name} never shows: {sorted(verbs - documented)}"
+        )
