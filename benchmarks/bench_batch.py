@@ -13,11 +13,9 @@ index shape, and holds the run to two promises:
    best shape must still clear 5x (see ``MIN_TREE_SPEEDUP``).
 
 The run also profiles a full durable cycle (create → insert →
-checkpoint → close → recover → query) twice: once with the zero-copy
-``numpy.frombuffer`` page decode and once with the per-entry ``struct``
-loop it replaced, recording both cProfile top-10s.  The gate: no
-``serial.py`` frame may appear in the zero-copy cycle's top-10 — page
-encode/decode must stay off the hot path.
+checkpoint → close → recover → query) and records its cProfile top-10.
+The gate: no ``serial.py`` frame may appear in it — page encode/decode
+must stay off the hot path.
 
 Writes ``BENCH_batch.json`` for CI artifacts.  Scale follows
 ``REPRO_SCALE`` (default: tiny).
@@ -44,7 +42,6 @@ from repro.experiments.scale import SCALES
 from repro.geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
 from repro.geometry.rect import Rect
 from repro.shard import ShardConfig, ShardedForest
-from repro.storage import serial
 from repro.workloads.expiration import FixedPeriod
 from repro.workloads.uniform import UniformParams, generate_uniform_workload
 
@@ -126,13 +123,10 @@ def _assert_identical(label, sequential, batched):
         )
 
 
-def _profile_durable_cycle(initial, queries, use_numpy_codec):
+def _profile_durable_cycle(initial, queries):
     """cProfile a create→checkpoint→close→recover→query durable cycle."""
     directory = tempfile.mkdtemp(prefix="bench-batch-prof-")
     config = rexp_config(**_sizing(), default_ui=60.0)
-    saved = serial.np
-    if not use_numpy_codec:
-        serial.np = None  # the pre-zero-copy per-entry struct loop
     profiler = cProfile.Profile()
     try:
         clock = SimulationClock()
@@ -153,7 +147,6 @@ def _profile_durable_cycle(initial, queries, use_numpy_codec):
         reopened.close()
         profiler.disable()
     finally:
-        serial.np = saved
         shutil.rmtree(directory, ignore_errors=True)
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")
@@ -256,11 +249,8 @@ def test_batched_queries_beat_sequential_with_identical_answers():
                      f"{runs['sharded']['speedup']:>7.1f}x")
 
     # Profile evidence: page codec off the durable cycle's top-10.
-    struct_top = _profile_durable_cycle(initial, queries,
-                                        use_numpy_codec=False)
-    zero_copy_top = _profile_durable_cycle(initial, queries,
-                                           use_numpy_codec=True)
-    offenders = [row["function"] for row in zero_copy_top
+    top = _profile_durable_cycle(initial, queries)
+    offenders = [row["function"] for row in top
                  if row["file"] == "serial.py"]
 
     payload = {
@@ -283,10 +273,8 @@ def test_batched_queries_beat_sequential_with_identical_answers():
         "profile_durable_cycle": {
             "workload": f"open_from (WAL recovery) -> {PROFILE_QUERIES} "
                         "queries over a checkpointed store; the "
-                        "codec-heavy half of the cycle (the build half "
-                        "is identical either way)",
-            "before_struct_loop_top10": struct_top,
-            "after_zero_copy_top10": zero_copy_top,
+                        "codec-heavy half of the cycle",
+            "top10": top,
         },
     }
     _REPORT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

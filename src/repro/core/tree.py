@@ -25,20 +25,16 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..geometry import kernels as _kernels
+import numpy as np
+
+from ..geometry.block import RegionBlock, as_block
 from ..geometry.bounding import compute_tpbr
-from ..geometry.kernels import (
-    multi_query_hits,
-    pack_points,
-    pack_queries,
-    pack_tpbrs,
-    select_queries,
-)
-from ..geometry.intersection import region_intersects_tpbr, region_matches_point
+from ..geometry.kernels import multi_query_hits, pack_queries, select_queries
+from ..geometry.intersection import region_matches_point
 from ..geometry.kinematics import NEVER, MovingPoint
 from ..geometry.knn import (
-    batch_point_distances_sq,
-    batch_tpbr_min_distances_sq,
+    point_distances_sq_rows,
+    tpbr_min_distances_sq_rows,
     validate_knn_args,
 )
 from ..geometry.queries import SpatioTemporalQuery
@@ -440,7 +436,7 @@ class MovingObjectTree(MovingObjectIndex):
         for _, node in self._walk():
             self.horizon.node_count_changed(node.level, +1)
             if node.is_leaf:
-                total_leaf_entries += len(node.entries)
+                total_leaf_entries += len(node)
         if total_leaf_entries:
             self.horizon.leaf_entries_changed(total_leaf_entries)
 
@@ -528,7 +524,7 @@ class MovingObjectTree(MovingObjectIndex):
         (bulk population is not an update stream).
         """
         root = self._load(self.root_pid)
-        if root.entries or not root.is_leaf:
+        if len(root) or not root.is_leaf:
             raise ValueError("bulk_load requires an empty tree")
         prepared: List[LeafEntry] = [
             (self._admit(oid, point), oid) for point, oid in entries
@@ -570,7 +566,7 @@ class MovingObjectTree(MovingObjectIndex):
             return False
         path, entry_idx = found
         leaf = self._load(path[-1])
-        del leaf.entries[entry_idx]
+        leaf.delete(entry_idx)
         self.horizon.leaf_entries_changed(-1)
         if obs is not None:
             obs.leaf_removed_delete.inc()
@@ -605,8 +601,8 @@ class MovingObjectTree(MovingObjectIndex):
         """Answer K concurrent queries in **one** shared traversal.
 
         A node is visited at most once per batch (instead of once per
-        matching query) and its cached struct-of-arrays form is tested
-        against every active query at once by the multi-query kernel.
+        matching query) and its region block is tested against every
+        active query at once by the multi-query kernel.
         The answers are bit-identical to ``[self.query(q) for q in
         queries]``, *including order* — see :meth:`_descend`.  Every
         query of the batch is counted and feeds the node/depth
@@ -647,18 +643,8 @@ class MovingObjectTree(MovingObjectIndex):
         count = len(queries)
         if count == 0:
             return [], [], []
-        regions = [query.region() for query in queries]
-        packed = pack_queries(regions)
-        # pack_queries returned arrays, so kernels' numpy is bound.
-        np = _kernels.np if packed is not None else None
+        packed = pack_queries([query.region() for query in queries])
         everyone = range(count)
-
-        def members(active):
-            """The query positions of a frame's active set."""
-            if active is None:
-                return everyone
-            return active if np is None else active.tolist()
-
         results: List[List[int]] = [[] for _ in everyone]
         tally = self._obs is not None or self._tracer is not None
         visits = [0] * count if tally else []
@@ -667,66 +653,41 @@ class MovingObjectTree(MovingObjectIndex):
         while stack:
             pid, active, depth = stack.pop()
             node = self._load(pid)
-            entries = node.entries
-            # The packed struct-of-arrays form is query-independent, so
-            # it is cached on the node; _touch drops it on mutation.
-            if node.soa is None:
-                pack = pack_points if node.is_leaf else pack_tpbrs
-                node.soa = pack(node.regions())
             if tally:
-                for position in members(active):
+                for position in (
+                    everyone if active is None else active.tolist()
+                ):
                     visits[position] += 1
                     if depth > depths[position]:
                         depths[position] = depth
-            if np is not None and node.soa is not None:
-                hits = multi_query_hits(
-                    packed if active is None
-                    else select_queries(packed, active),
-                    node.soa,
-                )
-                if node.is_leaf:
-                    rows, columns = hits.nonzero()
-                    if active is not None:
-                        rows = active[rows]
-                    for position, column in zip(
-                        rows.tolist(), columns.tolist()
-                    ):
-                        results[position].append(entries[column][1])
-                    continue
-                width = len(hits)
-                for column, survivors in enumerate(hits.sum(axis=0).tolist()):
-                    if survivors == width:
-                        stack.append((entries[column][1], active, depth + 1))
-                    elif survivors:
-                        mask = hits[:, column]
-                        stack.append((
-                            entries[column][1],
-                            mask.nonzero()[0] if active is None
-                            else active[mask],
-                            depth + 1,
-                        ))
-                continue
-            # Scalar fallback: numpy unbound, or a node too small to pack.
-            positions = members(active)
+            if not len(node):
+                continue  # only an empty root: its block has no shape yet
+            hits = multi_query_hits(
+                packed if active is None else select_queries(packed, active),
+                node.regions(),
+            )
             if node.is_leaf:
-                for position in positions:
-                    region = regions[position]
-                    results[position].extend(
-                        oid for point, oid in entries
-                        if region_matches_point(region, point)
-                    )
+                rows, columns = hits.nonzero()
+                if active is not None:
+                    rows = active[rows]
+                for position, oid in zip(
+                    rows.tolist(), node.ids[columns].tolist()
+                ):
+                    results[position].append(oid)
                 continue
-            for br, child in entries:
-                sub = [
-                    position for position in positions
-                    if region_intersects_tpbr(regions[position], br)
-                ]
-                if len(sub) == len(positions):
-                    stack.append((child, active, depth + 1))
-                elif sub:
-                    if np is not None:
-                        sub = np.asarray(sub, dtype=np.intp)
-                    stack.append((child, sub, depth + 1))
+            width = len(hits)
+            children = node.child_ids()
+            for column, survivors in enumerate(hits.sum(axis=0).tolist()):
+                if survivors == width:
+                    stack.append((children[column], active, depth + 1))
+                elif survivors:
+                    mask = hits[:, column]
+                    stack.append((
+                        children[column],
+                        mask.nonzero()[0] if active is None
+                        else active[mask],
+                        depth + 1,
+                    ))
         self.buffer.flush_all()
         obs = self._obs
         if obs is not None:
@@ -796,8 +757,8 @@ class MovingObjectTree(MovingObjectIndex):
         it may contain an equal-distance point with a smaller oid) and
         points carry ``kind = 1`` with their oid as the tie, which
         makes equal-distance points pop in oid order.  Distances and
-        bounds come from the batched kernels over the node's cached
-        struct-of-arrays form, bit-identical to the scalar fallback.
+        bounds come from the batched kernels over the node's region
+        block, bit-identical to the scalar routines.
         """
         heap = [(0.0, 0, 0, self.root_pid)]
         seq = 0
@@ -814,24 +775,20 @@ class MovingObjectTree(MovingObjectIndex):
                 continue
             node = self._load(payload)
             nodes_visited += 1
-            entries = node.entries
+            if not len(node):
+                continue  # only an empty root: its block has no shape yet
+            block = node.regions()
             if node.is_leaf:
-                points = [point for point, _ in entries]
-                if node.soa is None:
-                    node.soa = pack_points(points)
-                dists = batch_point_distances_sq(x, points, t, node.soa)
-                for (point, oid), dist in zip(entries, dists):
-                    if point.t_exp < t or dist > bound_sq:
-                        continue
+                dists = point_distances_sq_rows(x, block, t)
+            else:
+                dists = tpbr_min_distances_sq_rows(x, block, t)
+            keep = ~((block.t_exp < t) | (dists > bound_sq))
+            scored = zip(dists[keep].tolist(), node.ids[keep].tolist())
+            if node.is_leaf:
+                for dist, oid in scored:
                     heapq.heappush(heap, (dist, 1, oid, None))
             else:
-                brs = [br for br, _ in entries]
-                if node.soa is None:
-                    node.soa = pack_tpbrs(brs)
-                lowers = batch_tpbr_min_distances_sq(x, brs, t, node.soa)
-                for (br, child), lower in zip(entries, lowers):
-                    if br.t_exp < t or lower > bound_sq:
-                        continue
+                for lower, child in scored:
                     seq += 1
                     heapq.heappush(heap, (lower, 0, seq, child))
         self.buffer.flush_all()
@@ -879,12 +836,12 @@ class MovingObjectTree(MovingObjectIndex):
         internal_entries = expired_internal = 0
         for _, node in self._walk():
             nodes += 1
-            expired = sum(1 for region, _ in node.entries if region.t_exp < now)
+            expired = int(np.count_nonzero(node.regions().t_exp < now))
             if node.is_leaf:
-                leaf_entries += len(node.entries)
+                leaf_entries += len(node)
                 expired_leaf += expired
             else:
-                internal_entries += len(node.entries)
+                internal_entries += len(node)
                 expired_internal += expired
         return TreeAudit(
             height=self.height,
@@ -905,7 +862,7 @@ class MovingObjectTree(MovingObjectIndex):
         for _, node in self._walk():
             slot = census.setdefault(node.level, [0, 0])
             slot[0] += 1
-            slot[1] += len(node.entries)
+            slot[1] += len(node)
         return {
             level: (nodes, entries)
             for level, (nodes, entries) in census.items()
@@ -937,7 +894,6 @@ class MovingObjectTree(MovingObjectIndex):
         return self.buffer.get(pid)
 
     def _touch(self, pid: PageId, node: Node) -> None:
-        node.soa = None  # entries changed; drop the packed-query cache
         self.buffer.mark_dirty(pid, node)
 
     def _set_root(self, new_root: Node) -> None:
@@ -954,24 +910,18 @@ class MovingObjectTree(MovingObjectIndex):
 
     # -- liveness -------------------------------------------------------------------
 
-    def _is_live(self, region) -> bool:
+    def _live(self, regions: RegionBlock) -> np.ndarray:
+        """Mask of the regions the algorithms still see (Section 4.3)."""
         if not self.config.lazy_expiry:
-            return True
-        return not region.t_exp < self.now
-
-    def _live_count(self, node: Node) -> int:
-        if not self.config.lazy_expiry:
-            return len(node.entries)
-        now = self.now
-        return sum(1 for region, _ in node.entries if not region.t_exp < now)
+            return np.ones(len(regions), dtype=bool)
+        return ~(regions.t_exp < self.now)
 
     # -- bounds ------------------------------------------------------------------------
 
     def _bound_node(self, node: Node) -> TPBR:
         """Recompute the stored bounding rectangle of a node's entries."""
-        items = node.regions()
         br = compute_tpbr(
-            items,
+            node.regions(),
             self.now,
             self.config.bounding,
             horizon=self.horizon.bounding_horizon(node.level),
@@ -996,7 +946,7 @@ class MovingObjectTree(MovingObjectIndex):
         reinserted: set,
     ) -> None:
         root = self._load(self.root_pid)
-        if not root.entries:
+        if not len(root):
             # CT3.1: the root emptied out; restart it at this entry's level.
             self._set_root(Node(level, [entry]))
             if level == 0:
@@ -1014,10 +964,10 @@ class MovingObjectTree(MovingObjectIndex):
         node = root
         while node.level > level:
             idx = self._choose_child_index(node, entry[0], level)
-            child_pid = node.entries[idx][1]
+            child_pid = int(node.ids[idx])
             path.append(child_pid)
             node = self._load(child_pid)
-        node.entries.append(entry)
+        node.append(*entry)
         if level == 0:
             self.horizon.leaf_entries_changed(+1)
             if self._obs is not None:
@@ -1026,18 +976,24 @@ class MovingObjectTree(MovingObjectIndex):
         self._condense_path(path, orphans, reinserted)
 
     def _choose_child_index(self, node: Node, region, target_level: int) -> int:
-        candidates = [
-            i for i, (r, _) in enumerate(node.entries) if self._is_live(r)
-        ]
-        if not candidates:
-            candidates = list(range(len(node.entries)))
         use_overlap = (
             self.config.use_overlap_in_choose
             and node.level == target_level + 1
         )
-        regions = [node.entries[i][0] for i in candidates]
-        pick = choose_child(self._choose_metrics, regions, region, use_overlap)
-        return candidates[pick]
+        regions = node.regions()
+        live = self._live(regions)
+        dead = len(regions) - np.count_nonzero(live)
+        if dead == 0 or dead == len(regions):
+            # Every entry is a candidate (none live: any will do).
+            return choose_child(
+                self._choose_metrics, regions, region, use_overlap
+            )
+        candidates = live.nonzero()[0]
+        pick = choose_child(
+            self._choose_metrics, regions.take(candidates), region,
+            use_overlap,
+        )
+        return int(candidates[pick])
 
     def _process_orphans(self, orphans: List[Orphan], reinserted: set) -> None:
         # CT3: reinsert orphans, highest tree levels first.
@@ -1065,7 +1021,7 @@ class MovingObjectTree(MovingObjectIndex):
                 self._purge_node(node)
             is_root = depth == 0
             split_entry = None
-            if len(node.entries) > self._capacity(node):
+            if len(node) > self._capacity(node):
                 split_entry = self._overflow(
                     pid, node, is_root, orphans, reinserted
                 )
@@ -1076,38 +1032,36 @@ class MovingObjectTree(MovingObjectIndex):
                 continue
             parent_pid = path[depth - 1]
             parent = self._load(parent_pid)
-            child_idx = next(
-                i for i, (_, c) in enumerate(parent.entries) if c == pid
-            )
-            underfull = self._live_count(node) < self._min_entries(node)
+            child_idx = parent.child_ids().index(pid)
+            live = self._live(node.regions())
+            orphaned = int(np.count_nonzero(live))
+            underfull = orphaned < self._min_entries(node)
             has_room = len(orphans) < self.config.max_orphans
-            if underfull and (has_room or not node.entries):
+            if underfull and (has_room or not len(node)):
                 # PU2: orphan the live entries and drop the node.
-                orphaned = 0
-                for entry in node.entries:
-                    if self._is_live(entry[0]):
+                for entry, is_live in zip(node.entries, live.tolist()):
+                    if is_live:
                         orphans.append((entry, node.level))
-                        orphaned += 1
                 if node.is_leaf:
-                    self.horizon.leaf_entries_changed(-len(node.entries))
+                    self.horizon.leaf_entries_changed(-len(node))
                 if self._obs is not None:
                     self._obs.condense_drops.inc()
                     self._obs.condense_orphans.inc(orphaned)
                     if node.is_leaf:
-                        self._obs.leaf_removed_condense.inc(len(node.entries))
+                        self._obs.leaf_removed_condense.inc(len(node))
                     if self._tracer is not None:
                         self._tracer.event(
                             "condense_drop",
                             level=node.level,
-                            entries=len(node.entries),
+                            entries=len(node),
                             orphaned=orphaned,
                         )
-                del parent.entries[child_idx]
+                parent.delete(child_idx)
                 self._free_node(pid, node)
             else:
-                parent.entries[child_idx] = (self._bound_node(node), pid)
+                parent.replace(child_idx, self._bound_node(node))
                 if split_entry is not None:
-                    parent.entries.append(split_entry)
+                    parent.append(*split_entry)
                 self._touch(pid, node)
             self._touch(parent_pid, parent)
 
@@ -1128,14 +1082,13 @@ class MovingObjectTree(MovingObjectIndex):
         )
         if can_reinsert:
             reinserted.add(node.level)
-            count = max(1, int(len(node.entries) * self.config.reinsert_fraction))
+            count = max(1, int(len(node) * self.config.reinsert_fraction))
             evicted = reinsert_candidates(self._metrics, node.regions(), count)
-            evicted_set = set(evicted)
-            for i in evicted:
-                orphans.append((node.entries[i], node.level))
-            node.entries = [
-                e for i, e in enumerate(node.entries) if i not in evicted_set
-            ]
+            for entry in node.take(evicted).entries:
+                orphans.append((entry, node.level))
+            stays = np.ones(len(node), dtype=bool)
+            stays[evicted] = False
+            node.keep(stays)
             if node.is_leaf:
                 self.horizon.leaf_entries_changed(-len(evicted))
             if self._obs is not None:
@@ -1156,9 +1109,8 @@ class MovingObjectTree(MovingObjectIndex):
         result = choose_split(
             self._metrics, node.regions(), self._min_entries(node)
         )
-        entries = node.entries
-        node.entries = [entries[i] for i in result.group_a]
-        sibling = Node(node.level, [entries[i] for i in result.group_b])
+        sibling = node.take(result.group_b)
+        node.keep(result.group_a)
         sibling_pid = self._new_node(sibling)
         if self._obs is not None:
             self._obs.splits.inc()
@@ -1166,14 +1118,15 @@ class MovingObjectTree(MovingObjectIndex):
                 self._tracer.event(
                     "split",
                     level=node.level,
-                    left=len(node.entries),
-                    right=len(sibling.entries),
+                    left=len(node),
+                    right=len(sibling),
                 )
         return (self._bound_node(sibling), sibling_pid)
 
     def _grow_root(self, split_entry: Tuple[TPBR, PageId]) -> None:
+        # The old root's node moves to a fresh page as it stands.
         old_root = self._load(self.root_pid)
-        moved_pid = self._new_node(Node(old_root.level, old_root.entries))
+        moved_pid = self._new_node(old_root)
         moved_bound = self._bound_node(self._load(moved_pid))
         self._set_root(
             Node(old_root.level + 1, [(moved_bound, moved_pid), split_entry])
@@ -1185,40 +1138,34 @@ class MovingObjectTree(MovingObjectIndex):
 
     def _shrink_root(self) -> None:
         root = self._load(self.root_pid)
-        while not root.is_leaf and len(root.entries) == 1:
-            # CT4: a single-entry root adds a pointless level.
-            child_pid = root.entries[0][1]
+        while not root.is_leaf and len(root) == 1:
+            # CT4: a single-entry root adds a pointless level; its only
+            # child's node becomes the root page's as it stands.
+            child_pid = int(root.ids[0])
             child = self._load(child_pid)
-            self._set_root(Node(child.level, child.entries))
+            self._set_root(child)
             self._free_node(child_pid, child)
             if self._obs is not None:
                 self._obs.root_shrinks.inc()
                 if self._tracer is not None:
                     self._tracer.event("root_shrink", height=child.level + 1)
             root = self._load(self.root_pid)
-        if not root.is_leaf and not root.entries:
+        if not root.is_leaf and not len(root):
             self._set_root(Node(0))
 
     # -- expiry --------------------------------------------------------------------------
 
     def _purge_node(self, node: Node) -> None:
         """Drop expired entries from a node that is being modified."""
-        now = self.now
-        kept = []
-        dead_children: List[PageId] = []
-        dead_leaves = 0
-        for entry in node.entries:
-            region, value = entry
-            if region.t_exp < now:
-                if node.is_leaf:
-                    dead_leaves += 1
-                else:
-                    dead_children.append(value)
-            else:
-                kept.append(entry)
-        if not dead_children and not dead_leaves:
+        expired = node.regions().t_exp < self.now
+        dead = int(np.count_nonzero(expired))
+        if not dead:
             return
-        node.entries = kept
+        dead_leaves = dead if node.is_leaf else 0
+        dead_children: List[PageId] = (
+            [] if node.is_leaf else node.ids[expired].tolist()
+        )
+        node.keep(~expired)
         if dead_leaves:
             self.horizon.leaf_entries_changed(-dead_leaves)
         if self._obs is not None:
@@ -1245,8 +1192,8 @@ class MovingObjectTree(MovingObjectIndex):
             node = self._load(page)
             pages += 1
             if node.is_leaf:
-                leaf_entries += len(node.entries)
-                self.horizon.leaf_entries_changed(-len(node.entries))
+                leaf_entries += len(node)
+                self.horizon.leaf_entries_changed(-len(node))
             else:
                 stack.extend(node.child_ids())
             self._free_node(page, node)
@@ -1275,44 +1222,44 @@ class MovingObjectTree(MovingObjectIndex):
         while stack:
             path = stack.pop()
             node = self._load(path[-1])
+            if not len(node):
+                continue  # only an empty root: its block has no shape yet
+            regions = node.regions()
+            found = self._live(regions)
             if node.is_leaf:
-                for i, (candidate, value) in enumerate(node.entries):
-                    if value == oid and self._is_live(candidate):
-                        return path, i
+                found &= node.ids == oid
+                if found.any():
+                    return path, int(found.argmax())
                 continue
-            for br, child_pid in node.entries:
-                if not self._is_live(br):
-                    continue
-                if self._covers_position(br, position, now):
-                    stack.append(path + [child_pid])
+            found &= self._covers_position(regions, position, now)
+            for child_pid in node.ids[found].tolist():
+                stack.append(path + [child_pid])
         return None
 
     @staticmethod
     def _covers_position(
-        br: TPBR, position: Sequence[float], now: float
-    ) -> bool:
-        """Whether ``br`` at ``now`` contains ``position``, up to codec rounding.
+        regions: Sequence[TPBR], position: Sequence[float], now: float
+    ) -> np.ndarray:
+        """Mask of the rectangles that contain ``position`` at ``now``.
 
-        The slack scales with the magnitudes the rounding applied to
-        (coordinate, plus velocity times the extrapolation span); near
-        the origin the absolute floor still decides.
+        Containment is up to codec rounding: the slack scales with the
+        magnitudes the rounding applied to (coordinate, plus velocity
+        times the extrapolation span); near the origin the absolute
+        floor still decides.
         """
-        elapsed = now - br.t_ref
-        for d, x in enumerate(position):
-            # lower_at/upper_at, written out: this runs once per internal
-            # entry of every deletion descent.
-            lower = br.lo[d] + br.vlo[d] * elapsed
-            upper = br.hi[d] + br.vhi[d] * elapsed
-            # Outside by the floor first: the scaled slack is only worked
-            # out for an entry about to be pruned.
-            if x < lower - _DELETE_EPS or x > upper + _DELETE_EPS:
-                slack = _DELETE_REL_EPS * (
-                    max(abs(br.lo[d]), abs(br.hi[d]))
-                    + max(abs(br.vlo[d]), abs(br.vhi[d])) * abs(elapsed)
-                )
-                if x < lower - slack or x > upper + slack:
-                    return False
-        return True
+        regions = as_block(regions)
+        position = np.array(position)[:, None]
+        elapsed = now - regions.t_ref
+        upper, lower = regions.x + regions.v * elapsed
+        slack = np.maximum(
+            _DELETE_EPS,
+            _DELETE_REL_EPS * (
+                np.abs(regions.x).max(axis=0)
+                + np.abs(regions.v).max(axis=0) * np.abs(elapsed)
+            ),
+        )
+        outside = (position < lower - slack) | (position > upper + slack)
+        return ~outside.any(axis=0)
 
     # -- invariant checking -------------------------------------------------------------------
 
@@ -1325,11 +1272,11 @@ class MovingObjectTree(MovingObjectIndex):
                 f"node {pid} at level {node.level}, expected {expected_level}"
             )
         is_root = pid == self.root_pid
-        assert len(node.entries) <= self._capacity(node), f"node {pid} overfull"
+        assert len(node) <= self._capacity(node), f"node {pid} overfull"
         if not is_root:
             # Unmodified nodes may be underfull of *live* entries (the
             # lazy strategy tolerates that), but never physically empty.
-            assert node.entries, f"node {pid} is empty"
+            assert len(node), f"node {pid} is empty"
         if bound is not None:
             for region, _ in node.entries:
                 assert bound.contains_tpbr(

@@ -33,6 +33,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from .block import RegionBlock, as_block
 from .hull import (
     Line,
     Point2,
@@ -42,7 +45,7 @@ from .hull import (
     supporting_line,
     upper_hull,
 )
-from .kinematics import NEVER, MovingPoint
+from .kinematics import NEVER
 from .tpbr import TPBR, Boundable
 
 #: Smallest horizon used when every member has already expired.
@@ -73,67 +76,72 @@ class _DimensionData:
     inf_vel_max: Optional[float] = None  # floor for the upper bound slope
 
 
-def _collect(items: Sequence[Boundable], dims: int, t_ref: float) -> List[_DimensionData]:
+def _collect(
+    items: Sequence[Boundable], dims: int, t_ref: float
+) -> List[_DimensionData]:
     """Build per-dimension endpoint sets P (Section 4.1.3).
 
     P contains, per dimension, the extreme coordinates at the computation
     time plus each member's bound evaluated at its expiration time.
     Members that never expire contribute velocity constraints instead of
     endpoints.
+
+    The arithmetic runs on the members' block: ``x + v * (t - t_ref)``
+    is the scalar evaluation elementwise, and every extreme is read at
+    its *first* occurrence (``argmax`` / ``argmin``), which is what a
+    running ``if x > best`` keeps — an earlier ``0.0`` over a later
+    ``-0.0`` included.  The endpoints stay in member order, the point at
+    ``t_ref`` last.  Coordinates and velocities must not be NaN.
     """
-    axes = range(dims)
-    x_min = [math.inf] * dims
-    x_max = [-math.inf] * dims
-    v_min = [math.inf] * dims
-    v_max = [-math.inf] * dims
-    inf_v_min: List[Optional[float]] = [None] * dims
-    inf_v_max: List[Optional[float]] = [None] * dims
-    uppers: List[List[Point2]] = [[] for _ in axes]
-    lowers: List[List[Point2]] = [[] for _ in axes]
-    for item in items:
-        if isinstance(item, MovingPoint):
-            lo = hi = item.pos
-            vlo = vhi = item.vel
-        else:
-            lo, hi, vlo, vhi = item.lo, item.hi, item.vlo, item.vhi
-        t_exp = item.t_exp
-        finite = not math.isinf(t_exp)
-        dt_ref = t_ref - item.t_ref
-        dt_end = t_exp - item.t_ref
-        for d in axes:
-            v_lo = vlo[d]
-            v_hi = vhi[d]
-            lo_ref = lo[d] + v_lo * dt_ref
-            hi_ref = hi[d] + v_hi * dt_ref
-            if lo_ref < x_min[d]:
-                x_min[d] = lo_ref
-            if hi_ref > x_max[d]:
-                x_max[d] = hi_ref
-            if v_lo < v_min[d]:
-                v_min[d] = v_lo
-            if v_hi > v_max[d]:
-                v_max[d] = v_hi
-            if finite:
-                if t_exp > t_ref:
-                    uppers[d].append((t_exp, hi[d] + v_hi * dt_end))
-                    lowers[d].append((t_exp, lo[d] + v_lo * dt_end))
-            else:
-                cap = inf_v_max[d]
-                if cap is None or v_hi > cap:
-                    inf_v_max[d] = v_hi
-                cap = inf_v_min[d]
-                if cap is None or v_lo < cap:
-                    inf_v_min[d] = v_lo
-    for d in axes:
-        uppers[d].append((t_ref, x_max[d]))
-        lowers[d].append((t_ref, x_min[d]))
-    return [
-        _DimensionData(
-            uppers[d], lowers[d], x_min[d], x_max[d], v_min[d], v_max[d],
-            inf_v_min[d], inf_v_max[d],
+    block = as_block(items)
+    x, v, exp = block.x, block.v, block.t_exp
+    n = len(block)
+    with np.errstate(all="ignore"):
+        # Every member at t_ref and at its own expiration time (garbage
+        # for the members without an endpoint, dropped below).
+        span = np.empty((2, n))
+        np.subtract(t_ref, block.t_ref, out=span[0])
+        np.subtract(exp, block.t_ref, out=span[1])
+        at = x[:, :, None] + v[:, :, None] * span
+    never = np.isinf(exp)
+    ends = ~never & (exp > t_ref)
+    at_end = at[:, :, 1]
+    if np.count_nonzero(ends) < n:
+        exp, at_end = exp[ends], at_end[:, :, ends]
+    times = exp.tolist()
+    hi_end, lo_end = at_end.tolist()
+    # Rows: upper and lower bounds at t_ref, upper and lower velocities.
+    rows = np.concatenate((at[:, :, 0], v)).reshape(4 * dims, n)
+    top, bottom = _first_extremes(rows)
+    x_max, x_min = top[:dims], bottom[dims:2 * dims]
+    v_max, v_min = top[2 * dims:3 * dims], bottom[3 * dims:]
+    if np.count_nonzero(never):
+        top, bottom = _first_extremes(v[:, :, never].reshape(2 * dims, -1))
+        inf_v_max, inf_v_min = top[:dims], bottom[dims:]
+    else:
+        inf_v_max = inf_v_min = [None] * dims
+    data = []
+    for d in range(dims):
+        uppers = list(zip(times, hi_end[d]))
+        uppers.append((t_ref, x_max[d]))
+        lowers = list(zip(times, lo_end[d]))
+        lowers.append((t_ref, x_min[d]))
+        data.append(
+            _DimensionData(
+                uppers, lowers, x_min[d], x_max[d], v_min[d], v_max[d],
+                inf_v_min[d], inf_v_max[d],
+            )
         )
-        for d in axes
-    ]
+    return data
+
+
+def _first_extremes(rows: np.ndarray) -> Tuple[List[float], List[float]]:
+    """Each row's (maximum, minimum), read at its first occurrence."""
+    each = np.arange(len(rows))
+    return (
+        rows[each, rows.argmax(axis=1)].tolist(),
+        rows[each, rows.argmin(axis=1)].tolist(),
+    )
 
 
 def _constrain_upper(line: Line, dd: _DimensionData) -> Line:
@@ -239,8 +247,8 @@ def conservative_tpbr(
     items: Sequence[Boundable], t_ref: float
 ) -> TPBR:
     """Tight at ``t_ref``; edges move with the extreme member velocities."""
-    dims = _dims_of(items)
-    data = _collect(items, dims, t_ref)
+    items = _block_of(items)
+    data = _collect(items, items.dims, t_ref)
     lines = []
     for dd in data:
         lower = (dd.x_ref_min - dd.vel_min * t_ref, dd.vel_min)
@@ -256,8 +264,8 @@ def static_tpbr(items: Sequence[Boundable], t_ref: float) -> TPBR:
         ValueError: if some member never expires — a static rectangle
             cannot bound an unbounded trajectory.
     """
-    dims = _dims_of(items)
-    data = _collect(items, dims, t_ref)
+    items = _block_of(items)
+    data = _collect(items, items.dims, t_ref)
     lines = []
     for dd in data:
         if dd.inf_vel_max is not None and dd.inf_vel_max > 0.0:
@@ -281,8 +289,8 @@ def update_minimum_tpbr(items: Sequence[Boundable], t_ref: float) -> TPBR:
     with the smallest slope that still covers every member until it
     expires (Figure 4); symmetrically for the lower bound.
     """
-    dims = _dims_of(items)
-    data = _collect(items, dims, t_ref)
+    items = _block_of(items)
+    data = _collect(items, items.dims, t_ref)
     lines = []
     for dd in data:
         up_slope = 0.0
@@ -315,7 +323,8 @@ def near_optimal_tpbr(
     implementation uses the Graham-scan based variant the paper's authors
     also chose.
     """
-    dims = _dims_of(items)
+    items = _block_of(items)
+    dims = items.dims
     t_exp = _max_expiration(items)
     delta = _horizon_delta(t_ref, horizon, t_exp)
     if math.isinf(delta):
@@ -351,12 +360,12 @@ def optimal_tpbr(
     dimensions; the last dimension's median follows from Lemma 4.2.
     Worst-case O(|P|^(d-1) log |P|).
     """
-    dims = _dims_of(items)
+    items = _block_of(items)
     t_exp = _max_expiration(items)
     delta = _horizon_delta(t_ref, horizon, t_exp)
     if math.isinf(delta):
         return conservative_tpbr(items, t_ref)
-    data = _collect(items, dims, t_ref)
+    data = _collect(items, items.dims, t_ref)
 
     def candidates(dd: _DimensionData) -> List[Tuple[Line, Line]]:
         """Distinct (lower, upper) bridge pairs as the median sweeps (0, delta)."""
@@ -446,20 +455,23 @@ def compute_tpbr(
     raise ValueError(f"unknown bounding kind: {kind!r}")
 
 
-def _dims_of(items: Sequence[Boundable]) -> int:
-    if not items:
+def _block_of(items: Sequence[Boundable]) -> RegionBlock:
+    """The members as a block (packed once per bound, if not one already)."""
+    if not len(items):
         raise ValueError("cannot bound an empty set of items")
-    dims = items[0].dims
-    for item in items:
-        if item.dims != dims:
-            raise ValueError("items differ in dimensionality")
-    return dims
+    return as_block(items)
 
 
-def _max_expiration(items: Sequence[Boundable]) -> float:
-    t = -math.inf
-    for item in items:
-        t = max(t, item.t_exp)
-        if math.isinf(t):
-            return NEVER
-    return t
+def _max_expiration(items: RegionBlock) -> float:
+    """The running ``t = max(t, t_exp)`` from ``-inf``, NEVER once infinite.
+
+    The first member decides alone when the running maximum cannot start
+    from it (``-inf`` or NaN leave ``t`` infinite); otherwise ``max``
+    is that loop: it keeps the first of equal values and a NaN never
+    compares greater.
+    """
+    times = items.t_exp.tolist()
+    if not times[0] > -math.inf:
+        return NEVER
+    t = max(times)
+    return NEVER if math.isinf(t) else t

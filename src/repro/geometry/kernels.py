@@ -1,27 +1,28 @@
-"""Batched geometry kernels over struct-of-arrays inputs.
+"""Batched geometry kernels over region blocks.
 
 The scalar routines in :mod:`repro.geometry.bounding`,
 :mod:`repro.geometry.intersection` and :mod:`repro.geometry.integrals`
-are called once per entry on the tree's hot paths (query filtering,
-split/reinsert scoring).  This module provides batched equivalents that
-evaluate a whole node's entries in one call.
+answer one question about one region.  The tree's hot paths (query
+filtering, ChooseSubtree, split/reinsert scoring) ask the same question
+about a whole node, whose regions already *are* one float64 array
+(:class:`repro.geometry.block.RegionBlock`); the kernels here evaluate
+it with elementwise arithmetic over that array.  Every kernel takes its
+regions through :func:`~repro.geometry.block.as_block`, so a node's
+block is read in place and a plain list of region objects is packed
+once.
 
-Two execution paths, one contract:
-
-* when numpy is importable, inputs are packed into struct-of-arrays
-  float64 arrays and evaluated with vectorized elementwise arithmetic;
-* otherwise (numpy stays an *optional* dependency) the batch functions
-  fall back to looping the scalar routines.
-
-Both paths produce **identical** results.  This is not an accident of
-"close enough" floating point: the vectorized code replicates the exact
-operation order of the scalar code, restricted to IEEE-754 operations
-that numpy evaluates identically to CPython (+, -, *, /, min, max and
-comparisons).  Notably, powers are never computed with ``**`` — SIMD
-``pow`` is not bit-compatible with libm's — which is why the scalar
-integrals build powers by repeated multiplication.  Property tests in
-``tests/geometry/test_kernels.py`` enforce the equivalence on random
-inputs with and without numpy.
+The batched results are **identical** to looping the scalar routine.
+This is not an accident of "close enough" floating point: the
+vectorized code replicates the exact operation order of the scalar
+code, restricted to IEEE-754 operations that numpy evaluates
+identically to CPython (+, -, *, /, comparisons, and selections written
+as ``where`` so ties resolve as Python's ``min``/``max`` do).  Notably,
+powers are never computed with ``**`` — SIMD ``pow`` is not
+bit-compatible with libm's — which is why the scalar integrals build
+powers by repeated multiplication.  Property tests in
+``tests/geometry/test_kernels.py`` enforce the equivalence bit for bit
+against the scalar routines, which stay in ``src/`` as that oracle and
+for single calls.
 
 One hull-based case does vectorize: the near-optimal bound of a
 *two-member* group, whose endpoint sets hold at most three points per
@@ -39,33 +40,22 @@ import math
 import random
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from .block import RegionBlock, as_block
 from .bounding import _MIN_DELTA, BoundingKind, compute_tpbr
-from .integrals import (
-    area_integral,
-    center_distance_sq_integral,
-    margin_integral,
-    overlap_integral,
-)
+from .integrals import overlap_integral
 from .intersection import EPS, region_intersects_tpbr, region_matches_point
 from .kinematics import MovingPoint
 from .queries import QueryRegion
 from .tpbr import TPBR, Boundable
 
-try:  # pragma: no cover - exercised via monkeypatch in tests
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
-#: Below this many items the scalar loop wins on packing overhead.
+#: Below this many items a scalar loop beats packing a plain list, and
+#: below this many pairs it beats the closed-form pair kernel.
 _MIN_BATCH = 4
 
 #: Per-item integration window (lower, upper bound).
 Window = Tuple[float, float]
-
-
-def numpy_enabled() -> bool:
-    """True when the vectorized paths are active."""
-    return np is not None
 
 
 # ---------------------------------------------------------------------------
@@ -73,42 +63,28 @@ def numpy_enabled() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def pack_points(points: Sequence[MovingPoint]):
-    """Precompute the SoA form consumed by :func:`batch_region_matches`.
+def pack_points(points: Sequence[Boundable]) -> Optional[RegionBlock]:
+    """The block form of a plain list, for callers that query it repeatedly.
 
-    Returns ``None`` when the scalar loop would run anyway.  The pack is
-    query-independent, so callers evaluating many queries against the
-    same point set (the tree caches one per node) pay the array
-    extraction once instead of per query.
+    Returns ``None`` when the scalar loop would run anyway.  The block
+    is query-independent, so a caller evaluating many queries against
+    the same regions pays the packing once instead of per query (a tree
+    node never packs: its regions are a block already).
     """
-    if np is None or len(points) < _MIN_BATCH:
+    if len(points) < _MIN_BATCH:
         return None
-    pos = np.array([p.pos for p in points], dtype=np.float64)
-    vel = np.array([p.vel for p in points], dtype=np.float64)
-    t_ref = np.array([p.t_ref for p in points], dtype=np.float64)
-    t_exp = np.array([p.t_exp for p in points], dtype=np.float64)
-    base = pos - vel * t_ref[:, None]
-    return (base, vel, base, vel, t_exp)
+    return as_block(points)
 
 
-def pack_tpbrs(brs: Sequence[TPBR]):
-    """Precompute the SoA form consumed by :func:`batch_region_intersects`.
-
-    Returns ``None`` when the scalar loop would run anyway.
-    """
-    if np is None or len(brs) < _MIN_BATCH:
-        return None
-    lo, hi, vlo, vhi, t_ref, t_exp = _tpbr_soa(brs)
-    s_lo = lo - vlo * t_ref[:, None]
-    s_hi = hi - vhi * t_ref[:, None]
-    return (s_lo, vlo, s_hi, vhi, t_exp)
+#: Rectangles pack exactly as points do (a point is the degenerate case).
+pack_tpbrs = pack_points
 
 
-def _region_hits(region, items, packed, pack, scalar) -> List[bool]:
+def _region_hits(region, items, packed, scalar) -> List[bool]:
     """One region against one node's items: the kernel on a one-row pack."""
-    if np is not None and packed is None:
-        packed = pack(items)
-    if np is None or packed is None:
+    if packed is None:
+        packed = pack_points(items)
+    if packed is None:
         return [scalar(region, item) for item in items]
     return multi_query_hits(pack_queries((region,)), packed)[0].tolist()
 
@@ -118,14 +94,10 @@ def batch_region_matches(
 ) -> List[bool]:
     """``[region_matches_point(region, p) for p in points]``, batched.
 
-    ``packed`` — a cached :func:`pack_points` result for the same
-    ``points`` — skips re-extraction; it is ignored when numpy is
-    unbound so a cache populated earlier can never force the
-    vectorized path.
+    ``packed`` — a :func:`pack_points` result for the same ``points``
+    — skips re-packing.
     """
-    return _region_hits(
-        region, points, packed, pack_points, region_matches_point
-    )
+    return _region_hits(region, points, packed, region_matches_point)
 
 
 def batch_region_intersects(
@@ -133,12 +105,10 @@ def batch_region_intersects(
 ) -> List[bool]:
     """``[region_intersects_tpbr(region, br) for br in brs]``, batched.
 
-    ``packed`` — a cached :func:`pack_tpbrs` result for the same
-    ``brs`` — skips re-extraction, as in :func:`batch_region_matches`.
+    ``packed`` — a :func:`pack_tpbrs` result for the same ``brs`` —
+    skips re-packing, as in :func:`batch_region_matches`.
     """
-    return _region_hits(
-        region, brs, packed, pack_tpbrs, region_intersects_tpbr
-    )
+    return _region_hits(region, brs, packed, region_intersects_tpbr)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +122,10 @@ def pack_queries(regions: Sequence[QueryRegion]):
     Row ``k`` holds query ``k``'s bound lines as offset/slope pairs
     (``offset + slope * t``), evaluated with plain Python-float
     expressions so the row does not depend on what else is in the
-    pack.  Returns ``None`` when numpy is unbound (callers fall back
-    to per-query scalar loops).
+    pack.  The bound arrays have shape (K, dims, 1), ready to broadcast
+    against a block's (dims, N) rows.  Returns ``None`` for no regions.
     """
-    if np is None or not regions:
+    if not regions:
         return None
     dims = regions[0].dims
     q_lo = np.array(
@@ -168,55 +138,52 @@ def pack_queries(regions: Sequence[QueryRegion]):
     q_vhi = np.array([r.vhi for r in regions], dtype=np.float64)
     t1 = np.array([r.t1 for r in regions], dtype=np.float64)
     t2 = np.array([r.t2 for r in regions], dtype=np.float64)
-    return (q_lo, q_hi, q_vlo, q_vhi, t1, t2)
+    return (
+        q_lo[:, :, None], q_hi[:, :, None],
+        q_vlo[:, :, None], q_vhi[:, :, None],
+        t1[:, None], t2[:, None],
+    )
 
 
 def select_queries(packed, rows):
     """Row-select a :func:`pack_queries` result (one row per query)."""
-    q_lo, q_hi, q_vlo, q_vhi, t1, t2 = packed
-    return (q_lo[rows], q_hi[rows], q_vlo[rows], q_vhi[rows],
-            t1[rows], t2[rows])
+    return tuple(column[rows] for column in packed)
 
 
-def multi_query_hits(queries, soa):
+def multi_query_hits(queries, block: RegionBlock):
     """(K, N) boolean hit matrix of K packed queries against one node.
 
     ``queries`` is a (possibly row-selected) :func:`pack_queries`
-    result; ``soa`` is the node's cached :func:`pack_points` /
-    :func:`pack_tpbrs` tuple.  This is the only feasibility kernel: a
-    vectorized :func:`repro.geometry.intersection.feasible_window`.
-    Constraints with |slope| < EPS act as constants, the window start
-    is the max of positive-slope roots and ``t1``, the end the min of
-    negative-slope roots and the expiration-clipped ``t2``.  Max/min
-    are exact and order-independent for non-NaN inputs (no NaN can
-    arise — slack is finite and const-masked divisors are at least
-    EPS), so the scalar routine's sequential clipping, one global
-    reduction, and broadcasting K queries against N entries all agree
-    bitwise: row ``k`` is **bit-identical** whether query ``k`` is
-    evaluated alone or in any batch.
+    result; ``block`` is the node's regions (or a :func:`pack_points` /
+    :func:`pack_tpbrs` result).  This is the only feasibility kernel: a
+    vectorized :func:`repro.geometry.intersection.feasible_window` over
+    the block's query-form rows.  Constraints with |slope| < EPS act as
+    constants, the window start is the max of positive-slope roots and
+    ``t1``, the end the min of negative-slope roots and the
+    expiration-clipped ``t2``.  Max/min are exact and order-independent
+    for non-NaN inputs (no NaN can arise — slack is finite and
+    const-masked divisors are at least EPS), so the scalar routine's
+    sequential clipping, one global reduction, and broadcasting K
+    queries against N entries all agree bitwise: row ``k`` is
+    **bit-identical** whether query ``k`` is evaluated alone or in any
+    batch.
     """
     q_lo, q_hi, q_vlo, q_vhi, t1, t2 = queries
-    s_lo_off, s_lo_vel, s_hi_off, s_hi_vel, t_exp = soa
+    (s_hi, s_lo), (v_hi, v_lo) = block.s, block.v
     # 1-d overlap per dimension: s_hi >= q_lo and q_hi >= s_lo.
-    offsets = np.concatenate(
-        [s_hi_off[None, :, :] - q_lo[:, None, :],
-         q_hi[:, None, :] - s_lo_off[None, :, :]], axis=2
-    )
-    slopes = np.concatenate(
-        [s_hi_vel[None, :, :] - q_vlo[:, None, :],
-         q_vhi[:, None, :] - s_lo_vel[None, :, :]], axis=2
-    )
+    offsets = np.concatenate([s_hi - q_lo, q_hi - s_lo], axis=1)
+    slopes = np.concatenate([v_hi - q_vlo, q_vhi - v_lo], axis=1)
     slack = offsets + EPS
     const = np.abs(slopes) < EPS
-    violated = (const & (slack < 0.0)).any(axis=2)
+    violated = (const & (slack < 0.0)).any(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = -slack / np.where(const, 1.0, slopes)
     starts = np.where(~const & (slopes > 0.0), roots, -np.inf)
     ends = np.where(~const & (slopes < 0.0), roots, np.inf)
-    t_end = np.minimum(t2[:, None], t_exp[None, :])
-    a = np.maximum(t1[:, None], starts.max(axis=2))
-    b = np.minimum(t_end, ends.min(axis=2))
-    return (t_end >= t1[:, None]) & ~violated & (b >= a)
+    t_end = np.minimum(t2, block.t_exp)
+    a = np.maximum(t1, starts.max(axis=1))
+    b = np.minimum(t_end, ends.min(axis=1))
+    return (t_end >= t1) & ~violated & (b >= a)
 
 
 # ---------------------------------------------------------------------------
@@ -245,73 +212,49 @@ def batch_compute_tpbr(
     if _pairs_vectorize(len(groups), kind, horizon) and all(
         len(g) == 2 for g in groups
     ):
-        firsts = [g[0] for g in groups]
-        seconds = [g[1] for g in groups]
-        dims = firsts[0].dims
-        # Mixed dimensionality: the scalar path raises its usual error.
-        if all(a.dims == dims == b.dims for a, b in zip(firsts, seconds)):
-            return _tpbrs_from_rows(
-                *_near_optimal_pairs(
-                    _boundable_soa(firsts),
-                    _boundable_soa(seconds),
-                    t_ref,
-                    horizon,
-                    _visiting_orders(rng, len(groups), dims),
-                ),
+        firsts = as_block([g[0] for g in groups])
+        seconds = as_block([g[1] for g in groups])
+        if firsts.dims != seconds.dims:
+            raise ValueError("items differ in dimensionality")
+        return _tpbrs_from_rows(
+            *_near_optimal_pairs(
+                _members(firsts),
+                _members(seconds),
                 t_ref,
-            )
-    vectorize = (
-        np is not None
-        and kind is BoundingKind.CONSERVATIVE
-        and groups
-        and all(groups)
-        and sum(len(g) for g in groups) >= _MIN_BATCH
-    )
-    if not vectorize:
+                horizon,
+                _visiting_orders(rng, len(groups), firsts.dims),
+            ),
+            t_ref,
+        )
+    sizes = [len(g) for g in groups]
+    if (
+        kind is not BoundingKind.CONSERVATIVE
+        or not all(sizes)
+        or sum(sizes) < _MIN_BATCH
+    ):
         return [
             compute_tpbr(g, t_ref, kind, horizon=horizon, rng=rng)
             for g in groups
         ]
-    items = [item for g in groups for item in g]
-    dims = items[0].dims
-    if any(item.dims != dims for item in items):
-        # Let the scalar path raise its usual dimensionality error.
-        return [
-            compute_tpbr(g, t_ref, kind, horizon=horizon, rng=rng)
-            for g in groups
-        ]
-    n = len(items)
-    lo = np.empty((n, dims))
-    hi = np.empty((n, dims))
-    vlo = np.empty((n, dims))
-    vhi = np.empty((n, dims))
-    item_ref = np.empty(n)
-    item_exp = np.empty(n)
-    for i, item in enumerate(items):
-        if isinstance(item, MovingPoint):
-            lo[i] = item.pos
-            hi[i] = item.pos
-            vlo[i] = item.vel
-            vhi[i] = item.vel
-        else:
-            lo[i] = item.lo
-            hi[i] = item.hi
-            vlo[i] = item.vlo
-            vhi[i] = item.vhi
-        item_ref[i] = item.t_ref
-        item_exp[i] = item.t_exp
-    dt = t_ref - item_ref
-    lo_ref = lo + vlo * dt[:, None]
-    hi_ref = hi + vhi * dt[:, None]
-    offsets = [0]
-    for g in groups[:-1]:
-        offsets.append(offsets[-1] + len(g))
-    starts = np.array(offsets, dtype=np.intp)
-    x_min = np.minimum.reduceat(lo_ref, starts, axis=0)
-    x_max = np.maximum.reduceat(hi_ref, starts, axis=0)
-    v_min = np.minimum.reduceat(vlo, starts, axis=0)
-    v_max = np.maximum.reduceat(vhi, starts, axis=0)
-    g_exp = np.maximum.reduceat(item_exp, starts)
+    try:
+        members = RegionBlock(
+            np.concatenate([as_block(g).data for g in groups], axis=1), False
+        )
+    except ValueError:
+        raise ValueError("items differ in dimensionality") from None
+    starts = np.cumsum([0] + sizes[:-1])
+    at_ref = members.x + members.v * (t_ref - members.t_ref)
+    x_max, v_max = _segment_firsts(
+        np.concatenate([at_ref[0], members.v[0]]), starts, sizes, np.fmax
+    ).reshape(2, members.dims, -1)
+    x_min, v_min = _segment_firsts(
+        np.concatenate([at_ref[1], members.v[1]]), starts, sizes, np.fmin
+    ).reshape(2, members.dims, -1)
+    # _max_expiration: an infinite expiration decides, and so does a
+    # first member the running maximum cannot start from.
+    g_exp = _segment_firsts(members.t_exp, starts, sizes, np.fmax)
+    never = np.isinf(g_exp) | ~(members.t_exp[starts] > -math.inf)
+    g_exp = np.where(never, math.inf, g_exp)
     # Same round trip as the scalar line assembly, so the results agree
     # bitwise even though the terms "should" cancel.
     low = (x_min - v_min * t_ref) + v_min * t_ref
@@ -321,45 +264,36 @@ def batch_compute_tpbr(
         mid = (low + high) / 2.0
         low = np.where(crossed, mid, low)
         high = np.where(crossed, mid, high)
-    return [
-        TPBR(
-            tuple(float(v) for v in low[g]),
-            tuple(float(v) for v in high[g]),
-            tuple(float(v) for v in v_min[g]),
-            tuple(float(v) for v in v_max[g]),
-            t_ref,
-            float(g_exp[g]),
-        )
-        for g in range(len(groups))
-    ]
+    return _tpbrs_from_rows(low, high, v_min, v_max, g_exp, t_ref)
 
 
-def _boundable_soa(items: Sequence[Boundable]):
-    """Moving points and/or TPBRs as ``(x, v, t_ref, t_exp)``, members last.
+def _segment_firsts(values, starts, sizes, extreme):
+    """The extreme of each segment of the last axis, first occurrence.
 
-    ``x`` and ``v`` have shape (2, dims, n): the (upper, lower) bound of
-    every dimension at the member's own reference time, and its
-    velocity.  A point is the degenerate rectangle upper == lower.
-    Nothing is re-evaluated: the arrays hold the members' own floats.
+    Python's running ``if x < best: best = x`` keeps the *first* of
+    equal values — an earlier ``0.0`` over a later ``-0.0`` — which
+    ``reduceat`` does not promise, so the reduction only locates the
+    extreme and the value is read from its first position.  ``extreme``
+    is ``np.fmin`` or ``np.fmax`` (a NaN never wins a comparison).
     """
-    rows = np.array(
-        [
-            (*i.pos, *i.pos, *i.vel, *i.vel, i.t_ref, i.t_exp)
-            if isinstance(i, MovingPoint)
-            else (*i.hi, *i.lo, *i.vhi, *i.vlo, i.t_ref, i.t_exp)
-            for i in items
-        ],
-        dtype=np.float64,
+    best = np.repeat(extreme.reduceat(values, starts, axis=-1), sizes, axis=-1)
+    width = values.shape[-1]
+    first = np.minimum.reduceat(
+        np.where(values == best, np.arange(width), width - 1), starts, axis=-1
     )
-    n, width = rows.shape
-    dims = (width - 2) // 4
-    cols = np.ascontiguousarray(rows.T)
-    return (
-        cols[: 2 * dims].reshape(2, dims, n),
-        cols[2 * dims : 4 * dims].reshape(2, dims, n),
-        cols[-2],
-        cols[-1],
-    )
+    return np.take_along_axis(values, first, axis=-1)
+
+
+def _members(block: RegionBlock, immortal: bool = False):
+    """A block as :func:`_near_optimal_pairs` reads it, members last.
+
+    ``(x, v, t_ref, t_exp)`` with ``x`` and ``v`` of shape
+    (2, dims, n): the (upper, lower) bound of every dimension at the
+    member's own reference time, and its velocity — views, nothing is
+    re-evaluated.  ``immortal`` replaces every expiration by infinity.
+    """
+    t_exp = np.full(len(block), math.inf) if immortal else block.t_exp
+    return block.x, block.v, block.t_ref, t_exp
 
 
 def _tpbrs_from_rows(lo, hi, vlo, vhi, t_exp, t_ref: float) -> List[TPBR]:
@@ -378,8 +312,7 @@ def _pairs_vectorize(
 ) -> bool:
     """Whether ``n`` two-member groups go through :func:`_near_optimal_pairs`."""
     return (
-        np is not None
-        and kind is BoundingKind.NEAR_OPTIMAL
+        kind is BoundingKind.NEAR_OPTIMAL
         and n >= _MIN_BATCH
         and horizon is not None
         and math.isfinite(horizon)
@@ -405,7 +338,7 @@ def _visiting_orders(rng: Optional[random.Random], n: int, dims: int):
 def _near_optimal_pairs(a, b, t_ref: float, horizon: float, orders):
     """Near-optimal bounds of the two-member groups ``[a[i], b[i]]``.
 
-    ``a`` and ``b`` are :func:`_boundable_soa` tuples (``b`` may hold a
+    ``a`` and ``b`` are :func:`_members` tuples (``b`` may hold a
     single member, paired with every member of ``a``); ``orders`` comes
     from :func:`_visiting_orders`.  Returns ``(lo, hi, vlo, vhi)`` of
     shape (dims, n) and ``t_exp`` of shape (n,) holding, bit for bit,
@@ -565,46 +498,39 @@ def _lemma42_rows(coeffs, delta, powers):
 # ---------------------------------------------------------------------------
 # Integral kernels
 # ---------------------------------------------------------------------------
+#
+# Each takes per-item windows as ``n`` (start, end) pairs — a list of
+# tuples or an (n, 2) array — and works on (dims, n) rows.
 
 
-def _tpbr_soa(brs: Sequence[TPBR]):
-    lo = np.array([b.lo for b in brs], dtype=np.float64)
-    hi = np.array([b.hi for b in brs], dtype=np.float64)
-    vlo = np.array([b.vlo for b in brs], dtype=np.float64)
-    vhi = np.array([b.vhi for b in brs], dtype=np.float64)
-    t_ref = np.array([b.t_ref for b in brs], dtype=np.float64)
-    t_exp = np.array([b.t_exp for b in brs], dtype=np.float64)
-    return lo, hi, vlo, vhi, t_ref, t_exp
-
-
-def _windows_soa(windows: Sequence[Window]):
-    a = np.array([w[0] for w in windows], dtype=np.float64)
-    b = np.array([w[1] for w in windows], dtype=np.float64)
-    return a, b
+def _window_columns(windows):
+    """``(starts, ends)`` arrays of per-item windows."""
+    return np.asarray(windows, dtype=np.float64).reshape(-1, 2).T
 
 
 def batch_area_integral(
-    brs: Sequence[TPBR], windows: Sequence[Window]
+    brs: Sequence[Boundable], windows: Sequence[Window]
 ) -> List[float]:
     """``[area_integral(br, a, b) ...]`` for per-item windows, batched."""
-    if np is None or len(brs) < _MIN_BATCH:
-        return [area_integral(br, a, b) for br, (a, b) in zip(brs, windows)]
-    lo, hi, vlo, vhi, t_ref, _ = _tpbr_soa(brs)
-    a, b = _windows_soa(windows)
-    return _area_integral_rows(lo, hi, vlo, vhi, t_ref[:, None], a, b)
+    block = as_block(brs)
+    a, b = _window_columns(windows)
+    (hi, lo), (vhi, vlo) = block.x, block.v
+    return _area_integral_rows(lo, hi, vlo, vhi, block.t_ref, a, b)
 
 
 def _area_integral_rows(lo, hi, vlo, vhi, t_ref, a, b) -> List[float]:
-    """``area_integral`` of each struct-of-arrays row over ``[a, b]``."""
+    """``area_integral`` of each column of (dims, n) bounds over ``[a, b]``."""
     with np.errstate(all="ignore"):
         c1 = vhi - vlo
         c0 = (hi - lo) - c1 * t_ref
         # _clip_nonnegative: largest end <= b with all extents >= 0.
-        at_a = c0 + c1 * a[:, None]
-        invalid = np.any(at_a < -1e-12, axis=1)
+        at_a = c0 + c1 * a
+        invalid = np.any(at_a < -1e-12, axis=0)
         neg = c1 < 0.0
         roots = -c0 / np.where(neg, c1, 1.0)
-        end = np.minimum(b, np.min(np.where(neg, roots, np.inf), axis=1))
+        end = np.minimum(
+            b, np.min(np.where(neg, roots, np.inf), axis=0, initial=np.inf)
+        )
         end = np.maximum(end, a)
         zero = invalid | (b <= a) | (end <= a)
         total = _poly_product_integral(c0, c1, a, end)
@@ -635,24 +561,24 @@ def batch_extended_area_integral(
     """
     if not _pairs_vectorize(len(regions), kind, horizon):
         return None
-    dims = addition.dims
-    if any(r.dims != dims for r in regions):
+    block = as_block(regions)
+    newcomer = as_block(addition)
+    if block.dims != newcomer.dims:
         return None
-    n = len(regions)
-    a = _boundable_soa(regions)
-    b = _boundable_soa((addition,))
-    if ignore_expiration:
-        a = (*a[:3], np.full(n, math.inf))
-        b = (*b[:3], np.full(1, math.inf))
+    n = len(block)
     lo, hi, vlo, vhi, t_exp = _near_optimal_pairs(
-        a, b, t_ref, horizon, _visiting_orders(rng, n, dims)
+        _members(block, ignore_expiration),
+        _members(newcomer, ignore_expiration),
+        t_ref,
+        horizon,
+        _visiting_orders(rng, n, block.dims),
     )
-    # window_end, per row.
+    # window_end, per column.
     life = t_exp - t_ref
     delta = np.where(~np.isinf(t_exp) & (life < horizon), life, horizon)
     end = t_ref + np.where(0.0 > delta, 0.0, delta)
     start = np.full(n, t_ref, dtype=np.float64)
-    return _area_integral_rows(lo.T, hi.T, vlo.T, vhi.T, t_ref, start, end)
+    return _area_integral_rows(lo, hi, vlo, vhi, t_ref, start, end)
 
 
 def _poly_mul_linear_rows(coeffs, c0, c1):
@@ -665,15 +591,15 @@ def _poly_mul_linear_rows(coeffs, c0, c1):
 
 
 def _poly_product_integral(c0, c1, a, b):
-    """Integral over [a, b] of prod_d (c0[:, d] + c1[:, d] * t), per row.
+    """Integral over [a, b] of prod_d (c0[d] + c1[d] * t), per column.
 
     Replicates ``_poly_mul_linear`` + ``_poly_definite_integral``
     operation for operation (powers by repeated multiplication).
     """
-    n = c0.shape[0]
+    n = c0.shape[1]
     coeffs = [np.ones(n)]
-    for d in range(c0.shape[1]):
-        coeffs = _poly_mul_linear_rows(coeffs, c0[:, d], c1[:, d])
+    for h, w in zip(c0, c1):
+        coeffs = _poly_mul_linear_rows(coeffs, h, w)
     total = np.zeros(n)
     pa = a.copy()
     pb = b.copy()
@@ -685,72 +611,58 @@ def _poly_product_integral(c0, c1, a, b):
 
 
 def batch_margin_integral(
-    brs: Sequence[TPBR], windows: Sequence[Window]
+    brs: Sequence[Boundable], windows: Sequence[Window]
 ) -> List[float]:
     """``[margin_integral(br, a, b) ...]`` for per-item windows, batched."""
-    if np is None or len(brs) < _MIN_BATCH:
-        return [margin_integral(br, a, b) for br, (a, b) in zip(brs, windows)]
-    lo, hi, vlo, vhi, t_ref, _ = _tpbr_soa(brs)
-    a, b = _windows_soa(windows)
-    n = len(brs)
+    block = as_block(brs)
+    a, b = _window_columns(windows)
+    (hi, lo), (vhi, vlo) = block.x, block.v
     with np.errstate(all="ignore"):
         slope = vhi - vlo
-        value0 = (hi - lo) - slope * t_ref[:, None]
-        total = np.zeros(n)
-        for d in range(lo.shape[1]):
-            c0 = value0[:, d]
-            c1 = slope[:, d]
+        value0 = (hi - lo) - slope * block.t_ref
+        total = np.zeros(len(block))
+        for c0, c1 in zip(value0, slope):
             sloped = c1 != 0.0
             root = -c0 / np.where(sloped, c1, 1.0)
             end = np.where(c1 < 0.0, np.minimum(b, root), b)
             shrinks_in = (c1 > 0.0) & (c0 + c1 * a < 0.0)
             start = np.where(shrinks_in, np.maximum(a, root), a)
-            seg = np.zeros(n)
-            pa = start.copy()
-            pb = end.copy()
-            seg = seg + c0 * (pb - pa) / 1
-            pa = pa * start
-            pb = pb * end
-            seg = seg + c1 * (pb - pa) / 2
+            seg = 0.0 + c0 * (end - start) / 1
+            seg = seg + c1 * (end * end - start * start) / 2
             total = total + np.where(end > start, seg, 0.0)
         result = np.where(b <= a, 0.0, total)
-    return [float(v) for v in result]
+    return result.tolist()
 
 
 def batch_center_distance_sq_integral(
-    brs: Sequence[TPBR], anchor: TPBR, windows: Sequence[Window]
+    brs: Sequence[Boundable], anchor: TPBR, windows: Sequence[Window]
 ) -> List[float]:
     """``[center_distance_sq_integral(br, anchor, a, b) ...]``, batched."""
-    if np is None or len(brs) < _MIN_BATCH:
-        return [
-            center_distance_sq_integral(br, anchor, a, b)
-            for br, (a, b) in zip(brs, windows)
-        ]
-    lo, hi, vlo, vhi, t_ref, _ = _tpbr_soa(brs)
-    a, b = _windows_soa(windows)
-    n = len(brs)
-    center0 = ((lo - vlo * t_ref[:, None]) + (hi - vhi * t_ref[:, None])) / 2.0
+    block = as_block(brs)
+    a, b = _window_columns(windows)
+    s_hi, s_lo = block.s
+    vhi, vlo = block.v
+    center0 = (s_lo + s_hi) / 2.0
     center1 = (vlo + vhi) / 2.0
-    q0 = np.zeros(n)
-    q1 = np.zeros(n)
-    q2 = np.zeros(n)
-    for d in range(lo.shape[1]):
+    q0 = np.zeros(len(block))
+    q1 = np.zeros(len(block))
+    q2 = np.zeros(len(block))
+    for d in range(block.dims):
         y_lo0 = anchor.lo[d] - anchor.vlo[d] * anchor.t_ref
         y_hi0 = anchor.hi[d] - anchor.vhi[d] * anchor.t_ref
-        c0 = center0[:, d] - (y_lo0 + y_hi0) / 2.0
-        c1 = center1[:, d] - (anchor.vlo[d] + anchor.vhi[d]) / 2.0
+        c0 = center0[d] - (y_lo0 + y_hi0) / 2.0
+        c1 = center1[d] - (anchor.vlo[d] + anchor.vhi[d]) / 2.0
         q0 = q0 + c0 * c0
         q1 = q1 + 2.0 * c0 * c1
         q2 = q2 + c1 * c1
-    total = np.zeros(n)
+    total = np.zeros(len(block))
     pa = a.copy()
     pb = b.copy()
     for k, q in enumerate((q0, q1, q2)):
         total = total + q * (pb - pa) / (k + 1)
         pa = pa * a
         pb = pb * b
-    result = np.where(b <= a, 0.0, total)
-    return [float(v) for v in result]
+    return np.where(b <= a, 0.0, total).tolist()
 
 
 def batch_overlap_integral(

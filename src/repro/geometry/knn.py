@@ -12,17 +12,15 @@ orders its priority queue by two quantities evaluated at the query time
   TPBR containment tolerance so the bound never exceeds the true
   distance of an enclosed point.
 
-Both quantities come in a scalar form and a numpy-batched form over the
-struct-of-arrays node caches of :mod:`repro.geometry.kernels`
-(:func:`~repro.geometry.kernels.pack_points` /
-:func:`~repro.geometry.kernels.pack_tpbrs`).  As everywhere in the
-kernel layer, the two paths are **bit-identical**: the vectorized code
+Both quantities come in a scalar form and a batched form over a node's
+region block (:class:`repro.geometry.block.RegionBlock`).  As everywhere
+in the kernel layer, the two are **bit-identical**: the vectorized code
 replicates the exact operation order of the scalar code using only
 IEEE-754 operations that numpy evaluates identically to CPython
 (+, -, *, min, max and comparisons; never ``**``).  In particular the
 scalar path evaluates positions through the same
-``(pos - vel * t_ref) + vel * t`` offset form the packs store, so a
-cached pack and the scalar loop agree to the last bit.
+``(pos - vel * t_ref) + vel * t`` offset form the block stores, so the
+block rows and the scalar loop agree to the last bit.
 """
 
 from __future__ import annotations
@@ -30,10 +28,11 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
+from .block import RegionBlock
 from .kinematics import MovingPoint
 from .tpbr import TPBR
-
-from . import kernels as _kernels
 
 #: Containment slack of :meth:`repro.geometry.tpbr.TPBR.contains_point`:
 #: a bounded point may protrude from its TPBR by up to this much per
@@ -112,6 +111,31 @@ def tpbr_min_distance_sq(x: Vector, br: TPBR, t: float) -> float:
     return acc
 
 
+def point_distances_sq_rows(x: Vector, block: RegionBlock, t: float):
+    """:func:`point_distance_sq` of every point of a block (array)."""
+    base, vel = block.s[1], block.v[1]
+    acc = np.zeros(len(block))
+    for d in range(len(x)):
+        diff = (base[d] + vel[d] * t) - x[d]
+        acc = acc + diff * diff
+    return acc
+
+
+def tpbr_min_distances_sq_rows(x: Vector, block: RegionBlock, t: float):
+    """:func:`tpbr_min_distance_sq` of every rectangle of a block (array)."""
+    (s_hi, s_lo), (vhi, vlo) = block.s, block.v
+    acc = np.zeros(len(block))
+    for d in range(len(x)):
+        lo = s_lo[d] + vlo[d] * t
+        hi = s_hi[d] + vhi[d] * t
+        low = np.minimum(lo, hi)
+        high = np.maximum(lo, hi)
+        gap = np.maximum(low - x[d], x[d] - high)
+        gap = np.maximum(gap - TPBR_TOL, 0.0)
+        acc = acc + gap * gap
+    return acc
+
+
 def batch_point_distances_sq(
     x: Vector, points: Sequence[MovingPoint], t: float, packed=None
 ) -> List[float]:
@@ -125,25 +149,18 @@ def batch_point_distances_sq(
         The points to score.
     t : float
         The evaluation time.
-    packed : tuple, optional
-        A cached :func:`~repro.geometry.kernels.pack_points` result for
-        the same ``points``; ignored when numpy is unbound so a cache
-        populated earlier can never force the vectorized path.
+    packed : RegionBlock, optional
+        A :func:`~repro.geometry.kernels.pack_points` result for the
+        same ``points``; without one the scalar routine is looped.
 
     Returns
     -------
     list of float
         Exact squared distances, bit-identical to the scalar loop.
     """
-    np = _kernels.np
-    if np is None or packed is None:
+    if packed is None:
         return [point_distance_sq(x, p, t) for p in points]
-    base, vel = packed[0], packed[1]
-    acc = np.zeros(len(points), dtype=np.float64)
-    for d in range(len(x)):
-        diff = (base[:, d] + vel[:, d] * t) - x[d]
-        acc = acc + diff * diff
-    return [float(v) for v in acc]
+    return point_distances_sq_rows(x, packed, t).tolist()
 
 
 def batch_tpbr_min_distances_sq(
@@ -159,29 +176,18 @@ def batch_tpbr_min_distances_sq(
         The rectangles to bound.
     t : float
         The evaluation time.
-    packed : tuple, optional
-        A cached :func:`~repro.geometry.kernels.pack_tpbrs` result for
-        the same ``brs``; ignored when numpy is unbound.
+    packed : RegionBlock, optional
+        A :func:`~repro.geometry.kernels.pack_tpbrs` result for the
+        same ``brs``; without one the scalar routine is looped.
 
     Returns
     -------
     list of float
         Admissible lower bounds, bit-identical to the scalar loop.
     """
-    np = _kernels.np
-    if np is None or packed is None:
+    if packed is None:
         return [tpbr_min_distance_sq(x, br, t) for br in brs]
-    s_lo, vlo, s_hi, vhi = packed[0], packed[1], packed[2], packed[3]
-    acc = np.zeros(len(brs), dtype=np.float64)
-    for d in range(len(x)):
-        lo = s_lo[:, d] + vlo[:, d] * t
-        hi = s_hi[:, d] + vhi[:, d] * t
-        low = np.minimum(lo, hi)
-        high = np.maximum(lo, hi)
-        gap = np.maximum(low - x[d], x[d] - high)
-        gap = np.maximum(gap - TPBR_TOL, 0.0)
-        acc = acc + gap * gap
-    return [float(v) for v in acc]
+    return tpbr_min_distances_sq_rows(x, packed, t).tolist()
 
 
 def validate_knn_args(x: Vector, t: float, k: int, dims: int) -> None:

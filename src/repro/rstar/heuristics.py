@@ -99,6 +99,12 @@ class Metrics(ABC, Generic[Region]):
         """Distance objective of each region against ``anchor``."""
         return [self.center_distance(r, anchor) for r in regions]
 
+    def subset(
+        self, regions: Sequence[Region], indices: Sequence[int]
+    ) -> Sequence[Region]:
+        """The regions at ``indices``, in that order, for ``bound_many``."""
+        return [regions[i] for i in indices]
+
 
 def choose_child(
     metrics: Metrics[Region],
@@ -116,6 +122,7 @@ def choose_child(
     if not child_regions:
         raise ValueError("choose_child on empty node")
     if use_overlap:
+        child_regions = list(child_regions)
         extended = metrics.bound_many(
             [[region, new_region] for region in child_regions]
         )
@@ -125,11 +132,13 @@ def choose_child(
     areas = metrics.area_many(child_regions)
     best = 0
     best_key: Tuple[float, ...] = ()
-    for i, region in enumerate(child_regions):
+    for i in range(len(areas)):
         enlargement = extended_areas[i] - areas[i]
         if use_overlap:
             overlaps_ext = metrics.overlap_many(extended[i], child_regions)
-            overlaps_cur = metrics.overlap_many(region, child_regions)
+            overlaps_cur = metrics.overlap_many(
+                child_regions[i], child_regions
+            )
             overlap_delta = 0.0
             for j in range(len(child_regions)):
                 if j == i:
@@ -170,15 +179,15 @@ def choose_split(
         raise ValueError(
             f"cannot split {n} entries with min fill {min_entries}"
         )
-    key_count = len(metrics.split_sort_keys(regions[0]))
     all_keys = [metrics.split_sort_keys(r) for r in regions]
+    key_count = len(all_keys[0])
     split_points = range(min_entries, n - min_entries + 1)
 
-    def distributions(order: Sequence[int]) -> List[List[Region]]:
-        groups: List[List[Region]] = []
+    def distributions(order: Sequence[int]) -> List[Sequence[Region]]:
+        groups: List[Sequence[Region]] = []
         for split_at in split_points:
-            groups.append([regions[i] for i in order[:split_at]])
-            groups.append([regions[i] for i in order[split_at:]])
+            groups.append(metrics.subset(regions, order[:split_at]))
+            groups.append(metrics.subset(regions, order[split_at:]))
         return groups
 
     best_ordering: List[int] = []

@@ -12,6 +12,9 @@ import math
 import random
 from typing import Callable, List, Optional, Sequence
 
+import numpy as np
+
+from ..geometry.block import as_block
 from ..geometry.bounding import BoundingKind, compute_tpbr
 from ..geometry.integrals import (
     area_integral,
@@ -104,7 +107,7 @@ class KineticMetrics(Metrics[Boundable]):
 
     def _prepared(self, regions: Sequence[Boundable]) -> Sequence[Boundable]:
         if not self.ignore_expiration:
-            return list(regions)
+            return regions
         return [strip_expiration(r) for r in regions]
 
     def _effective_kind(self) -> BoundingKind:
@@ -138,19 +141,29 @@ class KineticMetrics(Metrics[Boundable]):
 
     def _windows(
         self, regions: Sequence[Boundable], anchor: Optional[Boundable] = None
-    ) -> List[tuple]:
-        """Per-region integration windows (``_window``, batched)."""
+    ):
+        """Per-region integration windows (``_window``, batched): (n, 2)."""
         t0 = self.now()
         horizon = self.horizon()
+        windows = np.empty((len(regions), 2))
+        windows[:, 0] = t0
         if self.ignore_expiration:
-            return [(t0, t0 + horizon)] * len(regions)
-        if anchor is None:
-            return [(t0, window_end(t0, horizon, r.t_exp)) for r in regions]
-        anchor_exp = anchor.t_exp
-        return [
-            (t0, window_end(t0, horizon, max(r.t_exp, anchor_exp)))
-            for r in regions
-        ]
+            windows[:, 1] = t0 + horizon
+            return windows
+        t_exp = as_block(regions).t_exp
+        if anchor is not None:
+            # max(t_exp, anchor.t_exp), keeping the region's on a tie.
+            t_exp = np.where(anchor.t_exp > t_exp, anchor.t_exp, t_exp)
+        # window_end, operation for operation.
+        life = t_exp - t0
+        delta = np.where(~np.isinf(t_exp) & (life < horizon), life, horizon)
+        if np.isinf(delta).any():
+            raise ValueError(
+                "unbounded integration window: supply a finite horizon for "
+                "never-expiring rectangles"
+            )
+        windows[:, 1] = t0 + np.where(0.0 > delta, 0.0, delta)
+        return windows
 
     def area(self, region: Boundable) -> float:
         t0, t1 = self._window(region)
@@ -183,9 +196,7 @@ class KineticMetrics(Metrics[Boundable]):
         )
 
     def area_many(self, regions: Sequence[Boundable]) -> List[float]:
-        return batch_area_integral(
-            [as_tpbr(r) for r in regions], self._windows(regions)
-        )
+        return batch_area_integral(regions, self._windows(regions))
 
     def extended_area_many(
         self, regions: Sequence[Boundable], addition: Boundable
@@ -204,27 +215,37 @@ class KineticMetrics(Metrics[Boundable]):
         return areas
 
     def margin_many(self, regions: Sequence[Boundable]) -> List[float]:
-        return batch_margin_integral(
-            [as_tpbr(r) for r in regions], self._windows(regions)
-        )
+        return batch_margin_integral(regions, self._windows(regions))
 
     def overlap_many(
         self, anchor: Boundable, regions: Sequence[Boundable]
     ) -> List[float]:
+        # The integral loops the scalar routine, so the windows do too.
+        t0 = self.now()
+        horizon = self.horizon()
+        if self.ignore_expiration:
+            windows = [(t0, t0 + horizon)] * len(regions)
+        else:
+            anchor_exp = anchor.t_exp
+            windows = [
+                (t0, window_end(t0, horizon, max(r.t_exp, anchor_exp)))
+                for r in regions
+            ]
         return batch_overlap_integral(
-            as_tpbr(anchor),
-            [as_tpbr(r) for r in regions],
-            self._windows(regions, anchor),
+            as_tpbr(anchor), [as_tpbr(r) for r in regions], windows
         )
 
     def center_distance_many(
         self, regions: Sequence[Boundable], anchor: Boundable
     ) -> List[float]:
         return batch_center_distance_sq_integral(
-            [as_tpbr(r) for r in regions],
-            as_tpbr(anchor),
-            self._windows(regions, anchor),
+            regions, as_tpbr(anchor), self._windows(regions, anchor)
         )
+
+    def subset(
+        self, regions: Sequence[Boundable], indices: Sequence[int]
+    ) -> Sequence[Boundable]:
+        return as_block(regions).take(indices)
 
     def split_sort_keys(self, region: Boundable) -> List[float]:
         # Positions are compared at the current time, not the (possibly

@@ -381,9 +381,9 @@ def _all_expired_predicate(
     """
     def check(page_bytes: bytes, now: float) -> bool:
         node, _t_ref = codec.decode(page_bytes)
-        if not node.is_leaf or not node.entries:
+        if not node.is_leaf or not len(node):
             return False
-        return all(point.t_exp < now for point, _oid in node.entries)
+        return bool((node.regions().t_exp < now).all())
 
     return check
 

@@ -3,10 +3,11 @@
 The capacities in :mod:`repro.storage.layout` assert that a node fits a
 disk page under the paper's 4-byte-coordinate layout.  This module makes
 that claim concrete: it encodes tree nodes into exactly ``page_size``
-bytes and back.  The in-memory trees keep Python objects in the page
-store for speed (the measured quantity is I/O *count*), but the codec is
-exercised by tests over real trees to prove every node genuinely fits
-its page, and by the durable store on every commit and recovery.
+bytes and back.  The in-memory trees keep full-precision nodes in the
+page store for speed (the measured quantity is I/O *count*), but the
+codec is exercised by tests over real trees to prove every node
+genuinely fits its page, and by the durable store on every commit and
+recovery.
 
 Layout notes:
 
@@ -28,45 +29,33 @@ Layout notes:
   with a clear error instead of a ``struct.error`` deep inside a
   commit (see DESIGN.md §11).
 
-Decoding widens every binary32 field back to binary64 exactly (both the
-``struct`` and the numpy paths perform the IEEE-754 widening conversion,
-which is lossless, including subnormals, signed zeros and infinities).
-When numpy is importable, whole pages decode through a zero-copy
-:func:`numpy.frombuffer` structured view — one bulk float32→float64
-widening per page instead of a per-entry ``struct.unpack_from`` loop —
-and the widened columns are reused to prepopulate the node's
-struct-of-arrays query cache (``Node.soa``), so a freshly recovered
-page is immediately servable by the batched kernels without re-packing.
+A node is a float64 block (:class:`repro.rstar.node.Node`) and a page
+body is a structured array of binary32 fields, so both directions are
+array arithmetic: encoding re-bases the block's rows, narrows them and
+takes ``tobytes()``; decoding is a zero-copy :func:`numpy.frombuffer`
+view, one exact binary32→binary64 widening (lossless, including
+subnormals, signed zeros and infinities) and column writes into a new
+block — query form included, so a freshly recovered page is servable by
+the kernels as it stands.  ``tests/storage/reference_codec.py`` keeps
+the per-entry ``struct`` loop both directions must agree with bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import List, Optional, Tuple
+from typing import Tuple
 
-from ..geometry.kinematics import MovingPoint
-from ..geometry.tpbr import TPBR
+import numpy as np
+
 from ..rstar.node import Node
 from .layout import NODE_HEADER_BYTES, EntryLayout
-
-try:  # pragma: no cover - exercised via monkeypatch in tests
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
-#: Below this many entries the batched kernels fall back to the scalar
-#: loop (mirrors ``repro.geometry.kernels._MIN_BATCH``), so decode only
-#: prepopulates the SoA cache from this size on.
-_SOA_MIN_ENTRIES = 4
 
 _HEADER = struct.Struct("<HHHxxd")
 assert _HEADER.size == NODE_HEADER_BYTES
 
 _LEAF_FLAG = 0x1
-
-#: Largest finite binary32 value.
-_F32_MAX = float.fromhex("0x1.fffffep+127")
 
 #: Bound-inversion tolerance for decoded internal entries.  Encoding
 #: rounds the lower bound up and the upper bound down by at most half a
@@ -90,36 +79,6 @@ class CodecError(ValueError):
     """
 
 
-def _f32_round_up(value: float) -> float:
-    """Round ``value`` to the nearest binary32 at or above it.
-
-    Used for expiration times so the stored bound never under-covers
-    the true one.  Values beyond the finite binary32 range round to
-    the enclosing representable value (``+inf`` above, ``-FLT_MAX``
-    below); infinities pass through.
-    """
-    if value > _F32_MAX:
-        return math.inf if value != math.inf else value
-    if value < -_F32_MAX:
-        return -_F32_MAX if value != -math.inf else value
-    (widened,) = struct.unpack("<f", struct.pack("<f", value))
-    if widened >= value:
-        return widened
-    # Rounded down: step one binary32 ulp toward +inf via the bit
-    # pattern (math.nextafter works in binary64 and would not land on
-    # the next *binary32*).
-    (bits,) = struct.unpack("<I", struct.pack("<f", widened))
-    bits = bits - 1 if bits & 0x80000000 else bits + 1
-    (result,) = struct.unpack("<f", struct.pack("<I", bits))
-    return result
-
-
-def _inversion_tolerance(lo: float, hi: float) -> float:
-    """Largest ``lo - hi`` excursion attributable to binary32 rounding."""
-    scale = max(abs(lo), abs(hi))
-    return max(_INVERSION_REL_TOL * scale, _INVERSION_ABS_TOL)
-
-
 class NodeCodec:
     """Encodes/decodes tree nodes under a byte-accurate entry layout.
 
@@ -134,30 +93,22 @@ class NodeCodec:
         self.layout = layout
         d = layout.dims
         leaf_fields = 2 * d + (1 if layout.store_leaf_expiration else 0)
-        self._leaf_fields = leaf_fields
-        self._leaf_struct = struct.Struct(f"<{leaf_fields}fI")
         internal_fields = 2 * d
         if layout.store_velocities:
             internal_fields += 2 * d
         if layout.store_br_expiration:
             internal_fields += 1
-        self._internal_fields = internal_fields
-        self._internal_struct = struct.Struct(f"<{internal_fields}fI")
-        assert self._leaf_struct.size == layout.leaf_entry_bytes
-        assert self._internal_struct.size == layout.internal_entry_bytes
+        self._leaf_dtype = np.dtype(
+            [("f", "<f4", (leaf_fields,)), ("id", "<u4")]
+        )
+        self._internal_dtype = np.dtype(
+            [("f", "<f4", (internal_fields,)), ("id", "<u4")]
+        )
+        assert self._leaf_dtype.itemsize == layout.leaf_entry_bytes
+        assert self._internal_dtype.itemsize == layout.internal_entry_bytes
         #: Bound inversions repaired (within tolerance) across decodes.
         self.repairs = 0
         self._repair_counter = None
-        if np is not None:
-            self._leaf_dtype = np.dtype(
-                [("f", "<f4", (leaf_fields,)), ("id", "<u4")]
-            )
-            self._internal_dtype = np.dtype(
-                [("f", "<f4", (internal_fields,)), ("id", "<u4")]
-            )
-        else:  # pragma: no cover - import-time fallback
-            self._leaf_dtype = None
-            self._internal_dtype = None
 
     def bind_repair_counter(self, counter) -> None:
         """Mirror future bound-inversion repairs into ``counter``.
@@ -177,6 +128,12 @@ class NodeCodec:
             if self._repair_counter is not None:
                 self._repair_counter.inc(count)
 
+    def _stores_expiration(self, leaf: bool) -> bool:
+        """Whether entries of this kind of node carry their ``t_exp``."""
+        if leaf:
+            return self.layout.store_leaf_expiration
+        return self.layout.store_br_expiration
+
     # -- encoding ---------------------------------------------------------------
 
     def encode(self, node: Node, t_ref: float) -> bytes:
@@ -193,118 +150,77 @@ class NodeCodec:
         ------
         CodecError
             If the node exceeds its page's capacity.
+        OverflowError
+            If a finite coordinate or velocity does not fit binary32.
+        struct.error
+            If an id lies outside ``[0, layout.max_oid]``.
         """
+        count = len(node)
         capacity = self.layout.capacity(leaf=node.is_leaf)
-        if len(node.entries) > capacity:
-            raise CodecError(
-                f"{len(node.entries)} entries exceed capacity {capacity}"
-            )
+        if count > capacity:
+            raise CodecError(f"{count} entries exceed capacity {capacity}")
         flags = _LEAF_FLAG if node.is_leaf else 0
-        header = _HEADER.pack(node.level, len(node.entries), flags, t_ref)
-        if np is not None and node.entries and self._leaf_dtype is not None:
-            body = self._encode_np(node, t_ref)
-            if body is not None:
-                return (header + body).ljust(self.layout.page_size, b"\0")
-        parts = [header]
-        if node.is_leaf:
-            for point, oid in node.entries:
-                parts.append(self._encode_leaf_entry(point, oid, t_ref))
-        else:
-            for br, child in node.entries:
-                parts.append(self._encode_internal_entry(br, child, t_ref))
-        payload = b"".join(parts)
-        return payload.ljust(self.layout.page_size, b"\0")
+        page = _HEADER.pack(node.level, count, flags, t_ref)
+        if count:
+            page += self._encode_entries(node, t_ref)
+        return page.ljust(self.layout.page_size, b"\0")
 
-    def _encode_np(self, node: Node, t_ref: float) -> Optional[bytes]:
-        """Vectorized entry encoding (``None`` → use the struct loop).
+    def _encode_entries(self, node: Node, t_ref: float) -> bytes:
+        """The page body: one structured record per block column.
 
-        Bit-identical to the per-entry path: float64→float32 narrowing
-        is round-to-nearest in both, the expiration column gets the
-        same round-toward-+inf adjustment, and entries whose coordinate
-        narrowing would overflow fall back to the struct loop so they
-        raise the same ``OverflowError``.
+        Rows of ``values`` are the page's fields in layout order, so the
+        expiration time — when stored — is the last row.  Narrowing is
+        round-to-nearest; the expiration row is then stepped up where it
+        rounded below the true value.
         """
         layout = self.layout
         d = layout.dims
-        count = len(node.entries)
-        if node.is_leaf:
-            fields = self._leaf_fields
-            values = np.empty((count, fields), dtype=np.float64)
-            pos = np.array([p.pos for p, _ in node.entries], dtype=np.float64)
-            vel = np.array([p.vel for p, _ in node.entries], dtype=np.float64)
-            ref = np.array([p.t_ref for p, _ in node.entries], dtype=np.float64)
-            dt = t_ref - ref
-            values[:, :d] = pos + vel * dt[:, None]
-            values[:, d:2 * d] = vel
-            exp_col = 2 * d if layout.store_leaf_expiration else None
-            if exp_col is not None:
-                values[:, exp_col] = [p.t_exp for p, _ in node.entries]
-            dtype = self._leaf_dtype
-        else:
-            fields = self._internal_fields
-            values = np.empty((count, fields), dtype=np.float64)
-            lo = np.array([b.lo for b, _ in node.entries], dtype=np.float64)
-            hi = np.array([b.hi for b, _ in node.entries], dtype=np.float64)
-            vlo = np.array([b.vlo for b, _ in node.entries], dtype=np.float64)
-            vhi = np.array([b.vhi for b, _ in node.entries], dtype=np.float64)
-            ref = np.array([b.t_ref for b, _ in node.entries], dtype=np.float64)
-            dt = t_ref - ref
-            values[:, :d] = lo + vlo * dt[:, None]
-            values[:, d:2 * d] = hi + vhi * dt[:, None]
-            cursor = 2 * d
-            if layout.store_velocities:
-                values[:, cursor:cursor + d] = vlo
-                values[:, cursor + d:cursor + 2 * d] = vhi
-                cursor += 2 * d
-            exp_col = cursor if layout.store_br_expiration else None
-            if exp_col is not None:
-                values[:, exp_col] = [b.t_exp for b, _ in node.entries]
-            dtype = self._internal_dtype
-        with np.errstate(over="ignore"):
+        block = node.regions()
+        ids = node.ids
+        dtype = self._leaf_dtype if node.is_leaf else self._internal_dtype
+        has_exp = self._stores_expiration(node.is_leaf)
+        values = np.empty((dtype["f"].shape[0], len(ids)))
+        with np.errstate(all="ignore"):
+            # (upper, lower) row pairs; the page stores lower first.
+            at = block.x + block.v * (t_ref - block.t_ref)
+            if node.is_leaf:
+                values[:d] = at[1]
+                values[d:2 * d] = block.v[1]
+            else:
+                values[:2 * d].reshape(at.shape)[:] = at[::-1]
+                if layout.store_velocities:
+                    values[2 * d:4 * d].reshape(at.shape)[:] = block.v[::-1]
+            if has_exp:
+                values[-1] = block.t_exp
             narrow = values.astype(np.float32)
-        if exp_col is not None:
-            col = narrow[:, exp_col]
-            under = col.astype(np.float64) < values[:, exp_col]
-            if under.any():
-                narrow[:, exp_col] = np.where(
-                    under, np.nextafter(col, np.float32(np.inf)), col
+        coords = slice(None, -1) if has_exp else slice(None)
+        if has_exp:
+            stored = narrow[-1]
+            under = stored.astype(np.float64) < values[-1]
+            if np.count_nonzero(under):
+                narrow[-1] = np.where(
+                    under, np.nextafter(stored, np.float32(np.inf)), stored
                 )
-        coord = narrow if exp_col is None else np.delete(narrow, exp_col, axis=1)
-        coord64 = (
-            values if exp_col is None else np.delete(values, exp_col, axis=1)
-        )
-        if (~np.isfinite(coord) & np.isfinite(coord64)).any():
-            return None  # struct loop raises the usual OverflowError
-        idents = [ident for _, ident in node.entries]
-        if min(idents) < 0 or max(idents) > self.layout.max_oid:
-            return None  # struct loop raises the usual struct.error
-        out = np.empty(count, dtype=dtype)
-        out["f"] = narrow
-        out["id"] = idents
+        # A negative id reads as a huge unsigned one: one comparison.
+        foreign = ids.view(np.uint64) > layout.max_oid
+        unbounded = ~np.isfinite(narrow[coords])
+        if np.count_nonzero(unbounded) or np.count_nonzero(foreign):
+            # The first offending entry decides, as when entries are
+            # packed one by one (floats before the id within an entry).
+            overflow = (unbounded & np.isfinite(values[coords])).any(axis=0)
+            if overflow.any() or foreign.any():
+                first = int((overflow | foreign).argmax())
+                if overflow[first]:
+                    raise OverflowError(
+                        "float too large to pack with f format"
+                    )
+                raise struct.error(
+                    f"id {int(ids[first])} outside [0, {layout.max_oid}]"
+                )
+        out = np.empty(len(ids), dtype=dtype)
+        out["f"] = narrow.T
+        out["id"] = ids
         return out.tobytes()
-
-    def _encode_leaf_entry(
-        self, point: MovingPoint, oid: int, t_ref: float
-    ) -> bytes:
-        """Pack one leaf entry at ``t_ref`` (expiration rounded up)."""
-        values: List[float] = list(point.position_at(t_ref))
-        values.extend(point.vel)
-        if self.layout.store_leaf_expiration:
-            values.append(_f32_round_up(point.t_exp))
-        return self._leaf_struct.pack(*values, oid)
-
-    def _encode_internal_entry(
-        self, br: TPBR, child: int, t_ref: float
-    ) -> bytes:
-        """Pack one internal entry at ``t_ref`` (expiration rounded up)."""
-        d = self.layout.dims
-        values: List[float] = [br.lower_at(i, t_ref) for i in range(d)]
-        values += [br.upper_at(i, t_ref) for i in range(d)]
-        if self.layout.store_velocities:
-            values += list(br.vlo) + list(br.vhi)
-        if self.layout.store_br_expiration:
-            values.append(_f32_round_up(br.t_exp))
-        return self._internal_struct.pack(*values, child)
 
     # -- decoding ----------------------------------------------------------------
 
@@ -317,170 +233,81 @@ class NodeCodec:
         larger inversions raise :class:`CodecError` — a bit-flipped
         page must surface, not silently shrink the answer set.
 
-        On the numpy path the decoded columns also prepopulate
-        ``Node.soa`` (the packed form consumed by the batched query
-        kernels) for nodes large enough to use them.
-
         Raises
         ------
         CodecError
             If the page has the wrong size, an inconsistent header, or
             a corrupt internal entry.
+        ValueError
+            If a leaf entry's reference or expiration time is NaN.
         """
-        if len(page) != self.layout.page_size:
+        layout = self.layout
+        if len(page) != layout.page_size:
             raise CodecError(
-                f"page is {len(page)} bytes, expected {self.layout.page_size}"
+                f"page is {len(page)} bytes, expected {layout.page_size}"
             )
         level, count, flags, t_ref = _HEADER.unpack_from(page, 0)
         is_leaf = bool(flags & _LEAF_FLAG)
         if is_leaf != (level == 0):
             raise CodecError("leaf flag inconsistent with level")
-        if count > self.layout.capacity(leaf=is_leaf):
+        if count > layout.capacity(leaf=is_leaf):
             raise CodecError(
                 f"entry count {count} exceeds page capacity "
-                f"{self.layout.capacity(leaf=is_leaf)}"
+                f"{layout.capacity(leaf=is_leaf)}"
             )
-        node = Node(level)
-        if np is not None and count and self._leaf_dtype is not None:
-            self._decode_np(page, node, count, is_leaf, t_ref)
-            return node, t_ref
-        offset = NODE_HEADER_BYTES
-        d = self.layout.dims
-        for _ in range(count):
+        if not count:
+            return Node(level), t_ref
+        d = layout.dims
+        raw = np.frombuffer(
+            page, dtype=self._leaf_dtype if is_leaf else self._internal_dtype,
+            count=count, offset=NODE_HEADER_BYTES,
+        )
+        node = Node.of_columns(
+            level, np.empty((6 * d + 2, count)), raw["id"].astype(np.int64)
+        )
+        block = node.regions()
+        # Hostile bytes hold anything: signalling NaNs, infinities.
+        with np.errstate(all="ignore"):
+            fields = raw["f"].astype(np.float64).T
             if is_leaf:
-                fields = self._leaf_struct.unpack_from(page, offset)
-                offset += self._leaf_struct.size
-                pos = tuple(fields[:d])
-                vel = tuple(fields[d:2 * d])
-                if self.layout.store_leaf_expiration:
-                    t_exp = fields[2 * d]
-                else:
-                    t_exp = math.inf
-                node.entries.append(
-                    (MovingPoint(pos, vel, t_ref, max(t_exp, t_ref)),
-                     fields[-1])
-                )
+                block.x[:] = fields[:d]
+                block.v[:] = fields[d:2 * d]
             else:
-                fields = self._internal_struct.unpack_from(page, offset)
-                offset += self._internal_struct.size
-                lo = tuple(fields[:d])
-                hi = self._checked_upper(lo, fields[d:2 * d])
-                cursor = 2 * d
-                if self.layout.store_velocities:
-                    vlo = tuple(fields[cursor:cursor + d])
-                    vhi = tuple(fields[cursor + d:cursor + 2 * d])
-                    cursor += 2 * d
+                block.x[1] = fields[:d]
+                block.x[0] = self._checked_upper(fields[:d], fields[d:2 * d])
+                if layout.store_velocities:
+                    block.v[1] = fields[2 * d:3 * d]
+                    block.v[0] = fields[3 * d:4 * d]
                 else:
-                    vlo = vhi = (0.0,) * d
-                if self.layout.store_br_expiration:
-                    t_exp = fields[cursor]
-                else:
-                    t_exp = math.inf
-                node.entries.append(
-                    (TPBR(lo, hi, vlo, vhi, t_ref, max(t_exp, t_ref)),
-                     fields[-1])
-                )
+                    block.v[:] = 0.0
+            block.t_ref[:] = t_ref
+            if self._stores_expiration(is_leaf):
+                # t_exp := max(t_exp, t_ref), keeping t_exp on a tie (and
+                # when it is NaN), as the per-entry decoder does.
+                stored = fields[-1]
+                block.t_exp[:] = np.where(stored < t_ref, t_ref, stored)
+            else:
+                block.t_exp[:] = math.inf
+            if is_leaf and (t_ref != t_ref or np.isnan(block.t_exp).any()):
+                # NaN compares False against everything, so it would
+                # poison every expiration comparison downstream.
+                raise ValueError("t_ref and t_exp must not be NaN")
+            block.s[:] = block.x - block.v * t_ref
         return node, t_ref
 
-    def _checked_upper(self, lo, hi_raw) -> tuple:
+    def _checked_upper(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Validate (and minimally repair) decoded upper bounds."""
-        hi = []
-        repaired = 0
-        for low, high in zip(lo, hi_raw):
-            if high < low:
-                if high < low - _inversion_tolerance(low, high):
-                    raise CodecError(
-                        f"corrupt internal entry: upper bound {high!r} "
-                        f"inverted below lower bound {low!r} beyond "
-                        "binary32 rounding tolerance"
-                    )
-                repaired += 1
-                high = low
-            hi.append(high)
-        self._record_repairs(repaired)
-        return tuple(hi)
-
-    def _decode_np(
-        self, page: bytes, node: Node, count: int, is_leaf: bool, t_ref: float
-    ) -> None:
-        """Zero-copy page decode via a structured :func:`numpy.frombuffer`.
-
-        One structured view over the page body replaces the per-entry
-        ``struct.unpack_from`` loop; the single ``astype(float64)``
-        performs the exact IEEE-754 widening for every field at once.
-        Produces bit-identical entries to the struct path and leaves
-        the widened columns in ``node.soa`` when the node is large
-        enough for the batched kernels.
-        """
-        d = self.layout.dims
-        dtype = self._leaf_dtype if is_leaf else self._internal_dtype
-        raw = np.frombuffer(page, dtype=dtype, count=count,
-                            offset=NODE_HEADER_BYTES)
-        fields = raw["f"].astype(np.float64)
-        idents = raw["id"].tolist()
-        if is_leaf:
-            if self.layout.store_leaf_expiration:
-                # Same selection as the scalar max(t_exp, t_ref), so the
-                # two paths agree bitwise even on signed zeros.
-                col = fields[:, 2 * d]
-                t_exp = np.where(col < t_ref, t_ref, col)
-            else:
-                t_exp = np.full(count, math.inf)
-            pos = fields[:, :d]
-            vel = fields[:, d:2 * d]
-            pos_rows = pos.tolist()
-            vel_rows = vel.tolist()
-            exp_list = t_exp.tolist()
-            node.entries = [
-                (MovingPoint(tuple(pos_rows[i]), tuple(vel_rows[i]),
-                             t_ref, exp_list[i]), idents[i])
-                for i in range(count)
-            ]
-            if count >= _SOA_MIN_ENTRIES:
-                base = pos - vel * t_ref
-                node.soa = (base, vel, base, vel, t_exp)
-        else:
-            lo = fields[:, :d]
-            hi = fields[:, d:2 * d]
-            inverted = hi < lo
-            if inverted.any():
-                tol = np.maximum(
-                    _INVERSION_REL_TOL * np.maximum(np.abs(lo), np.abs(hi)),
-                    _INVERSION_ABS_TOL,
-                )
-                if (inverted & (hi < lo - tol)).any():
-                    raise CodecError(
-                        "corrupt internal entry: upper bound inverted "
-                        "below lower bound beyond binary32 rounding "
-                        "tolerance"
-                    )
-                self._record_repairs(int(inverted.sum()))
-                hi = np.where(inverted, lo, hi)
-            cursor = 2 * d
-            if self.layout.store_velocities:
-                vlo = fields[:, cursor:cursor + d]
-                vhi = fields[:, cursor + d:cursor + 2 * d]
-                cursor += 2 * d
-            else:
-                vlo = np.zeros((count, d))
-                vhi = np.zeros((count, d))
-            if self.layout.store_br_expiration:
-                col = fields[:, cursor]
-                t_exp = np.where(col < t_ref, t_ref, col)
-            else:
-                t_exp = np.full(count, math.inf)
-            lo_rows = lo.tolist()
-            hi_rows = hi.tolist()
-            vlo_rows = vlo.tolist()
-            vhi_rows = vhi.tolist()
-            exp_list = t_exp.tolist()
-            node.entries = [
-                (TPBR(tuple(lo_rows[i]), tuple(hi_rows[i]),
-                      tuple(vlo_rows[i]), tuple(vhi_rows[i]),
-                      t_ref, exp_list[i]), idents[i])
-                for i in range(count)
-            ]
-            if count >= _SOA_MIN_ENTRIES:
-                s_lo = lo - vlo * t_ref
-                s_hi = hi - vhi * t_ref
-                node.soa = (s_lo, vlo, s_hi, vhi, t_exp)
+        inverted = hi < lo
+        if not inverted.any():
+            return hi
+        tol = np.maximum(
+            _INVERSION_REL_TOL * np.maximum(np.abs(lo), np.abs(hi)),
+            _INVERSION_ABS_TOL,
+        )
+        if (inverted & (hi < lo - tol)).any():
+            raise CodecError(
+                "corrupt internal entry: upper bound inverted below "
+                "lower bound beyond binary32 rounding tolerance"
+            )
+        self._record_repairs(int(inverted.sum()))
+        return np.where(inverted, lo, hi)

@@ -186,13 +186,13 @@ def test_bulk_load_then_updates_keep_invariants():
     tree.check_invariants()
 
 
-def test_query_soa_cache_invalidated_by_updates():
-    # Queries cache a packed per-node form; any mutation must drop it,
-    # or later queries would answer from stale entries.
+def test_queries_after_an_update_see_the_update():
+    # The kernels read the node's own block (once: a packed copy cached
+    # per node), so there is nothing a mutation could leave stale.
     reports = random_reports(300, seed=11)
     tree = _bulk_loaded(reports)
     probe = TimesliceQuery(Rect((40.0, 40.0), (60.0, 60.0)), 1.0)
-    tree.query(probe)  # populate the caches
+    tree.query(probe)  # visit the nodes once before they change
     newcomer = MovingPoint((50.0, 50.0), (0.0, 0.0), 0.0, 500.0)
     tree.insert(9999, newcomer)
     assert 9999 in tree.query(probe)

@@ -1,5 +1,7 @@
 """Round-trip tests for durable trees and forests."""
 
+import dataclasses
+import hashlib
 import math
 import random
 
@@ -12,6 +14,7 @@ from repro.core.tree import MovingObjectTree
 from repro.geometry import MovingQuery, Rect, TimesliceQuery, WindowQuery
 from repro.geometry.kinematics import MovingPoint
 from repro.geometry.tpbr import TPBR
+from repro.obs import MetricsRegistry
 from repro.storage.faults import FaultInjector, TransientIOError
 from repro.storage.pagefile import FilePageStore, PageFileError
 
@@ -373,43 +376,60 @@ def test_forest_close_safe_after_failed_member_commit(tmp_path):
     reopened.close()
 
 
-def test_durable_updates_are_byte_identical_with_and_without_numpy(
-    tmp_path, monkeypatch
-):
-    """The batched ChooseSubtree kernels change no decision the tree makes.
+# -- same trees, same logs: golden digests --------------------------------------
+#
+# Bounding, ChooseSubtree, split and purge run on array kernels; none of
+# that may change a decision a tree makes.  The digests below were
+# computed by these very functions at commit b959b87 (PR 20), the last
+# one whose nodes were lists of tuples and whose kernels had a scalar
+# twin to be compared against: a float, an operation order or an rng
+# draw that moves shows up as different bytes on disk.
 
-    The same 300 durable updates, once with the vectorized kernels and
-    once on the scalar fallback, must leave the same bytes on disk.
-    """
+GOLDEN_UPDATES = {
+    # 300 updates at unit scale (coordinates in [0, 100]).
+    100: {
+        "audit": (2, 10, 135, 1, 9, 0),
+        "wal":
+            "5c5763b0be6abe64ec4c397765d9351b70117aa4970e5d9587a5ce36f7116fb7",
+        "pages":
+            "fb0d95278d8c152807cd966e9997f8ed203400eac7269b67b8c8f94226027fd6",
+    },
+    # The same stream at side 1000: binary32 rounding is in scope.
+    1000: {
+        "audit": (2, 11, 138, 4, 10, 0),
+        "wal":
+            "eb9bbcd6c436f17401def68cc44929ec5d0d03e367a120b2bdcede3678b59356",
+        "pages":
+            "4b48f43b5ad6e29d720acb51e016a3d6b0a46f3b2eed9d1c1cc250b82be054ee",
+    },
+}
+
+GOLDEN_EXPIRING = {
+    "audit": (2, 11, 179, 130, 10, 0),
+    "wal":
+        "a754abe4bd4ebd66bb0926ae182f4388e00a11353c7c8250f886b3e377c3980c",
+    "pages":
+        "b5b6cc612217950f05756cb930e34ecee65fd58ba69a492849ad2d143afaf01a",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _digests(tree, directory):
+    """``audit()``, the whole log (nothing truncated yet), the closed file."""
+    audit = dataclasses.astuple(tree.audit())
+    wal = _sha256(directory / "wal.rexp")
+    tree.close()
+    return {
+        "audit": audit, "wal": wal, "pages": _sha256(directory / "pages.rexp")
+    }
+
+
+@pytest.mark.parametrize("side", sorted(GOLDEN_UPDATES))
+def test_durable_updates_match_golden_digests(tmp_path, monkeypatch, side):
     from repro.geometry import kernels
-
-    if not kernels.numpy_enabled():
-        pytest.skip("needs numpy to compare against")
-
-    def run(directory):
-        rng = random.Random(11)
-        clock = SimulationClock()
-        tree = MovingObjectTree.create_durable(str(directory), CONFIG, clock)
-        points = {}
-        for step in range(300):
-            clock.advance_to(step * 0.1)
-            oid = rng.randrange(200)
-            life = math.inf if rng.random() < 0.1 else rng.uniform(5, 60)
-            point = MovingPoint(
-                (rng.uniform(0, 100), rng.uniform(0, 100)),
-                (rng.uniform(-2, 2), rng.uniform(-2, 2)),
-                clock.time, clock.time + life,
-            )
-            if oid in points:
-                tree.update(oid, points[oid], point)
-            else:
-                tree.insert(oid, point)
-            points[oid] = point
-        audit = tree.audit()
-        tree.close()
-        return audit, {
-            path.name: path.read_bytes() for path in directory.iterdir()
-        }
 
     pair_calls = []
     real = kernels._near_optimal_pairs
@@ -417,9 +437,61 @@ def test_durable_updates_are_byte_identical_with_and_without_numpy(
         kernels, "_near_optimal_pairs",
         lambda *args: pair_calls.append(1) or real(*args),
     )
-    vectorized = run(tmp_path / "numpy")
+    rng = random.Random(11)
+    clock = SimulationClock()
+    tree = MovingObjectTree.create_durable(str(tmp_path), CONFIG, clock)
+    points = {}
+    for step in range(300):
+        clock.advance_to(step * 0.1)
+        oid = rng.randrange(200)
+        life = math.inf if rng.random() < 0.1 else rng.uniform(5, 60)
+        point = MovingPoint(
+            (rng.uniform(0, side), rng.uniform(0, side)),
+            (rng.uniform(-2, 2), rng.uniform(-2, 2)),
+            clock.time, clock.time + life,
+        )
+        if oid in points:
+            tree.update(oid, points[oid], point)
+        else:
+            tree.insert(oid, point)
+        points[oid] = point
     assert len(pair_calls) > 100, "the pair kernel (almost) never ran"
-    monkeypatch.setattr(kernels, "np", None)
-    scalar = run(tmp_path / "scalar")
-    assert vectorized[0] == scalar[0]
-    assert vectorized[1] == scalar[1]
+    assert _digests(tree, tmp_path) == GOLDEN_UPDATES[side]
+
+
+def test_expiring_stream_matches_golden_digests(tmp_path):
+    """Bulk load, then 200 updates confined to a strip while all else expires.
+
+    Lifetimes are 1-12 s and the stream runs 20 s, so the bulk-loaded
+    entries outside the strip die untouched: lazy purge, splits, forced
+    reinserts, condense-drops and expired-subtree deallocations all
+    occur (the counters say so) on the way to the golden bytes.
+    """
+    rng = random.Random(0)
+    clock = SimulationClock()
+    tree = MovingObjectTree.create_durable(str(tmp_path), CONFIG, clock)
+    registry = MetricsRegistry()
+    tree.enable_observability(registry)
+
+    def report(t, side):
+        return MovingPoint(
+            (rng.uniform(0, side), rng.uniform(0, 1000)),
+            (rng.uniform(-2, 2), rng.uniform(-2, 2)),
+            t, t + rng.uniform(1.0, 12.0),
+        )
+
+    points = {oid: report(0.0, 1000.0) for oid in range(400)}
+    tree.bulk_load([(p, oid) for oid, p in points.items()])
+    strip = [oid for oid, p in points.items() if p.pos[0] < 300.0]
+    for step in range(200):
+        clock.advance_to((step + 1) * 0.1)
+        oid = rng.choice(strip)
+        point = report(clock.time, 300.0)
+        tree.update(oid, points[oid], point)
+        points[oid] = point
+    for name in (
+        "tree.purge_events", "tree.splits", "tree.forced_reinserts",
+        "tree.condense_drops", "tree.purged_subtrees",
+    ):
+        assert registry.counter(name).value > 0, name
+    assert _digests(tree, tmp_path) == GOLDEN_EXPIRING

@@ -2,8 +2,8 @@
 
 The batched traversal shares one stack walk across K queries but must
 stay *bit-identical* to running each query alone — same oids in the
-same order — on every index shape (single tree, partitioned forest)
-and on both kernel paths (numpy masks and the scalar fallback).
+same order — on every index shape (single tree, partitioned forest),
+and to the scalar intersection test looped over the leaf entries.
 """
 
 import random
@@ -16,7 +16,7 @@ from repro.core.clock import SimulationClock
 from repro.core.forest import PartitionedMovingObjectForest
 from repro.core.presets import forest_config, rexp_config
 from repro.core.tree import MovingObjectTree
-from repro.geometry import kernels
+from repro.geometry.intersection import region_matches_point
 from repro.geometry.kinematics import MovingPoint
 from repro.geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
 from repro.geometry.rect import Rect
@@ -74,16 +74,19 @@ def test_tree_batch_matches_sequential_scalar_path(seed):
     rng = random.Random(seed)
     tree, t = _populated_tree(rng, 150)
     queries = [_random_query(rng, t) for _ in range(25)]
-    want = [tree.query(q) for q in queries]
-    saved = kernels.np
-    kernels.np = None
-    try:
-        got = tree.query_batch(queries)
-        singly = [tree.query(q) for q in queries]
-    finally:
-        kernels.np = saved
-    assert got == want
-    assert singly == want
+    # The scalar path is the predicate itself, looped in the test.
+    entries = list(tree.snapshot().leaf_entries())
+    want = [
+        sorted(
+            oid for point, oid in entries
+            if region_matches_point(q.region(), point)
+        )
+        for q in queries
+    ]
+    got = tree.query_batch(queries)
+    singly = [tree.query(q) for q in queries]
+    assert got == singly
+    assert [sorted(answer) for answer in singly] == want
 
 
 @settings(deadline=None, max_examples=10)

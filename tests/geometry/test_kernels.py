@@ -1,19 +1,18 @@
 """Bit-for-bit equivalence of the batched kernels with the scalar code.
 
-Every property here asserts *exact* equality (``==``, not approx):
-the numpy paths in :mod:`repro.geometry.kernels` promise the same
-IEEE-754 results as the scalar routines they batch, with and without
-numpy installed.  The no-numpy fallback is exercised by nulling the
-module's ``np`` binding.
+Every property here asserts *exact* equality (``==``, not approx): the
+kernels in :mod:`repro.geometry.kernels` promise the same IEEE-754
+results as the scalar routines they batch, and each test loops the
+scalar routine itself to get the expected value.
 """
 
-import contextlib
 import math
 import random
 import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import kernels
@@ -41,7 +40,6 @@ from repro.geometry.kernels import (
     batch_overlap_integral,
     batch_region_intersects,
     batch_region_matches,
-    numpy_enabled,
 )
 from repro.geometry.kinematics import MovingPoint
 from repro.geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
@@ -51,26 +49,6 @@ from repro.rstar.heuristics import Metrics
 from repro.rstar.metrics import KineticMetrics
 
 from .reference_bounding import tpbr_bits
-
-
-@contextlib.contextmanager
-def no_numpy():
-    """Run the block on the pure-Python fallback path."""
-    saved = kernels.np
-    kernels.np = None
-    try:
-        yield
-    finally:
-        kernels.np = saved
-
-
-def both_paths(fn):
-    """Evaluate a batch call with and without numpy; assert equality."""
-    with_np = fn()
-    with no_numpy():
-        without_np = fn()
-    assert with_np == without_np
-    return with_np
 
 
 coord = st.floats(
@@ -137,7 +115,7 @@ windows = st.tuples(
 def test_batch_region_matches_equals_scalar(query, points):
     region = query.region()
     expected = [region_matches_point(region, p) for p in points]
-    assert both_paths(lambda: batch_region_matches(region, points)) == expected
+    assert batch_region_matches(region, points) == expected
 
 
 @given(query=queries(), brs=tpbr_lists)
@@ -145,7 +123,7 @@ def test_batch_region_matches_equals_scalar(query, points):
 def test_batch_region_intersects_equals_scalar(query, brs):
     region = query.region()
     expected = [region_intersects_tpbr(region, br) for br in brs]
-    assert both_paths(lambda: batch_region_intersects(region, brs)) == expected
+    assert batch_region_intersects(region, brs) == expected
 
 
 # -- bounding kernel ---------------------------------------------------------
@@ -164,14 +142,11 @@ def test_batch_compute_tpbr_equals_scalar(kind, groups):
         math.isinf(p.t_exp) for g in groups for p in g
     ):
         return  # static bounds require finite expirations
-    def run():
-        # Fresh rng per path: scalar and batched must consume the
-        # stream in the same order to produce the same rectangles.
-        rng = random.Random(42)
-        return batch_compute_tpbr(
-            groups, 1.0, kind, horizon=20.0, rng=rng
-        )
-    result = both_paths(run)
+    # Fresh rng per side: scalar and batched must consume the stream in
+    # the same order to produce the same rectangles.
+    result = batch_compute_tpbr(
+        groups, 1.0, kind, horizon=20.0, rng=random.Random(42)
+    )
     rng = random.Random(42)
     expected = [
         compute_tpbr(list(g), 1.0, kind, horizon=20.0, rng=rng)
@@ -186,13 +161,77 @@ def test_batch_compute_tpbr_conservative_on_child_tpbrs(groups):
     child_groups = [
         [TPBR.from_moving_point(p, 0.0) for p in g] for g in groups
     ]
-    result = both_paths(
-        lambda: batch_compute_tpbr(child_groups, 1.0, BoundingKind.CONSERVATIVE)
-    )
+    result = batch_compute_tpbr(child_groups, 1.0, BoundingKind.CONSERVATIVE)
     expected = [
         compute_tpbr(g, 1.0, BoundingKind.CONSERVATIVE) for g in child_groups
     ]
     assert result == expected
+
+
+# -- conservative kernel: first-wins reductions, bit for bit -------------------
+#
+# Python's running ``if x < best`` keeps the *first* of equal values, an
+# earlier ``0.0`` over a later ``-0.0`` included; ``np.minimum.reduceat``
+# promises nothing of the sort.  ``==`` cannot see the difference, the
+# page codec can: ``Metrics.bound`` and ``Metrics.bound_many`` must store
+# the same bits for the same group.
+
+signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def zeroish_members(draw, dims=2):
+    """A moving point or child rectangle whose fields are often ±0.0."""
+    pos = tuple(draw(st.one_of(signed_zero, coord)) for _ in range(dims))
+    vel = tuple(draw(st.one_of(signed_zero, speed)) for _ in range(dims))
+    t_ref = draw(st.sampled_from([0.0, -0.0, 1.0]))
+    t_exp = draw(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, -math.inf, math.inf]),
+            life.map(lambda dt: t_ref + dt),
+        )
+    )
+    if draw(st.booleans()):
+        return MovingPoint(pos, vel, t_ref, max(t_exp, t_ref))
+    size = tuple(abs(draw(st.one_of(signed_zero, coord))) for _ in range(dims))
+    spread = tuple(draw(st.one_of(signed_zero, speed)) for _ in range(dims))
+    return TPBR(
+        pos,
+        tuple(p + s for p, s in zip(pos, size)),
+        vel,
+        tuple(v + w for v, w in zip(vel, spread)),
+        t_ref,
+        t_exp,
+    )
+
+
+def _still(x, v, t_exp=5.0):
+    return MovingPoint((x,), (v,), 0.0, t_exp)
+
+
+@given(
+    groups=st.lists(
+        st.lists(zeroish_members(), min_size=1, max_size=6),
+        min_size=1, max_size=5,
+    ),
+    t_ref=st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+)
+@example(
+    groups=[
+        [_still(1.0, 0.0), _still(1.0, -0.0)],
+        [_still(1.0, -0.0), _still(1.0, 0.0)],
+        [_still(0.0, 1.0, 0.0), _still(-0.0, 1.0, -0.0)],
+    ],
+    t_ref=1.0,
+)
+@settings(deadline=None)
+def test_batch_compute_tpbr_conservative_equals_scalar_bits(groups, t_ref):
+    result = batch_compute_tpbr(groups, t_ref, BoundingKind.CONSERVATIVE)
+    expected = [
+        compute_tpbr(g, t_ref, BoundingKind.CONSERVATIVE) for g in groups
+    ]
+    assert [tpbr_bits(br) for br in result] == \
+        [tpbr_bits(br) for br in expected]
 
 
 # -- pair kernel: the shape ChooseSubtree produces, bit for bit ---------------
@@ -282,7 +321,7 @@ def test_batch_compute_tpbr_pairs_equal_scalar_bits(case):
         )
         for g in groups
     ]
-    assert both_paths(run) == (expected, rng_state(rng))
+    assert run() == (expected, rng_state(rng))
 
 
 @pytest.mark.parametrize("ignore_expiration", [False, True])
@@ -310,7 +349,7 @@ def test_extended_area_many_equals_default_composition(
 
     rng = seeded(seed)
     expected = Metrics.extended_area_many(metrics(rng), regions, addition)
-    assert both_paths(run) == (float_bits(expected), rng_state(rng))
+    assert run() == (float_bits(expected), rng_state(rng))
 
 
 def _on_vertex_groups():
@@ -327,14 +366,12 @@ def _on_vertex_groups():
 
 def test_pair_kernel_median_on_a_vertex_takes_the_left_edge():
     groups = _on_vertex_groups()
-    result = both_paths(
-        lambda: [
-            tpbr_bits(br)
-            for br in batch_compute_tpbr(
-                groups, 1.0, BoundingKind.NEAR_OPTIMAL, horizon=4.0
-            )
-        ]
-    )
+    result = [
+        tpbr_bits(br)
+        for br in batch_compute_tpbr(
+            groups, 1.0, BoundingKind.NEAR_OPTIMAL, horizon=4.0
+        )
+    ]
     want = compute_tpbr(groups[0], 1.0, BoundingKind.NEAR_OPTIMAL, horizon=4.0)
     assert result == [tpbr_bits(want)] * len(groups)
     assert want.vhi[0] == 5.0  # the slope of P0-A, not of A-B (0.5)
@@ -359,9 +396,6 @@ def test_lemma42_rows_equal_scalar_median_bits(rows, fixed):
     One ulp in the median flips ``m <= t1`` too rarely for the pair
     property test to notice, so the medians are compared directly.
     """
-    if not numpy_enabled():
-        pytest.skip("the pair kernel needs numpy")
-    np = kernels.np
     delta = np.array([d for _, d in rows])
     coeffs = [1.0]
     for j in range(fixed):
@@ -377,8 +411,6 @@ def test_lemma42_rows_equal_scalar_median_bits(rows, fixed):
 
 def test_pair_kernel_is_taken_only_for_all_pair_groups(monkeypatch):
     """Group lengths, kind and horizon decide — nothing else does."""
-    if not numpy_enabled():
-        pytest.skip("the pair kernel needs numpy")
     calls = []
     real = kernels._near_optimal_pairs
     monkeypatch.setattr(
@@ -427,9 +459,7 @@ def test_batch_area_integral_equals_scalar(brs, window_list):
     expected = [
         area_integral(br, a, b) for br, (a, b) in zip(brs, window_list)
     ]
-    assert both_paths(
-        lambda: batch_area_integral(brs, window_list)
-    ) == expected
+    assert batch_area_integral(brs, window_list) == expected
 
 
 @given(
@@ -442,9 +472,7 @@ def test_batch_margin_integral_equals_scalar(brs, window_list):
     expected = [
         margin_integral(br, a, b) for br, (a, b) in zip(brs, window_list)
     ]
-    assert both_paths(
-        lambda: batch_margin_integral(brs, window_list)
-    ) == expected
+    assert batch_margin_integral(brs, window_list) == expected
 
 
 @given(
@@ -459,8 +487,8 @@ def test_batch_center_distance_equals_scalar(anchor, brs, window_list):
         center_distance_sq_integral(br, anchor, a, b)
         for br, (a, b) in zip(brs, window_list)
     ]
-    assert both_paths(
-        lambda: batch_center_distance_sq_integral(brs, anchor, window_list)
+    assert batch_center_distance_sq_integral(
+        brs, anchor, window_list
     ) == expected
 
 
@@ -476,19 +504,10 @@ def test_batch_overlap_integral_equals_scalar(anchor, brs, window_list):
         overlap_integral(anchor, br, a, b)
         for br, (a, b) in zip(brs, window_list)
     ]
-    assert both_paths(
-        lambda: batch_overlap_integral(anchor, brs, window_list)
-    ) == expected
+    assert batch_overlap_integral(anchor, brs, window_list) == expected
 
 
 # -- plumbing ----------------------------------------------------------------
-
-
-def test_numpy_enabled_reflects_binding():
-    enabled = numpy_enabled()
-    with no_numpy():
-        assert not numpy_enabled()
-    assert numpy_enabled() == enabled
 
 
 def _sample_points(n=12, seed=3):
@@ -504,7 +523,6 @@ def _sample_points(n=12, seed=3):
     ]
 
 
-@pytest.mark.skipif(not numpy_enabled(), reason="packing requires numpy")
 def test_packed_argument_matches_unpacked():
     points = _sample_points()
     brs = [compute_tpbr([p], 0.0, BoundingKind.CONSERVATIVE) for p in points]
@@ -516,15 +534,10 @@ def test_packed_argument_matches_unpacked():
         batch_region_matches(region, points)
     assert batch_region_intersects(region, brs, p_brs) == \
         batch_region_intersects(region, brs)
-    # A stale pack never forces the vectorized path once numpy is gone,
-    # and packing itself degrades to None.
-    with no_numpy():
-        assert kernels.pack_points(points) is None
-        assert kernels.pack_tpbrs(brs) is None
-        assert batch_region_matches(region, points, p_pts) == \
-            [region_matches_point(region, p) for p in points]
-        assert batch_region_intersects(region, brs, p_brs) == \
-            [region_intersects_tpbr(region, br) for br in brs]
+    assert batch_region_matches(region, points, p_pts) == \
+        [region_matches_point(region, p) for p in points]
+    assert batch_region_intersects(region, brs, p_brs) == \
+        [region_intersects_tpbr(region, br) for br in brs]
 
 
 def test_pack_points_below_batch_threshold_is_none():

@@ -2,7 +2,7 @@
 
 Best-first kNN is only exact if the TPBR lower bound never exceeds the
 true distance of any member point (admissibility), and only
-deterministic across the scalar / numpy / sharded paths if the batched
+deterministic across the single-tree / sharded paths if the batched
 kernels reproduce the scalar IEEE-754 results bit for bit.  Both
 properties are asserted here, the latter via raw bit-pattern
 comparison so ``-0.0`` cannot hide behind ``==``.
@@ -15,9 +15,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.geometry import kernels
 from repro.geometry.bounding import BoundingKind, compute_tpbr
-from repro.geometry.kernels import numpy_enabled, pack_points, pack_tpbrs
+from repro.geometry.kernels import pack_points, pack_tpbrs
 from repro.geometry.kinematics import MovingPoint
 from repro.geometry.knn import (
     batch_point_distances_sq,
@@ -114,7 +113,6 @@ def test_tpbr_lower_bound_is_admissible(members, t, x):
 # -- batched kernels: bit-identical to scalar --------------------------------
 
 
-@pytest.mark.skipif(not numpy_enabled(), reason="numpy not installed")
 @given(st.lists(points(), min_size=1, max_size=16), times, st.data())
 def test_batch_point_distances_match_scalar_bits(members, t, data):
     x = tuple(data.draw(coord, label=f"x[{d}]") for d in range(DIMS))
@@ -123,7 +121,6 @@ def test_batch_point_distances_match_scalar_bits(members, t, data):
     assert bits(batched) == bits(scalar)
 
 
-@pytest.mark.skipif(not numpy_enabled(), reason="numpy not installed")
 @given(
     st.lists(st.lists(points(), min_size=1, max_size=5), min_size=1,
              max_size=6),
@@ -139,19 +136,15 @@ def test_batch_tpbr_distances_match_scalar_bits(groups, t, data):
 
 
 def test_batch_falls_back_to_scalar_without_numpy(rng):
+    """Without a pack — once: without numpy — the scalar routine is looped."""
     members = [
         MovingPoint((rng.uniform(0, 50), rng.uniform(0, 50)),
                     (rng.uniform(-2, 2), rng.uniform(-2, 2)), 0.0, 40.0)
         for _ in range(10)
     ]
     x = (25.0, 25.0)
-    saved = kernels.np
-    kernels.np = None
-    try:
-        fallback = batch_point_distances_sq(x, members, 3.0, None)
-    finally:
-        kernels.np = saved
-    assert fallback == [point_distance_sq(x, p, 3.0) for p in members]
+    unpacked = batch_point_distances_sq(x, members, 3.0, None)
+    assert unpacked == [point_distance_sq(x, p, 3.0) for p in members]
 
 
 # -- brute-force oracle ------------------------------------------------------

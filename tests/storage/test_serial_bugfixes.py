@@ -30,6 +30,11 @@ from hypothesis import strategies as st
 from repro.core.clock import SimulationClock
 from repro.core.presets import rexp_config
 from repro.core.tree import MovingObjectTree
+from repro.geometry.intersection import (
+    region_intersects_tpbr,
+    region_matches_point,
+)
+from repro.geometry.kernels import multi_query_hits, pack_queries
 from repro.geometry.kinematics import MovingPoint
 from repro.geometry.queries import TimesliceQuery
 from repro.geometry.rect import Rect
@@ -39,6 +44,8 @@ from repro.rstar.node import Node
 from repro.storage import serial
 from repro.storage.layout import NODE_HEADER_BYTES, EntryLayout
 from repro.storage.serial import CodecError, NodeCodec
+
+from .reference_codec import F32_MAX, ReferenceCodec, f32_round_up
 
 CONFIG_KW = dict(page_size=1024, buffer_pages=8, default_ui=10.0)
 
@@ -75,12 +82,11 @@ def test_bitflip_inversion_raises_codec_error():
     assert codec.repairs == 0
 
 
-def test_bitflip_inversion_raises_on_struct_path(monkeypatch):
+def test_bitflip_inversion_raises_on_struct_path():
     codec = internal_codec()
     page = internal_page(codec)
     patch_hi0(page, -1000.0)
-    monkeypatch.setattr(serial, "np", None)
-    fallback = NodeCodec(codec.layout)
+    fallback = ReferenceCodec(codec.layout)
     with pytest.raises(CodecError, match="corrupt internal entry"):
         fallback.decode(bytes(page))
 
@@ -101,14 +107,13 @@ def test_rounding_level_inversion_is_repaired_and_counted():
     assert registry.counter("codec.bound_repairs").value == 1
 
 
-def test_rounding_level_inversion_repairs_on_struct_path(monkeypatch):
+def test_rounding_level_inversion_repairs_on_struct_path():
     codec = internal_codec()
     page = internal_page(codec, lo=(1.0, 20.0), hi=(1.0, 40.0))
     below = struct.unpack("<f", struct.pack("<I", 0x3F7FFFFF))[0]
     patch_hi0(page, below)
-    monkeypatch.setattr(serial, "np", None)
-    fallback = NodeCodec(codec.layout)
-    node, _ = fallback.decode(bytes(page))
+    fallback = ReferenceCodec(codec.layout)
+    node, _ = fallback.decode_node(bytes(page))
     assert node.entries[0][0].hi[0] == 1.0
     assert fallback.repairs == 1
 
@@ -147,12 +152,12 @@ def test_live_object_survives_recovery_despite_down_rounding(tmp_path):
 
 def test_round_up_never_under_covers_scalar_helper():
     for value in (DOWN_ROUNDER, 0.1, 1e30, -3.7, 5e-40, -0.0, 0.0, 2.5):
-        widened = serial._f32_round_up(value)
+        widened = f32_round_up(value)
         assert widened >= value
         # Exactly representable in binary32 (pack/unpack is identity).
         assert struct.unpack("<f", struct.pack("<f", widened))[0] == widened
-    assert serial._f32_round_up(math.inf) == math.inf
-    assert serial._f32_round_up(1e39) == math.inf  # beyond binary32 range
+    assert f32_round_up(math.inf) == math.inf
+    assert f32_round_up(1e39) == math.inf  # beyond binary32 range
 
 
 # -- bugfix 3: oid range validated at insert time -----------------------------
@@ -218,7 +223,7 @@ def test_expiration_round_trip_widens_exactly(t_exp):
     if math.isfinite(decoded):
         assert struct.unpack("<f", struct.pack("<f", decoded))[0] == decoded
     # At most one binary32 ulp of over-coverage.
-    if math.isfinite(point.t_exp) and point.t_exp <= serial._F32_MAX:
+    if math.isfinite(point.t_exp) and point.t_exp <= F32_MAX:
         down = struct.unpack("<f", struct.pack("<f", point.t_exp))[0]
         if down >= point.t_exp:
             assert decoded == max(down, 0.0)
@@ -245,38 +250,42 @@ def _build_real_tree(entries=500, seed=0):
 
 
 def test_zero_copy_decode_matches_struct_loop():
-    if serial.np is None:
-        pytest.skip("numpy unavailable")
     tree, clock = _build_real_tree()
     config = rexp_config(**CONFIG_KW)
     fast = NodeCodec(config.layout())
-    slow = NodeCodec(config.layout())
-    slow._leaf_dtype = slow._internal_dtype = None  # forces struct loop
+    slow = ReferenceCodec(config.layout())
     pages = 0
     for pid in tree.disk.page_ids():
-        page = fast.encode(tree.disk.peek(pid), t_ref=clock.time)
+        node = tree.disk.peek(pid)
+        page = fast.encode(node, t_ref=clock.time)
+        assert page == slow.encode(node, t_ref=clock.time)
         got, got_ref = fast.decode(page)
-        want, want_ref = slow.decode(page)
+        want, want_level, want_ref = slow.decode(page)
         assert got_ref == want_ref
-        assert got.level == want.level
-        assert got.entries == want.entries  # frozen dataclasses: bitwise
+        assert got.level == want_level
+        assert list(got.entries) == want  # frozen dataclasses: bitwise
         pages += 1
     assert pages > 1  # a real multi-page tree, not a single root
 
 
-def test_zero_copy_decode_prepopulates_soa_cache():
-    if serial.np is None:
-        pytest.skip("numpy unavailable")
+def test_decoded_page_is_servable_by_the_kernels():
+    """Decode leaves the query form in the block: no re-packing, no cache."""
     tree, clock = _build_real_tree()
     config = rexp_config(**CONFIG_KW)
     codec = NodeCodec(config.layout())
-    cached = 0
+    region = TimesliceQuery(
+        Rect((20.0, 20.0), (80.0, 80.0)), clock.time + 1.0
+    ).region()
+    queries = pack_queries((region,))
+    hits = 0
     for pid in tree.disk.page_ids():
         node = tree.disk.peek(pid)
         decoded, _ = codec.decode(codec.encode(node, t_ref=clock.time))
-        if len(node) >= serial._SOA_MIN_ENTRIES:
-            assert decoded.soa is not None
-            cached += 1
-        else:
-            assert decoded.soa is None
-    assert cached > 0
+        scalar = (
+            region_matches_point if decoded.is_leaf else region_intersects_tpbr
+        )
+        want = [scalar(region, item) for item, _ in decoded.entries]
+        got = multi_query_hits(queries, decoded.regions())[0].tolist()
+        assert got == want
+        hits += sum(got)
+    assert hits > 0
