@@ -42,6 +42,7 @@ from repro.experiments.scale import SCALES
 from repro.geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
 from repro.geometry.rect import Rect
 from repro.shard import ShardConfig, ShardedForest
+from repro.workloads.base import InsertOp
 from repro.workloads.expiration import FixedPeriod
 from repro.workloads.uniform import UniformParams, generate_uniform_workload
 
@@ -203,7 +204,9 @@ def test_batched_queries_beat_sequential_with_identical_answers():
         forest_config(partitions=4, **_sizing(), default_ui=60.0), clock
     )
     clock.advance_to(initial[0][1].t_ref)
-    forest.insert_batch(initial)
+    forest.apply_ops(
+        [InsertOp(clock.time, oid, point) for oid, point in initial]
+    )
     clock.advance_to(t_end)
     sequential, batched, t_seq, t_batch = _timed_pair(forest, queries)
     _assert_identical("forest", sequential, batched)

@@ -42,6 +42,7 @@ from repro.geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
 from repro.geometry.rect import Rect
 from repro.obs import MetricsRegistry
 from repro.serve import SubscriptionIndex
+from repro.workloads.base import InsertOp
 from repro.workloads.expiration import FixedPeriod
 from repro.workloads.uniform import UniformParams, generate_uniform_workload
 
@@ -120,7 +121,9 @@ def _knn_section(out_lines):
         forest_config(partitions=4, **_sizing(), default_ui=60.0), clock
     )
     clock.advance_to(initial[0][1].t_ref)
-    forest.insert_batch(initial)
+    forest.apply_ops(
+        [InsertOp(clock.time, oid, point) for oid, point in initial]
+    )
     clock.advance_to(t_end)
     start = time.perf_counter()
     forest_answers = [forest.knn_entries(x, t, K) for x, t in probes]

@@ -165,7 +165,7 @@ def test_shard_scaling_with_oracle_identity(tmp_path=None):
                 "scattered_queries": result.scattered_queries,
                 "batches": result.batches,
                 "wall_seconds": round(result.wall_seconds, 4),
-                "router_seconds": round(result.router_seconds, 4),
+                "router_seconds": round(result.router_cpu_seconds, 4),
                 "model_makespan_seconds": round(
                     result.model_makespan_seconds, 4
                 ),

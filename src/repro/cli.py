@@ -40,11 +40,7 @@ from typing import List, Optional
 
 from .core.clock import SimulationClock
 from .core.config import TreeConfig
-from .core.forest import (
-    MANIFEST_FILENAME,
-    ForestConfig,
-    PartitionedMovingObjectForest,
-)
+from .core.forest import MANIFEST_FILENAME, PartitionedMovingObjectForest
 from .core.presets import forest_config, rexp_config, tpr_config
 from .core.tree import MovingObjectTree
 from .experiments.adapters import ForestAdapter, TreeAdapter
@@ -63,7 +59,7 @@ from .obs import (
 )
 from .storage.layout import EntryLayout
 from .storage.pagefile import PAGES_FILENAME, read_header
-from .workloads.base import QueryOp, apply_op
+from .workloads.base import InsertOp, QueryOp, apply_op
 from .workloads.expiration import FixedDistance, FixedPeriod, NeverExpire
 from .workloads.network import (
     SPEED_GROUPS,
@@ -160,8 +156,8 @@ def _loaded(shape: str, initial, t_end: float, sizing: dict, count: int = 0,
     """An index of the given shape holding ``initial``, its clock at ``t_end``.
 
     A bulk-loaded (``tree``) or insert-built (``inserted``) tree, a
-    ``count``-member forest filled by ``insert_batch``, or ``count``
-    bulk-loaded shards under ``directory``.
+    ``count``-member forest filled by one ``apply_ops`` batch, or
+    ``count`` bulk-loaded shards under ``directory``.
     """
     if shape in ("tree", "inserted"):
         index = MovingObjectTree(rexp_config(**sizing), SimulationClock())
@@ -178,7 +174,9 @@ def _loaded(shape: str, initial, t_end: float, sizing: dict, count: int = 0,
         )
     index.clock.advance_to(initial[0][1].t_ref)
     if shape == "forest":
-        index.insert_batch(initial)
+        index.apply_ops([
+            InsertOp(index.clock.time, oid, point) for oid, point in initial
+        ])
     elif shape == "inserted":
         for oid, point in initial:
             index.clock.advance_to(point.t_ref)
@@ -618,24 +616,11 @@ def cmd_persist(args: argparse.Namespace) -> int:
 def _open_recovered(directory: str, buffer_pages: int):
     """Open (and so recover) whichever index shape ``directory`` holds.
 
-    By shard manifest, forest manifest or page file; ``None`` for none.
+    A forest by its manifest — wherever its members ran, they recover
+    in-process — or a bare tree by its page file; ``None`` for neither.
     """
-    from .shard.router import MANIFEST_FILENAME as SHARD_MANIFEST
-    from .shard.router import ShardedForest
-
-    manifest = os.path.join(directory, MANIFEST_FILENAME)
-    if os.path.exists(os.path.join(directory, SHARD_MANIFEST)):
-        return ShardedForest.open(directory)
-    if os.path.exists(manifest):
-        member0 = PartitionedMovingObjectForest.member_directory(directory, 0)
-        with open(manifest, "r", encoding="utf-8") as handle:
-            partitions = json.load(handle)["partitions"]
-        config = ForestConfig(
-            tree=_sniff_tree_config(member0, buffer_pages),
-            partitions=partitions,
-            split_buffer=False,
-        )
-        return PartitionedMovingObjectForest.open_from(directory, config)
+    if os.path.exists(os.path.join(directory, MANIFEST_FILENAME)):
+        return PartitionedMovingObjectForest.open(directory)
     if os.path.exists(os.path.join(directory, PAGES_FILENAME)):
         return MovingObjectTree.open_from(
             directory, _sniff_tree_config(directory, buffer_pages)
@@ -646,12 +631,11 @@ def _open_recovered(directory: str, buffer_pages: int):
 def cmd_recover(args: argparse.Namespace) -> int:
     index = _open_recovered(args.directory, args.buffer_pages)
     if index is None:
-        print(f"{args.directory}: no sharded index, forest or tree store "
-              f"to recover", file=sys.stderr)
+        print(f"{args.directory}: no forest or tree store to recover",
+              file=sys.stderr)
         return 2
     try:
         print(f"recovered {args.directory} (clock {index.clock.time:g})")
-        # Shards recover inside their worker processes: no local stores.
         stores = index.local_stores()
         for i, store in enumerate(stores):
             report = store.recovery

@@ -45,6 +45,10 @@ from ..geometry.kinematics import MovingPoint
 
 LeafEntry = Tuple[MovingPoint, int]
 
+#: The direction partitioner's near-stationary threshold: reports no
+#: faster than this share one bucket, their direction being noise.
+SLOW_SPEED = 0.25
+
 
 class Partitioner(ABC):
     """Maps each report to the member tree that should index it."""
@@ -79,25 +83,14 @@ class Partitioner(ABC):
         """
         return tuple(range(self.partitions))
 
-    def scatter(
-        self, queries: Sequence
-    ) -> Tuple[List[Tuple[int, ...]], Dict[int, List[int]]]:
-        """The scatter plan of a query batch: ``(targets, per_member)``.
+    def scatter(self, queries: Sequence) -> List[Tuple[int, ...]]:
+        """The scatter plan of a query batch: each query's targets.
 
-        ``targets[position]`` is that query's :meth:`query_partitions`
-        in the partitioner's own enumeration order (a grid with a
-        finite reach does not enumerate cells in ascending order);
-        ``per_member`` maps every reached bucket to the positions of
-        the queries it must answer, ascending.
+        ``plan[position]`` is that query's :meth:`query_partitions`, in
+        the partitioner's own enumeration order (a grid with a finite
+        reach does not enumerate cells in ascending order).
         """
-        targets = [
-            self.query_partitions(query.region()) for query in queries
-        ]
-        per_member: Dict[int, List[int]] = {}
-        for position, members in enumerate(targets):
-            for index in members:
-                per_member.setdefault(index, []).append(position)
-        return targets, per_member
+        return [self.query_partitions(query.region()) for query in queries]
 
 
 def gather(
@@ -106,11 +99,11 @@ def gather(
     """Merge per-member answers, each query in its *own* target order.
 
     ``parts[position][index]`` is member ``index``'s answer to the
-    query at ``position`` of a :meth:`Partitioner.scatter` plan.  Each
-    object lives in exactly one member, so concatenation preserves the
-    single tree's answer multiset, and following the query's own
-    ``targets`` order makes a batched answer bit-identical to the
-    one-query scatter's.
+    query at ``position`` of a :meth:`Partitioner.scatter` plan
+    (``targets``).  Each object lives in exactly one member, so
+    concatenation preserves the single tree's answer multiset, and
+    following the query's own ``targets`` order makes a batched answer
+    bit-identical to the one-query scatter's.
     """
     return [
         [oid for index in members for oid in parts[position][index]]
@@ -459,7 +452,6 @@ def make_partitioner(
     kind: str,
     partitions: int,
     max_speed: float = 3.0,
-    slow_speed: float = 0.25,
     sample: Sequence[float] = (),
     space: float = 1000.0,
     reach: "float | None" = None,
@@ -469,10 +461,10 @@ def make_partitioner(
     A speed partitioner fits data-driven boundaries when a ``sample`` of
     observed speeds is given, and falls back to equal-width buckets over
     ``[0, max_speed]`` otherwise.  A direction partitioner spends one of
-    its ``partitions`` buckets on near-stationary objects.  A grid
-    partitioner tiles ``[0, space]^2`` with a near-square grid of
-    ``partitions`` cells and prunes query scatter when ``reach`` is
-    given (see :class:`GridPartitioner`).
+    its ``partitions`` buckets on near-stationary objects (speed at most
+    :data:`SLOW_SPEED`).  A grid partitioner tiles ``[0, space]^2`` with
+    a near-square grid of ``partitions`` cells and prunes query scatter
+    when ``reach`` is given (see :class:`GridPartitioner`).
     """
     if kind == "speed":
         if sample:
@@ -484,7 +476,7 @@ def make_partitioner(
                 "a direction partitioner needs >= 2 partitions "
                 "(one is reserved for near-stationary objects)"
             )
-        return DirectionPartitioner(partitions - 1, slow_speed)
+        return DirectionPartitioner(partitions - 1, SLOW_SPEED)
     if kind == "grid":
         return GridPartitioner.for_partitions(
             partitions, space=space, reach=reach

@@ -6,6 +6,8 @@ factory functions pin down the exact configuration of each.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from ..geometry.bounding import BoundingKind
 from .config import TreeConfig
 from .forest import ForestConfig
@@ -58,10 +60,9 @@ def forest_config(
     presets apply them to a single tree.
     """
     forest_fields = {
-        key: overrides.pop(key)
-        for key in ("max_speed", "slow_speed", "split_buffer",
-                    "refit_on_bulk_load")
-        if key in overrides
+        key.name: overrides.pop(key.name)
+        for key in fields(ForestConfig)
+        if key.name in overrides
     }
     return ForestConfig(
         tree=rexp_config(**overrides),

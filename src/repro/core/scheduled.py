@@ -12,13 +12,12 @@ dictionary-like structure rather than a simple heap.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from ..btree.bptree import BPlusTree
 from ..geometry.kinematics import MovingPoint
-from .forest import PartitionedMovingObjectForest
 from .index import MovingObjectIndex
-from .tree import LeafEntry, MovingObjectTree
+from .tree import LeafEntry
 
 
 class ScheduledDeletionIndex(MovingObjectIndex):
@@ -41,7 +40,7 @@ class ScheduledDeletionIndex(MovingObjectIndex):
 
     def __init__(
         self,
-        tree: Union[MovingObjectTree, PartitionedMovingObjectForest],
+        tree: MovingObjectIndex,
         queue_page_size: Optional[int] = None,
         queue_buffer_pages: int = 50,
     ):

@@ -10,6 +10,7 @@ exclude it; we report both).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.clock import SimulationClock
@@ -28,11 +29,13 @@ class IndexAdapter(MovingObjectIndex):
     """What the experiment runner drives: an index whose I/O is accounted.
 
     An accounted index is an index: ``insert`` / ``delete`` / ``query``
-    / ``bulk_load`` charge the wrapped index's I/O to ``op_stats`` (an
-    ``update`` is its two halves, charged as two update operations),
-    and everything the wrapper does not charge — ``page_count``,
-    ``audit``, ``enable_observability``, ``close``, the rest of the
-    read surface — is forwarded to the wrapped index unaccounted.
+    / ``query_batch`` / ``knn_entries`` / ``bulk_load`` charge the
+    wrapped index's I/O to ``op_stats`` (an ``update`` is its two
+    halves, charged as two update operations; ``query_knn`` derives
+    from ``knn_entries``), and everything the wrapper does not charge —
+    ``page_count``, ``audit``, ``enable_observability``, ``close``, the
+    rest of the read surface — is forwarded to the wrapped index
+    unaccounted.
 
     Accounting needs two numbers from the index: ``stats`` (primary
     page I/O, with ``snapshot()`` / ``since()``) and ``aux_io`` (one
@@ -107,6 +110,32 @@ class IndexAdapter(MovingObjectIndex):
         """Answer a query, charging its I/O to search."""
         return self._accounted(
             self.op_stats.record_search, self.index.query, query
+        )
+
+    def query_batch(
+        self, queries: Sequence[SpatioTemporalQuery]
+    ) -> List[List[int]]:
+        """Answer K queries in one shared traversal, charging it to search.
+
+        No page read of a shared traversal belongs to any one query, so
+        the batch's I/O is split evenly: each query is charged
+        ``io // K`` and the first ``io % K`` one page more — ``search_io``
+        grows by exactly the batch's I/O and ``search_ops`` by ``K``.
+        """
+        def record(io: int) -> None:
+            share, extra = divmod(io, len(queries))
+            for position in range(len(queries)):
+                self.op_stats.record_search(share + (position < extra))
+
+        if not queries:
+            return []
+        return self._accounted(record, self.index.query_batch, queries)
+
+    def knn_entries(self, x, t: float, k: int, bound_sq: float = math.inf):
+        """Scored kNN (and so ``query_knn``), charged as one search."""
+        return self._accounted(
+            self.op_stats.record_search,
+            self.index.knn_entries, x, t, k, bound_sq,
         )
 
     def bulk_load(self, items: Sequence[Tuple[int, MovingPoint]]) -> None:
@@ -189,12 +218,11 @@ class ForestAdapter(IndexAdapter):
         return self.index.trees
 
     def _create_durable(self, directory: str, fsync: bool):
-        return PartitionedMovingObjectForest.create_durable(
+        return PartitionedMovingObjectForest.create(
             directory,
-            self.index.config,
-            self.clock,
+            self.index.config.with_(fsync=fsync),
             self.index.partitioner,
-            fsync=fsync,
+            self.clock,
         )
 
     @property

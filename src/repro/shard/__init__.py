@@ -1,19 +1,11 @@
 """Process-parallel sharding of the moving-object index.
 
-A :class:`~repro.shard.router.ShardedForest` runs one worker process
-per shard (``multiprocessing`` with the ``spawn`` start method), each
-owning a durable member tree — its own page file, write-ahead log and
-buffer budget — while a router in the parent process routes reports
-through the pure :class:`~repro.core.partition.Partitioner` protocol
-and scatters queries to the shards whose partition can intersect them,
-gathering the merged answer.  Operations travel as compact packed-
-struct batches (:mod:`repro.shard.wire`) to amortize IPC.
-
-This is the MOIST-style scale-out layer (Jiang et al.,
-arXiv:1208.4178) over the paper's R^exp-trees: the partitioning line
-already gave us routing functions that are pure in the report, so
-deletions reach the same shard their insertion chose without any
-routing table, and each worker runs the unmodified single-tree code.
+A :class:`~repro.shard.router.ShardedForest` is the partitioned index
+(:class:`~repro.core.forest.PartitionedMovingObjectForest`) with every
+member in its own worker process, each owning a durable member tree;
+operations travel as packed-struct batches (:mod:`repro.shard.wire`).
+This is the MOIST-style scale-out layer (Jiang et al., arXiv:1208.4178)
+over the paper's R^exp-trees.
 """
 
 from .router import (

@@ -1,27 +1,15 @@
 """The shard worker process: one durable member tree behind a pipe.
 
-``worker_main`` is the ``spawn`` entry point of every shard.  A worker
-owns exactly one :class:`~repro.core.tree.MovingObjectTree` backed by a
-durable :class:`~repro.storage.pagefile.FilePageStore` (its own page
-file, write-ahead log and buffer budget) and serves a simple
-request/reply protocol over its end of a ``multiprocessing`` pipe:
-operation batches to apply, stats/snapshot/audit gathers, checkpoints
-and a clean close.  Requests carry a sequence number that the reply
-echoes; the router matches them FIFO since the worker is strictly
-sequential.
-
-Every ``apply`` reply reports the worker's busy time: *CPU seconds*
-(``time.process_time``) spent decoding and applying the batch, so the
-number measures the shard's actual work even when many workers
-time-slice one core — wall clocks would count the neighbours'
-slices too.  The shard benchmark sums these per shard to model the
-scatter-gather critical path on a machine with one core per worker —
-see ``benchmarks/bench_shards.py``.
-
-A worker never shares state with the parent: the tree, clock, metrics
-registry and page store all live in this process, and everything that
-crosses the pipe is a packed batch (:mod:`repro.shard.wire`) or a small
-picklable summary.
+``worker_main`` is the ``spawn`` entry point of every worker member.
+A worker owns one :class:`~repro.core.tree.MovingObjectTree` on its own
+page file, write-ahead log and buffer budget, and serves a strictly
+sequential request/reply protocol over its end of a pipe: operation
+batches, stats/snapshot/audit gathers, checkpoints and a clean close.
+Every ``apply`` reply reports the batch's busy time in *CPU seconds*
+(``time.process_time``), so it measures the member's own work even
+when workers time-slice one core.  Nothing is shared with the parent:
+what crosses the pipe is a packed batch (:mod:`repro.shard.wire`) or a
+small picklable summary.
 """
 
 from __future__ import annotations
@@ -37,7 +25,7 @@ from ..core.config import TreeConfig
 from ..core.tree import MovingObjectTree
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
-from ..workloads.base import KnnOp, QueryOp, apply_op
+from ..workloads.base import apply_batch
 from .wire import OpCodec
 
 #: Span name a worker records around one applied batch; the router
@@ -50,30 +38,13 @@ BATCH_SPAN = "worker.batch"
 class WorkerSpec:
     """Everything a spawned worker needs to build (or reopen) its tree.
 
-    Parameters
-    ----------
-    index : int
-        Shard index, for error messages and metric labels.
-    directory : str
-        The shard's page-store directory.
-    config : TreeConfig
-        Member-tree configuration (buffer budget already applied).
-    recover : bool
-        Reopen an existing store (running WAL recovery) instead of
-        creating a fresh one.
-    fsync : bool
-        Whether the worker's write-ahead log fsyncs on commit.
-    observability : bool
-        Attach a per-worker metrics registry to the tree; its export
-        ships back on ``stats`` requests for parent-side merging.
-    tracing : bool
-        Run a per-worker :class:`~repro.obs.trace.Tracer`; each apply
-        reply then carries the batch's span records (plus any wire
-        trace context) for router-side adoption.
-    flush_every : int
-        Piggyback the worker's full registry export on every Nth apply
-        reply, so router-side stats stay live without explicit gathers
-        (0 disables the piggyback).
+    ``config`` is the member-tree configuration (buffer share applied);
+    ``recover`` reopens the store in ``directory`` with WAL recovery
+    instead of creating it.  ``observability`` runs a per-worker
+    metrics registry (exported on ``stats`` requests, and piggybacked on
+    every ``flush_every``-th apply reply; 0 disables the piggyback);
+    ``tracing`` a per-worker tracer whose span records ride every apply
+    reply for router-side adoption.
     """
 
     index: int
@@ -110,55 +81,21 @@ def _build_tree(
 
 
 def _apply_batch(tree, clock, codec, payload):
-    """Apply one decoded batch.
+    """Decode one wire batch, apply it, encode its answers.
 
     Returns ``(answers bytes, failed deletes, trace context, op
-    count)`` — the trace context is the wire batch's, ``None`` when the
-    router sent it untraced.
-
-    Runs of consecutive queries at the same timestamp are answered
-    through :meth:`~repro.core.tree.MovingObjectTree.query_batch` — one
-    shared traversal for the whole run — whose answers are bit-identical
-    to querying them one by one, so a router-side query batch costs the
-    shard a single descent per shared node.
-
-    A batch containing kNN records yields a *framed* answer block
-    (range answers then scored answers); the router knows to expect the
-    frame because it built the batch with kNN ops in it.
+    count)``; the trace context is ``None`` for an untraced batch.  The
+    operations run through :func:`~repro.workloads.base.apply_batch`,
+    exactly as an in-process member's do; a batch with kNN records
+    gets a *framed* answer block (range answers, then scored ones).
     """
-    answers = []
-    scored = []
-    failed_deletes = 0
     ops, trace = codec.decode_ops_traced(payload)
-    total = len(ops)
-    position = 0
-    while position < total:
-        op = ops[position]
-        clock.advance_to(op.time)
-        if isinstance(op, QueryOp):
-            stop = position + 1
-            while (
-                stop < total
-                and isinstance(ops[stop], QueryOp)
-                and ops[stop].time == op.time
-            ):
-                stop += 1
-            run = [ops[i].query for i in range(position, stop)]
-            for offset, oids in enumerate(tree.query_batch(run)):
-                answers.append((position + offset, oids))
-            position = stop
-            continue
-        outcome = apply_op(tree, op)
-        if isinstance(op, KnnOp):
-            scored.append((position, outcome))
-        elif outcome is False:
-            failed_deletes += 1
-        position += 1
+    answers, scored, failed = apply_batch(tree, clock, ops)
     if scored:
         payload = codec.encode_answer_frame(answers, scored)
     else:
         payload = codec.encode_answers(answers)
-    return payload, failed_deletes, trace, total
+    return payload, failed, trace, len(ops)
 
 
 def _stats_payload(tree, registry: Optional[MetricsRegistry]) -> dict:
@@ -174,22 +111,16 @@ def _stats_payload(tree, registry: Optional[MetricsRegistry]) -> dict:
 
 
 def worker_main(conn, spec: WorkerSpec) -> None:
-    """Serve shard requests until ``close`` (or parent disappearance).
+    """Serve requests until ``close`` (or parent disappearance).
 
-    The protocol is strict request/reply: every request tuple starts
-    with a verb and a sequence number, and every reply is either
-    ``("ok", seq, ...)`` or ``("err", seq, traceback_text)``.  An
-    exception inside a request is reported, not fatal — the tree's own
-    durability guarantees cover whatever the failed request left
-    behind.  A lost parent (EOF on the pipe) closes the tree and exits.
-
-    Every ``apply`` reply ends with an *extras* slot: ``None`` on the
-    plain path, else a dict carrying the batch's span records (under
-    ``spans``/``dropped``/``ctx`` when tracing) and, every
-    ``flush_every`` applies, the worker's full stats payload (under
-    ``stats``) — the piggybacked flush that keeps router-side metrics
-    live.  The flush is the *cumulative* registry export, so the
-    router replacing its stored copy is idempotent by construction.
+    Every request starts with a verb and a sequence number; every reply
+    is ``("ok", seq, ...)`` or ``("err", seq, traceback_text)`` — a
+    failed request is reported, not fatal.  EOF on the pipe closes the
+    tree and exits.  An ``apply`` reply ends with an *extras* slot:
+    ``None``, or a dict with the batch's span records (``spans`` /
+    ``dropped`` / ``ctx``, when tracing) and, every ``flush_every``
+    applies, the full cumulative stats payload (``stats``) that keeps
+    router-side metrics live.
     """
     registry = MetricsRegistry() if spec.observability else None
     tracer = Tracer() if spec.tracing else None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from ..geometry.kinematics import MovingPoint
 from ..geometry.queries import SpatioTemporalQuery
@@ -96,6 +96,52 @@ def apply_op(index, op):
     if isinstance(op, KnnOp):
         return index.knn_entries(op.x, op.t, op.k, op.bound_sq)
     raise TypeError(f"unknown operation {op!r}")
+
+
+def apply_batch(tree, clock, ops: Sequence) -> Tuple[list, list, int]:
+    """Apply a batch of operations to one tree, in order.
+
+    Returns ``(answers, scored, failed deletes)``: ``answers`` pairs
+    each query's position in the batch with its oids, ``scored`` each
+    kNN request's position with its ``(squared distance, oid)`` pairs.
+    The clock advances to every operation's time before it applies.
+
+    Runs of consecutive queries at the same timestamp are answered
+    through one ``tree.query_batch`` — one shared traversal for the
+    run — whose answers are bit-identical to querying them one by one;
+    a lone query is a plain ``tree.query``.
+    """
+    answers = []
+    scored = []
+    failed = 0
+    total = len(ops)
+    position = 0
+    while position < total:
+        op = ops[position]
+        clock.advance_to(op.time)
+        stop = position + 1
+        if isinstance(op, QueryOp):
+            while (
+                stop < total
+                and isinstance(ops[stop], QueryOp)
+                and ops[stop].time == op.time
+            ):
+                stop += 1
+        if stop > position + 1:
+            run = [ops[i].query for i in range(position, stop)]
+            for offset, oids in enumerate(tree.query_batch(run)):
+                answers.append((position + offset, oids))
+            position = stop
+            continue
+        outcome = apply_op(tree, op)
+        if isinstance(op, QueryOp):
+            answers.append((position, outcome))
+        elif isinstance(op, KnnOp):
+            scored.append((position, outcome))
+        elif outcome is False:
+            failed += 1
+        position += 1
+    return answers, scored, failed
 
 
 def op_atoms(op) -> tuple:

@@ -214,8 +214,8 @@ FOREST_CONFIG = ForestConfig(tree=CONFIG, partitions=3)
 
 def test_forest_close_reopen_answers_identically(tmp_path):
     clock = SimulationClock()
-    forest = PartitionedMovingObjectForest.create_durable(
-        str(tmp_path / "f"), FOREST_CONFIG, clock
+    forest = PartitionedMovingObjectForest.create(
+        str(tmp_path / "f"), FOREST_CONFIG, clock=clock
     )
     populate(forest, clock)
     queries = probe_queries(clock.time)
@@ -224,7 +224,7 @@ def test_forest_close_reopen_answers_identically(tmp_path):
     forest.close()
 
     clock2 = SimulationClock()
-    reopened = PartitionedMovingObjectForest.open_from(
+    reopened = PartitionedMovingObjectForest.open(
         str(tmp_path / "f"), FOREST_CONFIG, clock2
     )
     assert clock2.time == pytest.approx(clock.time)
@@ -239,15 +239,15 @@ def test_forest_close_reopen_answers_identically(tmp_path):
 def test_forest_manifest_restores_refitted_partitioner(tmp_path):
     rng = random.Random(4)
     clock = SimulationClock()
-    forest = PartitionedMovingObjectForest.create_durable(
-        str(tmp_path / "f"), FOREST_CONFIG, clock
+    forest = PartitionedMovingObjectForest.create(
+        str(tmp_path / "f"), FOREST_CONFIG, clock=clock
     )
     entries = [(random_point(rng, 0.0), 2000 + i) for i in range(120)]
     forest.bulk_load(entries)  # refits the speed boundaries
     boundaries = forest.partitioner.boundaries
     forest.close()
 
-    reopened = PartitionedMovingObjectForest.open_from(
+    reopened = PartitionedMovingObjectForest.open(
         str(tmp_path / "f"), FOREST_CONFIG
     )
     assert reopened.partitioner.boundaries == boundaries
@@ -256,12 +256,12 @@ def test_forest_manifest_restores_refitted_partitioner(tmp_path):
 
 def test_forest_open_rejects_partition_mismatch(tmp_path):
     clock = SimulationClock()
-    forest = PartitionedMovingObjectForest.create_durable(
-        str(tmp_path / "f"), FOREST_CONFIG, clock
+    forest = PartitionedMovingObjectForest.create(
+        str(tmp_path / "f"), FOREST_CONFIG, clock=clock
     )
     forest.close()
     with pytest.raises(ValueError):
-        PartitionedMovingObjectForest.open_from(
+        PartitionedMovingObjectForest.open(
             str(tmp_path / "f"), FOREST_CONFIG.with_(partitions=5)
         )
 
@@ -274,7 +274,7 @@ def test_forest_persist_to_from_simulated(tmp_path):
     assert len(reports) == FOREST_CONFIG.partitions
     queries = probe_queries(clock.time)
     want = [sorted(forest.query(q)) for q in queries]
-    reopened = PartitionedMovingObjectForest.open_from(
+    reopened = PartitionedMovingObjectForest.open(
         str(tmp_path / "snap"), FOREST_CONFIG
     )
     assert [sorted(reopened.query(q)) for q in queries] == want
@@ -322,10 +322,10 @@ def test_tree_close_safe_after_failed_commit(tmp_path):
 
 def test_forest_close_and_checkpoint_idempotent(tmp_path):
     clock = SimulationClock()
-    forest = PartitionedMovingObjectForest.create_durable(
+    forest = PartitionedMovingObjectForest.create(
         str(tmp_path / "f"),
         ForestConfig(tree=CONFIG, partitions=2),
-        clock,
+        clock=clock,
     )
     rng = random.Random(1)
     for oid in range(8):
@@ -339,10 +339,10 @@ def test_forest_close_and_checkpoint_idempotent(tmp_path):
 
 def test_forest_close_safe_after_failed_member_commit(tmp_path):
     clock = SimulationClock()
-    forest = PartitionedMovingObjectForest.create_durable(
+    forest = PartitionedMovingObjectForest.create(
         str(tmp_path / "f"),
         ForestConfig(tree=CONFIG, partitions=2),
-        clock,
+        clock=clock,
     )
     rng = random.Random(3)
     points = {oid: random_point(rng, 0.0) for oid in range(8)}
@@ -366,7 +366,7 @@ def test_forest_close_safe_after_failed_member_commit(tmp_path):
     assert failed is not None, "some insert must route to the faulted member"
     forest.close()  # commits the pending batch on the faulted member
     forest.close()
-    reopened = PartitionedMovingObjectForest.open_from(
+    reopened = PartitionedMovingObjectForest.open(
         str(tmp_path / "f"), ForestConfig(tree=CONFIG, partitions=2)
     )
     answer = set(

@@ -27,6 +27,43 @@ def make_forest(partitions=4, partitioner="speed", clock=None, **overrides):
     return PartitionedMovingObjectForest(config, clock or SimulationClock())
 
 
+def on_both_executors(check):
+    """Run ``check(make)`` with in-process members, then worker members.
+
+    ``make(partitions, **overrides)`` creates a speed-partitioned forest
+    of that executor in a fresh directory; every forest it made is
+    closed when the check returns.  The test keeps the check's name.
+    """
+    def test(tmp_path):
+        from repro.shard import ShardedForest
+
+        for kind in (PartitionedMovingObjectForest, ShardedForest):
+            made = []
+
+            def make(partitions, **overrides):
+                config = forest_config(
+                    partitions=partitions, partitioner="speed",
+                    **SIZING, **overrides,
+                )
+                directory = tmp_path / f"{kind.__name__}{len(made)}"
+                made.append(kind.create(str(directory), config))
+                return made[-1]
+
+            try:
+                check(make)
+            finally:
+                for forest in made:
+                    forest.close()
+
+    test.__name__, test.__doc__ = check.__name__, check.__doc__
+    return test
+
+
+def member_counts(forest):
+    """Leaf entries per member, whichever executor runs the members."""
+    return [audit.leaf_entries for audit in forest.partition_audits()]
+
+
 def velocity_point(rng, clock, space=100.0, max_speed=3.0, max_life=30.0):
     t = clock.time
     speed = rng.uniform(0.0, max_speed)
@@ -111,16 +148,18 @@ def test_members_share_the_clock():
 # -- routing ------------------------------------------------------------------
 
 
-def test_insert_routes_by_speed_class():
-    forest = make_forest(partitions=3, max_speed=3.0)
+@on_both_executors
+def test_insert_routes_by_speed_class(make):
+    forest = make(partitions=3, max_speed=3.0)
     forest.insert(1, MovingPoint((1.0, 1.0), (0.1, 0.0), 0.0, 50.0))
     forest.insert(2, MovingPoint((2.0, 2.0), (1.5, 0.0), 0.0, 50.0))
     forest.insert(3, MovingPoint((3.0, 3.0), (2.9, 0.0), 0.0, 50.0))
-    assert [tree.leaf_entry_count for tree in forest.trees] == [1, 1, 1]
+    assert member_counts(forest) == [1, 1, 1]
 
 
-def test_delete_routes_to_the_inserting_tree():
-    forest = make_forest(partitions=2, max_speed=3.0)
+@on_both_executors
+def test_delete_routes_to_the_inserting_tree(make):
+    forest = make(partitions=2, max_speed=3.0)
     fast = MovingPoint((1.0, 1.0), (2.9, 0.0), 0.0, 50.0)
     forest.insert(1, fast)
     assert forest.delete(1, fast)
@@ -128,15 +167,19 @@ def test_delete_routes_to_the_inserting_tree():
     assert not forest.delete(1, fast)
 
 
-def test_update_migrates_between_speed_classes():
-    forest = make_forest(partitions=2, max_speed=3.0)
+@on_both_executors
+def test_update_migrates_between_speed_classes(make):
+    forest = make(partitions=2, max_speed=3.0)
     slow = MovingPoint((1.0, 1.0), (0.1, 0.0), 0.0, 50.0)
     forest.insert(1, slow)
-    assert forest.trees[0].leaf_entry_count == 1
+    assert member_counts(forest) == [1, 0]
     fast = MovingPoint((1.0, 1.0), (2.9, 0.0), 0.0, 50.0)
     assert forest.update(1, slow, fast)
-    assert forest.trees[0].leaf_entry_count == 0
-    assert forest.trees[1].leaf_entry_count == 1
+    assert member_counts(forest) == [0, 1]
+    # A same-member update stays one member-local write.
+    faster = MovingPoint((1.0, 1.0), (2.95, 0.0), 0.0, 50.0)
+    assert forest.update(1, fast, faster)
+    assert member_counts(forest) == [0, 1]
 
 
 # -- aggregation --------------------------------------------------------------

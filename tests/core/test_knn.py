@@ -22,6 +22,7 @@ from repro.core.tree import MovingObjectTree
 from repro.geometry.kinematics import MovingPoint
 from repro.geometry.knn import brute_force_knn
 from repro.obs import MetricsRegistry, Tracer
+from repro.workloads.base import InsertOp
 
 SIZING = dict(page_size=512, buffer_pages=8, default_ui=10.0)
 
@@ -84,7 +85,9 @@ def test_tree_knn_matches_brute_force(rng, loader):
 def test_forest_knn_matches_brute_force(rng):
     forest = make_forest()
     entries = random_entries(rng, 400)
-    forest.insert_batch([(oid, point) for point, oid in entries])
+    forest.apply_ops(
+        [InsertOp(forest.clock.time, oid, point) for point, oid in entries]
+    )
     for t in (0.0, 11.0, 33.0):
         for k in (1, 7, 50):
             x = (rng.uniform(0, 100), rng.uniform(0, 100))
@@ -214,5 +217,7 @@ def test_knn_property_tree_and_forest_equal_oracle(entries, t, k, x):
         tree.insert(oid, point)
     assert tree.knn_entries(x, t, k) == expected
     forest = make_forest(partitions=3)
-    forest.insert_batch([(oid, point) for point, oid in entries])
+    forest.apply_ops(
+        [InsertOp(forest.clock.time, oid, point) for point, oid in entries]
+    )
     assert forest.knn_entries(x, t, k) == expected

@@ -20,6 +20,7 @@ from repro.geometry.intersection import region_matches_point
 from repro.geometry.kinematics import MovingPoint
 from repro.geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
 from repro.geometry.rect import Rect
+from repro.workloads.base import InsertOp
 
 SIZING = dict(page_size=512, buffer_pages=8, default_ui=10.0)
 SPACE = 100.0
@@ -109,15 +110,29 @@ def test_forest_batch_matches_sequential(seed, partitioner):
     assert forest.query_batch(queries) == [forest.query(q) for q in queries]
 
 
-def test_forest_insert_batch_matches_sequential_inserts():
+def test_forest_apply_ops_matches_sequential_inserts():
+    """A write batch through ``apply_ops`` builds the same forest."""
     rng = random.Random(7)
     reports = [(oid, _random_point(rng, 0.0)) for oid in range(300)]
-    config = forest_config(partitions=4, partitioner="grid", **SIZING)
+    config = forest_config(
+        partitions=4, partitioner="grid", space=100.0, **SIZING
+    )
     sequential = PartitionedMovingObjectForest(config, SimulationClock())
     for oid, point in reports:
         sequential.insert(oid, point)
+    assert all(tree.leaf_entry_count for tree in sequential.trees)
     grouped = PartitionedMovingObjectForest(config, SimulationClock())
-    grouped.insert_batch(reports)
+    result = grouped.apply_ops(
+        [InsertOp(0.0, oid, point) for oid, point in reports]
+    )
+    assert (result.ops, result.failed_deletes) == (300, 0)
+    # One clock tick, so one batch per member: each member applies its
+    # reports in stream order, exactly as the one-by-one inserts did.
+    assert result.batches == 4
+    assert grouped.io_snapshot() == sequential.io_snapshot()
+    assert [list(tree.snapshot().leaf_entries()) for tree in grouped.trees] \
+        == [list(tree.snapshot().leaf_entries())
+            for tree in sequential.trees]
     queries = [_random_query(rng, 0.0) for _ in range(40)]
     assert [grouped.query(q) for q in queries] == \
         [sequential.query(q) for q in queries]

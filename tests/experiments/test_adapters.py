@@ -1,5 +1,7 @@
 """Tests for the I/O-accounted index adapters."""
 
+import pytest
+
 from repro.core.presets import rexp_config, tpr_config
 from repro.experiments.adapters import ScheduledAdapter, TreeAdapter
 from repro.geometry.kinematics import MovingPoint
@@ -112,3 +114,37 @@ def test_forest_adapter_replays_workload_with_oracle():
     assert result.search_ops > 0
     assert len(result.partition_pages) == 4
     assert sum(result.partition_pages) == result.page_count
+
+
+def _forest_adapter():
+    from repro.core.presets import forest_config
+    from repro.experiments.adapters import ForestAdapter
+
+    return ForestAdapter("f", forest_config(
+        partitions=2, page_size=512, buffer_pages=4, default_ui=10.0
+    ))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TreeAdapter("t", CONFIG), _forest_adapter,
+], ids=["tree", "forest"])
+def test_batched_and_knn_reads_are_charged_as_searches(build):
+    """Search I/O grows by exactly the wrapped index's I/O delta."""
+    adapter = build()
+    for oid in range(400):
+        adapter.insert(oid, point(float(oid % 20) * 5, float(oid // 20) * 5))
+    query = TimesliceQuery(Rect((0.0, 0.0), (100.0, 100.0)), 1.0)
+    search_io, search_ops = (
+        adapter.op_stats.search_io, adapter.op_stats.search_ops
+    )
+    index_before = adapter.index.stats.snapshot()
+    batched = adapter.query_batch([query, query])
+    nearest = adapter.query_knn((50.0, 50.0), 1.0, 5)
+    delta = adapter.index.stats.since(index_before).total
+    assert delta > 0
+    assert adapter.op_stats.search_io - search_io == delta
+    # Two batched queries share one traversal's I/O; the kNN is one more.
+    assert adapter.op_stats.search_ops - search_ops == 3
+    assert batched == [adapter.query(query)] * 2
+    assert len(nearest) == 5
+    assert adapter.query_batch([]) == []

@@ -1,8 +1,12 @@
-"""End-to-end tests for the process-parallel sharded index.
+"""End-to-end tests for the partitioned index on a directory.
 
-Every test that spawns workers keeps the shard count at two and the
-workload small: worker startup is a full interpreter ``spawn``, so the
-suite buys its coverage with as few forests as possible.
+Where a test asserts a property of the partitioned index itself, it
+runs once per executor: members in this process
+(:class:`PartitionedMovingObjectForest`) and members in worker processes
+(:class:`ShardedForest`).  Every test that spawns workers keeps the
+member count at two and the workload small: worker startup is a full
+interpreter ``spawn``, so the suite buys its coverage with as few
+forests as possible.
 """
 
 import math
@@ -13,6 +17,7 @@ import pytest
 
 from repro.core.clock import SimulationClock
 from repro.core.config import TreeConfig
+from repro.core.forest import PartitionedMovingObjectForest
 from repro.core.tree import MovingObjectTree
 from repro.geometry.kinematics import MovingPoint
 from repro.geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
@@ -26,12 +31,39 @@ from repro.shard import (
     ShardWorkerError,
 )
 from repro.storage.faults import TransientIOError
-from repro.workloads.base import DeleteOp, InsertOp, QueryOp, UpdateOp
+from repro.workloads.base import (
+    DeleteOp,
+    InsertOp,
+    QueryOp,
+    UpdateOp,
+    route_op,
+)
 from repro.workloads.expiration import FixedPeriod
 from repro.workloads.network import NetworkParams, generate_network_workload
 
 TREE = TreeConfig(page_size=512, buffer_pages=16, default_ui=10.0)
 SPACE = 100.0
+EXECUTORS = {
+    "in-process": PartitionedMovingObjectForest,
+    "workers": ShardedForest,
+}
+
+
+
+
+def on_both_executors(check):
+    """Run ``check(kind, tmp_path)`` once per executor, in one test.
+
+    ``kind`` is the executor's forest class and ``tmp_path`` a fresh
+    directory of its own; the test keeps the check's name.
+    """
+    def test(tmp_path):
+        for name, kind in sorted(EXECUTORS.items()):
+            (tmp_path / name).mkdir()
+            check(kind, tmp_path / name)
+
+    test.__name__, test.__doc__ = check.__name__, check.__doc__
+    return test
 
 
 def shard_config(**overrides):
@@ -100,10 +132,11 @@ def oracle_replay(ops, config=TREE):
 # -- scatter-gather equals a single tree --------------------------------------
 
 
-def test_interactive_ops_match_single_tree_oracle(tmp_path):
+@on_both_executors
+def test_interactive_ops_match_single_tree_oracle(kind, tmp_path):
     rng = random.Random(11)
     oracle = MovingObjectTree(TREE, SimulationClock())
-    with ShardedForest.create(str(tmp_path / "s"), shard_config()) as forest:
+    with kind.create(str(tmp_path / "s"), shard_config()) as forest:
         live = {}
         for oid in range(60):
             point = random_report(rng, forest.clock.time)
@@ -126,10 +159,11 @@ def test_interactive_ops_match_single_tree_oracle(tmp_path):
         assert forest.audit().leaf_entries == oracle.audit().leaf_entries
 
 
-def test_batched_replay_matches_oracle_and_reports_spans(tmp_path):
+@on_both_executors
+def test_batched_replay_matches_oracle_and_reports_spans(kind, tmp_path):
     workload = small_workload(seed=3)
     expected, expected_failed = oracle_replay(workload.ops)
-    with ShardedForest.create(
+    with kind.create(
         str(tmp_path / "s"), shard_config(batch_ops=32)
     ) as forest:
         result = forest.apply_ops(workload.ops)
@@ -148,9 +182,10 @@ def test_batched_replay_matches_oracle_and_reports_spans(tmp_path):
     assert queries <= result.scattered_queries <= 2 * queries
 
 
-def test_snapshot_gathers_all_shards(tmp_path):
+@on_both_executors
+def test_snapshot_gathers_all_shards(kind, tmp_path):
     rng = random.Random(5)
-    with ShardedForest.create(str(tmp_path / "s"), shard_config()) as forest:
+    with kind.create(str(tmp_path / "s"), shard_config()) as forest:
         points = {
             oid: random_report(rng, 0.0) for oid in range(40)
         }
@@ -166,17 +201,18 @@ def test_snapshot_gathers_all_shards(tmp_path):
 # -- durability ---------------------------------------------------------------
 
 
-def test_close_checkpoints_and_reopen_preserves_answers(tmp_path):
+@on_both_executors
+def test_close_checkpoints_and_reopen_preserves_answers(kind, tmp_path):
     rng = random.Random(7)
     directory = str(tmp_path / "s")
     oracle = MovingObjectTree(TREE, SimulationClock())
-    with ShardedForest.create(directory, shard_config()) as forest:
+    with kind.create(directory, shard_config()) as forest:
         for oid in range(50):
             point = random_report(rng, forest.clock.time)
             forest.insert(oid, point)
             oracle.insert(oid, point)
         last_time = forest.clock.time
-    reopened = ShardedForest.open(directory)
+    reopened = kind.open(directory)
     try:
         reopened.clock.advance_to(last_time)
         for query in sample_queries(last_time):
@@ -208,13 +244,14 @@ def test_reopened_and_revived_workers_keep_feeding_the_registry(tmp_path):
         assert forest.registry_snapshot().value("buffer.hits") > 0
 
 
-def test_open_rejects_missing_or_mismatched_manifest(tmp_path):
+@on_both_executors
+def test_open_rejects_missing_or_mismatched_manifest(kind, tmp_path):
     with pytest.raises(FileNotFoundError):
-        ShardedForest.open(str(tmp_path / "nowhere"))
+        kind.open(str(tmp_path / "nowhere"))
     directory = str(tmp_path / "s")
-    ShardedForest.create(directory, shard_config()).close()
+    kind.create(directory, shard_config()).close()
     with pytest.raises(ValueError, match="workers"):
-        ShardedForest.open(directory, shard_config(workers=3))
+        kind.open(directory, shard_config(workers=3))
 
 
 # -- worker lifecycle ---------------------------------------------------------
@@ -284,10 +321,11 @@ def test_worker_errors_report_the_traceback(tmp_path):
     with ShardedForest.create(str(tmp_path / "s"), shard_config()) as forest:
         point = MovingPoint((5.0, 5.0), (0.1, 0.0), 0.0, 50.0)
         forest.insert(1, point)
-        # Bulk-loading a non-empty shard is a worker-side ValueError;
-        # it must come back as a reported fault with the traceback.
+        # An oid beyond the page codec's u32 range is a worker-side
+        # ValueError; it must come back as a reported fault with the
+        # traceback.
         with pytest.raises(ShardWorkerError, match="Traceback"):
-            forest.bulk_load([(point, 2)])
+            forest.insert(2**40, point)
         # The worker survives a reported error and keeps serving.
         assert forest.leaf_entry_count == 1
 
@@ -308,17 +346,16 @@ def test_config_rejects_degenerate_values():
         ShardConfig(workers=0)
     with pytest.raises(ValueError):
         ShardConfig(batch_ops=0)
-    with pytest.raises(ValueError):
-        ShardConfig(window=0)
 
 
 # -- serving frontend over shards ---------------------------------------------
 
 
-def test_frontend_serves_sharded_index(tmp_path):
+@on_both_executors
+def test_frontend_serves_sharded_index(kind, tmp_path):
     workload = small_workload(seed=9, insertions=120)
     expected, _ = oracle_replay(workload.ops)
-    forest = ShardedForest.create(str(tmp_path / "s"), shard_config())
+    forest = kind.create(str(tmp_path / "s"), shard_config())
     try:
         frontend = ServiceFrontend(
             forest,
@@ -338,12 +375,13 @@ def test_frontend_serves_sharded_index(tmp_path):
 # -- cross-query batching ------------------------------------------------------
 
 
-def test_query_batch_matches_sequential_queries(tmp_path):
+@on_both_executors
+def test_query_batch_matches_sequential_queries(kind, tmp_path):
     """One wire batch per shard answers exactly like one-at-a-time."""
     rng = random.Random(17)
-    # A small window and batch size force mid-send pipelining.
-    config = shard_config(batch_ops=5, window=2)
-    with ShardedForest.create(str(tmp_path / "s"), config) as forest:
+    # A small batch size forces mid-send pipelining.
+    config = shard_config(batch_ops=5)
+    with kind.create(str(tmp_path / "s"), config) as forest:
         for oid in range(80):
             forest.insert(oid, random_report(rng, forest.clock.time))
         t = forest.clock.time
@@ -359,11 +397,12 @@ def test_query_batch_matches_sequential_queries(tmp_path):
         assert forest.query_batch(queries[:1]) == sequential[:1]
 
 
-def test_frontend_batched_serving_matches_oracle(tmp_path):
+@on_both_executors
+def test_frontend_batched_serving_matches_oracle(kind, tmp_path):
     """batch_queries > 1 drains query runs without changing answers."""
     workload = small_workload(seed=9, insertions=120)
     expected, _ = oracle_replay(workload.ops)
-    forest = ShardedForest.create(str(tmp_path / "s"), shard_config())
+    forest = kind.create(str(tmp_path / "s"), shard_config())
     try:
         frontend = ServiceFrontend(
             forest,
@@ -380,7 +419,8 @@ def test_frontend_batched_serving_matches_oracle(tmp_path):
         forest.close()
 
 
-def test_scatter_merge_orders_on_a_pruning_grid(tmp_path):
+@on_both_executors
+def test_scatter_merge_orders_on_a_pruning_grid(kind, tmp_path):
     """One scatter, two merge orders — each exactly what its caller promises.
 
     A 2x2 grid with a finite reach enumerates a query's cells
@@ -389,7 +429,7 @@ def test_scatter_merge_orders_on_a_pruning_grid(tmp_path):
     order; ``apply_ops`` concatenates them in ascending shard order.
     """
     config = shard_config(workers=4, reach=10.0)
-    with ShardedForest.create(str(tmp_path / "sharded"), config) as forest:
+    with kind.create(str(tmp_path / "sharded"), config) as forest:
         assert forest.partitioner.query_partitions(
             TimesliceQuery(Rect((0.0, 0.0), (100.0, 100.0)), 1.0).region()
         ) == (0, 2, 1, 3)
@@ -425,3 +465,91 @@ def test_scatter_merge_orders_on_a_pruning_grid(tmp_path):
         assert result.scattered_queries == 4 + 2 + 4
         # Every batch sent was acknowledged and tallied.
         assert result.batches >= 4
+
+
+# -- one directory format, two executors ----------------------------------------
+
+
+@pytest.mark.parametrize("writer, reader", [
+    (PartitionedMovingObjectForest, ShardedForest),
+    (ShardedForest, PartitionedMovingObjectForest),
+], ids=["in-process-then-workers", "workers-then-in-process"])
+def test_directory_reopens_under_the_other_executor(tmp_path, writer, reader):
+    """One manifest: either executor opens what the other wrote."""
+    rng = random.Random(31)
+    directory = str(tmp_path / "forest")
+    # A speed partitioner refits its boundaries on bulk load, so the
+    # manifest must carry data-driven state, not just the config.
+    config = shard_config(partitioner="speed")
+    live = {oid: random_report(rng, 0.0) for oid in range(60)}
+    with writer.create(directory, config) as forest:
+        forest.bulk_load([(point, oid) for oid, point in live.items()])
+        for oid in range(60, 90):
+            forest.clock.advance_to(forest.clock.time + 0.1)
+            live[oid] = random_report(rng, forest.clock.time)
+            forest.insert(oid, live[oid])
+        for oid in range(0, 90, 9):  # some of these change speed class
+            new = random_report(rng, forest.clock.time)
+            assert forest.update(oid, live[oid], new)
+            live[oid] = new
+        boundaries = forest.partitioner.boundaries
+        clock = forest.clock.time
+        queries = sample_queries(clock)
+        want = forest.query_batch(queries)
+        want_knn = forest.query_knn((50.0, 50.0), clock + 1.0, 7)
+        want_audit = forest.audit()
+    assert os.path.exists(os.path.join(directory, "forest.json"))
+    with reader.open(directory) as reopened:
+        assert type(reopened) is reader
+        assert reopened.partitioner.boundaries == boundaries
+        assert reopened.clock.time == clock
+        assert reopened.config.tree == TREE
+        assert reopened.query_batch(queries) == want
+        assert [reopened.query(q) for q in queries] == want
+        assert reopened.query_knn((50.0, 50.0), clock + 1.0, 7) == want_knn
+        assert reopened.audit() == want_audit
+
+
+def test_apply_ops_is_the_same_replay_on_both_executors(tmp_path):
+    """In-process and worker members replay a stream to the same answers.
+
+    The stream migrates objects between grid cells (an update whose two
+    halves route to different members), queries between the writes,
+    and kNN requests between replay chunks.
+    """
+    workload = small_workload(seed=7, insertions=200)
+    config = shard_config(batch_ops=16)
+    partitioner = None
+    outcomes = {}
+    for name, kind in sorted(EXECUTORS.items()):
+        with kind.create(
+            str(tmp_path / name), config, partitioner
+        ) as forest:
+            partitioner = forest.partitioner
+            results, nearest = [], []
+            for start in range(0, len(workload.ops), 90):
+                chunk = workload.ops[start:start + 90]
+                results.append(forest.apply_ops(chunk))
+                t = forest.clock.time
+                nearest.append(forest.knn_entries((40.0, 60.0), t, 6))
+            outcomes[name] = (
+                [(r.ops, r.answers, r.failed_deletes) for r in results],
+                nearest,
+                forest.audit(),
+            )
+    migrations = sum(
+        1 for op in workload.ops
+        if isinstance(op, UpdateOp) and len(route_op(partitioner, op)) == 2
+    )
+    assert migrations > 0
+    assert outcomes["in-process"] == outcomes["workers"]
+    expected, expected_failed = oracle_replay(workload.ops)
+    replayed = outcomes["workers"][0]
+    assert sum(failed for _, _, failed in replayed) == expected_failed
+    answers = {}
+    for start, (_, chunk_answers, _) in zip(
+        range(0, len(workload.ops), 90), replayed
+    ):
+        for index, oids in chunk_answers.items():
+            answers[start + index] = sorted(oids)
+    assert answers == {i: sorted(a) for i, a in expected.items()}

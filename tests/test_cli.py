@@ -321,7 +321,7 @@ def test_top_from_metrics_renders_replication_health(tmp_path, capsys):
 
 
 def test_recover_opens_a_sharded_directory(tmp_path, capsys):
-    """``recover`` knows all three durable shapes, not just tree and forest."""
+    """``recover`` opens a worker-written forest through the one manifest."""
     from repro.core.config import TreeConfig
     from repro.geometry.kinematics import MovingPoint
     from repro.shard import ShardConfig, ShardedForest
@@ -347,7 +347,8 @@ def test_recover_opens_a_sharded_directory(tmp_path, capsys):
     assert "recovered" in captured.out and "(clock 11)" in captured.out
     assert "12 leaf entries" in captured.out
     assert "checkpointed" in captured.out
-    assert "member" not in captured.out  # shards recover in their workers
+    # One manifest, one open: the members recover in-process.
+    assert "member0:" in captured.out and "member1:" in captured.out
     assert captured.err == ""
 
 

@@ -92,8 +92,16 @@ def test_index_contract_is_exported_and_written_once():
         assert issubclass(shape, MovingObjectIndex)
         assert shape.query_knn is MovingObjectIndex.query_knn
         assert shape.now is MovingObjectIndex.now
-        if shape is not ShardedForest:  # one wire record when it can
+        if not issubclass(shape, PartitionedMovingObjectForest):
             assert shape.update is MovingObjectIndex.update
+    # A sharded forest *is* the forest, its members in worker processes;
+    # the forest routes an update as one member record when it can.
+    assert issubclass(ShardedForest, PartitionedMovingObjectForest)
+    for name in ("update", "query", "query_batch", "knn_entries",
+                 "apply_ops", "bulk_load", "snapshot", "audit"):
+        assert getattr(ShardedForest, name) is getattr(
+            PartitionedMovingObjectForest, name
+        )
     # The frontend is handed duck-typed proxies around a tree, so what
     # it asks of an index must exist on the tree itself.
     for name in ("insert", "delete", "query", "query_batch", "snapshot",
@@ -118,7 +126,7 @@ def test_each_idea_exists_once():
             if re.search(pattern, text)
         )
 
-    assert files_with(r"def update\(") == ["core/index.py", "shard/router.py"]
+    assert files_with(r"def update\(") == ["core/forest.py", "core/index.py"]
     assert files_with(r"def query_knn\(") == ["core/index.py"]
     assert files_with(r"def knn\(") == []
     assert files_with(
@@ -131,6 +139,7 @@ def test_each_idea_exists_once():
     for generator in ("generate_uniform_workload(",
                       "generate_network_workload("):
         assert sources["cli.py"].count(generator) <= 2
-    for shared in ("merge_knn(", ".scatter(", "gather("):
-        assert shared in sources["core/forest.py"]
-        assert shared in sources["shard/router.py"]
+    # Scatter, merge and kNN bound-threading have one caller: the forest.
+    for shared in (r"(?<!def )merge_knn\(", r"\.scatter\(",
+                   r"(?<!def )\bgather\("):
+        assert files_with(shared) == ["core/forest.py"], shared
