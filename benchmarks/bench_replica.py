@@ -42,13 +42,7 @@ from repro.core.tree import MovingObjectTree
 from repro.geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
 from repro.geometry.rect import Rect
 from repro.obs import MetricsRegistry
-from repro.replication import (
-    OnlineMaintainer,
-    Replica,
-    ReplicaLink,
-    ShippingChannel,
-    WalShipper,
-)
+from repro.replication import ReplicaLink, start_follower
 from repro.storage.faults import FaultInjector
 from repro.workloads.base import QueryOp, apply_op
 from repro.workloads.network import NetworkParams, generate_network_workload
@@ -111,21 +105,13 @@ def test_replica_parity_staleness_maintenance_failover():
         tree = MovingObjectTree.create_durable(
             primary_dir, config, SimulationClock()
         )
-        shipper = WalShipper(primary_dir, registry=registry)
-        follower = Replica.bootstrap(
-            tree.disk, shipper, os.path.join(base, "replica"),
-            registry=registry,
-        )
-        channel = ShippingChannel(
-            shipper,
+        channel, follower, maintainer = start_follower(
+            tree.disk, os.path.join(base, "replica"),
             injector=FaultInjector(
                 crash_at_write=9, mode="torn", seed=77,
                 transient_writes=(3,),
             ),
-            registry=registry,
-        )
-        maintainer = OnlineMaintainer(
-            tree.disk, wal_soft_limit=WAL_SOFT_LIMIT, registry=registry
+            registry=registry, wal_soft_limit=WAL_SOFT_LIMIT,
         )
         link = ReplicaLink(
             channel, follower, maintainer,

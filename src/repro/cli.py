@@ -48,7 +48,6 @@ from .experiments.figures import ALL_FIGURES
 from .experiments.report import format_checks, format_figure, shape_checks
 from .experiments.runner import run_workload, split_initial_population
 from .experiments.scale import DEFAULT_SCALE, SCALES, Scale
-from .geometry.bounding import BoundingKind
 from .geometry.knn import brute_force_knn
 from .geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
 from .geometry.rect import Rect
@@ -573,24 +572,6 @@ def cmd_knn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sniff_tree_config(directory: str, buffer_pages: int):
-    """Rebuild a tree configuration from a durable store's header."""
-    header = read_header(directory)
-    return TreeConfig(
-        page_size=header.page_size,
-        dims=header.dims,
-        buffer_pages=buffer_pages,
-        bounding=(
-            BoundingKind.NEAR_OPTIMAL
-            if header.store_velocities
-            else BoundingKind.STATIC
-        ),
-        store_br_expiration=header.store_br_expiration,
-        store_leaf_expiration=header.store_leaf_expiration,
-        lazy_expiry=header.store_leaf_expiration,
-    )
-
-
 def cmd_persist(args: argparse.Namespace) -> int:
     workload = _workload(args, "uniform", FixedPeriod(120.0))
     adapter = _adapter(_sizing(args), args.index, args.partitions)
@@ -623,7 +604,8 @@ def _open_recovered(directory: str, buffer_pages: int):
         return PartitionedMovingObjectForest.open(directory)
     if os.path.exists(os.path.join(directory, PAGES_FILENAME)):
         return MovingObjectTree.open_from(
-            directory, _sniff_tree_config(directory, buffer_pages)
+            directory,
+            TreeConfig.for_layout(read_header(directory), buffer_pages),
         )
     return None
 
@@ -749,13 +731,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
-    from .replication import (
-        OnlineMaintainer,
-        Replica,
-        ReplicaLink,
-        ShippingChannel,
-        WalShipper,
-    )
+    from .replication import ReplicaLink, start_follower
     from .storage.faults import FaultInjector
 
     workload = _workload(args, "network")
@@ -768,11 +744,6 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         tree = MovingObjectTree.create_durable(
             os.path.join(base, "primary"), config, SimulationClock()
         )
-        shipper = WalShipper(tree.disk.directory, registry=registry)
-        follower = Replica.bootstrap(
-            tree.disk, shipper, os.path.join(base, "replica"),
-            registry=registry,
-        )
         channel_injector = None
         if args.torn_at or args.transients:
             channel_injector = FaultInjector(
@@ -780,12 +751,12 @@ def cmd_replicate(args: argparse.Namespace) -> int:
                 seed=args.seed + 77,
                 transient_writes=tuple(args.transients),
             )
-        channel = ShippingChannel(
-            shipper, injector=channel_injector, registry=registry
+        channel, follower, maintainer = start_follower(
+            tree.disk, os.path.join(base, "replica"),
+            injector=channel_injector, registry=registry,
+            wal_soft_limit=args.wal_soft_limit,
         )
-        maintainer = OnlineMaintainer(
-            tree.disk, wal_soft_limit=args.wal_soft_limit, registry=registry
-        )
+        shipper = channel.shipper
         link = ReplicaLink(
             channel, follower, maintainer,
             promote_config=config, registry=registry,

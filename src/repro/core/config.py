@@ -83,6 +83,30 @@ class TreeConfig:
             store_leaf_expiration=self.store_leaf_expiration,
         )
 
+    @classmethod
+    def for_layout(cls, layout, buffer_pages: int = 50) -> "TreeConfig":
+        """A configuration whose :meth:`layout` is ``layout``.
+
+        How a reader rebuilds the configuration of pages it did not
+        write: ``layout`` is an :class:`EntryLayout` or a page-file
+        header, which carries the same fields.  Stored velocities mean
+        near-optimal bounding, stored leaf expiration times mean lazy
+        expiry; every other field keeps its default.
+        """
+        return cls(
+            page_size=layout.page_size,
+            dims=layout.dims,
+            buffer_pages=buffer_pages,
+            bounding=(
+                BoundingKind.NEAR_OPTIMAL
+                if layout.store_velocities
+                else BoundingKind.STATIC
+            ),
+            store_br_expiration=layout.store_br_expiration,
+            store_leaf_expiration=layout.store_leaf_expiration,
+            lazy_expiry=layout.store_leaf_expiration,
+        )
+
     def with_(self, **changes) -> "TreeConfig":
         """A copy with the given fields replaced."""
         return replace(self, **changes)

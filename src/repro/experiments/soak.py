@@ -50,13 +50,7 @@ from ..core.tree import MovingObjectTree
 from ..geometry.intersection import region_matches_point
 from ..obs.metrics import MetricsRegistry
 from ..obs.slo import default_serve_slos
-from ..replication import (
-    OnlineMaintainer,
-    Replica,
-    ReplicaLink,
-    ShippingChannel,
-    WalShipper,
-)
+from ..replication import OnlineMaintainer, ReplicaLink, start_follower
 from ..serve.frontend import FrontendConfig, ServiceFrontend, ServiceReport
 from ..serve.retry import RetryPolicy
 from ..serve.subscriptions import SubscriptionIndex
@@ -742,26 +736,14 @@ def run_soak(
         audit_violations: List[str] = []
         if replica is not None:
             primary_dirs = [directory]
-            follower_seq = [0]
 
             def build_follower(primary_tree, channel_injector=None):
-                n = follower_seq[0]
-                follower_seq[0] += 1
-                shipper = WalShipper(
-                    primary_tree.disk.directory, registry=registry
-                )
-                follower = Replica.bootstrap(
-                    primary_tree.disk, shipper,
-                    os.path.join(tmp, f"replica{n}"), registry=registry,
-                )
-                channel = ShippingChannel(
-                    shipper, injector=channel_injector, registry=registry
-                )
-                maintainer = OnlineMaintainer(
-                    primary_tree.disk,
+                n = len(maintainers)
+                channel, follower, maintainer = start_follower(
+                    primary_tree.disk, os.path.join(tmp, f"replica{n}"),
+                    injector=channel_injector, registry=registry,
                     wal_soft_limit=replica.wal_soft_limit,
                     chain_budget=replica.chain_budget,
-                    registry=registry,
                 )
                 maintainers.append(maintainer)
                 return channel, follower, maintainer
@@ -911,9 +893,6 @@ def run_soak(
             "channel_faults": observed_faults,
             "spills": registry.value("replication.spills"),
             "truncation_cycles": truncations,
-            "truncations_deferred": registry.value(
-                "replication.truncation_deferred"
-            ),
             "footprint_high_water": link.footprint_high_water,
             "footprint_bound": replica.footprint_bound,
         }

@@ -26,24 +26,16 @@ from typing import List, Optional
 
 from ..obs.metrics import NULL_REGISTRY
 from ..storage.faults import SimulatedCrash, TransientIOError
-from ..storage.wal import _COMMIT, COMMIT_RECORD, encode_record, scan_wal_bytes
-from .shipper import ShippedBatch, WalShipper, batches_of
+from ..storage.wal import (
+    CommittedBatch,
+    batches_of,
+    encode_batches,
+    scan_wal_bytes,
+)
+from .shipper import WalShipper
 
 
-def encode_batch(batch: ShippedBatch) -> bytes:
-    """Serialize one batch in WAL wire format (fresh LSNs from 0)."""
-    lsn = 0
-    blob = bytearray()
-    for record in batch.records:
-        blob += encode_record(record.kind, lsn, record.payload)
-        lsn += 1
-    blob += encode_record(
-        COMMIT_RECORD, lsn, _COMMIT.pack(batch.op_seq, batch.clock_time)
-    )
-    return bytes(blob)
-
-
-def decode_batch(data: bytes) -> ShippedBatch:
+def decode_batch(data: bytes) -> CommittedBatch:
     """Validate and decode one shipped batch.
 
     Raises
@@ -55,9 +47,7 @@ def decode_batch(data: bytes) -> ShippedBatch:
     records, _valid, torn = scan_wal_bytes(data)
     if torn:
         raise TransientIOError(f"torn shipment: {torn} trailing bytes")
-    if not records or records[-1].kind != COMMIT_RECORD:
-        raise TransientIOError("shipment missing its commit record")
-    _base, _clock, batches = batches_of(records)
+    _checkpoint, batches = batches_of(records)
     if len(batches) != 1:
         raise TransientIOError(
             f"shipment decoded to {len(batches)} batches, expected 1"
@@ -75,18 +65,20 @@ class ShippingChannel:
     injector : FaultInjector, optional
         Deterministic fault schedule applied to each batch transfer.
     registry : MetricsRegistry, optional
-        Receives ``replication.shipped_bytes`` and
-        ``replication.channel_faults`` counters.
+        Receives the ``replication.shipped_batches``,
+        ``replication.shipped_bytes`` and ``replication.channel_faults``
+        counters.
     """
 
     def __init__(self, shipper: WalShipper, injector=None, registry=None):
         self.shipper = shipper
         self._injector = injector
         registry = registry or NULL_REGISTRY
+        self._batches = registry.counter("replication.shipped_batches")
         self._bytes = registry.counter("replication.shipped_bytes")
         self._faults = registry.counter("replication.channel_faults")
 
-    def _transfer(self, data: bytes) -> ShippedBatch:
+    def _transfer(self, data: bytes) -> CommittedBatch:
         delivered: Optional[bytes] = None
         injector = self._injector
         if injector is not None:
@@ -113,8 +105,11 @@ class ShippingChannel:
         self._bytes.inc(len(data))
         return batch
 
-    def poll(self, limit: Optional[int] = None) -> List[ShippedBatch]:
+    def poll(self, limit: Optional[int] = None) -> List[CommittedBatch]:
         """Fetch and deliver pending batches, oldest first.
+
+        A poll counts as shipped only once every transfer has decoded,
+        so a faulted poll's retry does not count its batches twice.
 
         Raises
         ------
@@ -125,10 +120,12 @@ class ShippingChannel:
             Batches past the cursor are gone — re-bootstrap territory,
             never retryable.
         """
-        return [
-            self._transfer(encode_batch(batch))
+        batches = [
+            self._transfer(encode_batches((batch,)))
             for batch in self.shipper.fetch(limit)
         ]
+        self._batches.inc(len(batches))
+        return batches
 
     def ack(self, op_seq: int) -> None:
         """Acknowledge application through ``op_seq`` on the shipper."""

@@ -28,10 +28,55 @@ from typing import Callable, List, Optional, Tuple
 from ..obs.metrics import NULL_REGISTRY
 from ..obs.slo import SLO
 from ..storage.faults import TransientIOError
+from ..storage.pagefile import FilePageStore
 from .channel import ShippingChannel
 from .maintenance import OnlineMaintainer
 from .replica import Replica
-from .shipper import ShippingGapError
+from .shipper import ShippingGapError, WalShipper
+
+#: Polls one poll cycle tries before a transient transport fault is
+#: dropped (the next cycle re-fetches from the durable cursor).
+POLL_ATTEMPTS = 4
+
+
+def start_follower(
+    store: FilePageStore,
+    directory: str,
+    *,
+    injector=None,
+    registry=None,
+    wal_soft_limit: Optional[int] = None,
+    chain_budget: int = 8,
+) -> Tuple[ShippingChannel, Replica, Optional[OnlineMaintainer]]:
+    """Bootstrap a follower of ``store``: ``(channel, replica, maintainer)``.
+
+    The one place a follower is assembled — shipper, bootstrapped
+    replica in ``directory``, channel, and (when ``wal_soft_limit`` is
+    given) the primary's online maintainer — returning the triple a
+    :class:`ReplicaLink` takes, and its ``reseed`` callback returns.
+
+    Parameters
+    ----------
+    store : FilePageStore
+        The primary's open page store.
+    directory : str
+        Where to create the replica's store.
+    injector : FaultInjector, optional
+        Fault schedule for the channel's transfers.
+    registry : MetricsRegistry, optional
+        Receives every part's ``replication.*`` metrics.
+    wal_soft_limit, chain_budget : optional
+        The maintainer's parameters; no maintainer without a limit.
+    """
+    shipper = WalShipper(store.directory, registry=registry)
+    replica = Replica.bootstrap(store, shipper, directory, registry=registry)
+    channel = ShippingChannel(shipper, injector=injector, registry=registry)
+    maintainer = None
+    if wal_soft_limit is not None:
+        maintainer = OnlineMaintainer(
+            store, wal_soft_limit, chain_budget, registry=registry
+        )
+    return channel, replica, maintainer
 
 
 def replication_slos(staleness_target: float = 0.9) -> List[SLO]:
@@ -77,9 +122,6 @@ class ReplicaLink:
         objective.
     poll_every : int, optional
         Served requests between poll cycles.
-    retry_attempts : int, optional
-        Transient-fault retries per poll cycle; a cycle that exhausts
-        them gives up silently (the next cycle re-fetches).
     on_promote : callable, optional
         ``f(tree) -> injector | None`` invoked after a promotion (and
         after re-seeding), e.g. to arm a fresh fault injector on the
@@ -103,7 +145,6 @@ class ReplicaLink:
         staleness_budget: float = float("inf"),
         slo_target: float = 0.9,
         poll_every: int = 8,
-        retry_attempts: int = 4,
         on_promote: Optional[Callable] = None,
         reseed: Optional[Callable] = None,
         tracer=None,
@@ -115,7 +156,6 @@ class ReplicaLink:
         self.staleness_budget = staleness_budget
         self.slo_target = slo_target
         self.poll_every = max(1, poll_every)
-        self.retry_attempts = max(1, retry_attempts)
         self.promotions = 0
         self.polls = 0
         self.max_staleness = 0.0
@@ -127,8 +167,7 @@ class ReplicaLink:
         self._mark_seqs: List[int] = []
         self._mark_indices: List[int] = []
         self._snapshot_cache: Tuple[int, object] = (-1, None)
-        #: As given (maybe None): handed on to a promoted tree, and what
-        #: tick() asks before computing gauge values nobody would read.
+        #: As given (maybe None): handed on to a promoted tree.
         self._registry = registry
         registry = registry or NULL_REGISTRY
         self._g_staleness = registry.gauge("replication.staleness_seconds")
@@ -150,7 +189,10 @@ class ReplicaLink:
 
     @property
     def ready(self) -> bool:
-        """Whether a live follower is attached and unpromoted."""
+        """Whether a live follower is attached and unpromoted.
+
+        That is also whether :meth:`failover` can promote one.
+        """
         return (
             self.replica is not None
             and self.channel is not None
@@ -162,11 +204,13 @@ class ReplicaLink:
         return replication_slos(self.slo_target)
 
     def staleness(self) -> float:
-        """Current index-clock replication lag in seconds (>= 0)."""
+        """Index-clock replication lag in seconds (>= 0).
+
+        Against the newest commit the last poll's one log scan saw.
+        """
         if not self.ready:
             return 0.0
-        shipper = self.channel.shipper
-        last_seq, last_clock = shipper.last_committed()
+        last_seq, last_clock = self.channel.shipper.last_committed()
         if last_seq <= self.replica.applied_op_seq:
             return 0.0
         return max(0.0, last_clock - self.replica.applied_clock_time)
@@ -221,9 +265,9 @@ class ReplicaLink:
     def tick(self, force: bool = False) -> None:
         """One serving-loop tick: maintenance step, cadenced poll cycle.
 
-        Transient transport faults are retried ``retry_attempts`` times
-        and then dropped — the next cycle re-fetches from the durable
-        cursor, so giving up loses nothing.  A
+        A transient transport fault is retried up to
+        :data:`POLL_ATTEMPTS` polls and then dropped — the next cycle
+        re-fetches from the durable cursor, so giving up loses nothing.  A
         :class:`~repro.replication.shipper.ShippingGapError` propagates:
         it means truncation bypassed the shipping gate and the replica
         must be re-bootstrapped, which is a wiring bug, not weather.
@@ -237,7 +281,7 @@ class ReplicaLink:
             self._observe_footprint()
             return
         batches = None
-        for _attempt in range(self.retry_attempts):
+        for _attempt in range(POLL_ATTEMPTS):
             try:
                 batches = self.channel.poll()
                 break
@@ -253,15 +297,13 @@ class ReplicaLink:
                 self.replica.apply(batches)
                 self.channel.ack(self.replica.applied_op_seq)
             self.max_staleness = max(self.max_staleness, lag)
-            if self._registry is not None:
-                # Both gauge values scan the primary's log: not free.
-                self._c_polls.inc()
-                self._g_staleness.set(self.staleness())
-                self._g_lag.set(self.channel.shipper.lag_batches())
-                if lag <= self.staleness_budget:
-                    self._c_within.inc()
-                else:
-                    self._c_over.inc()
+            self._c_polls.inc()
+            self._g_staleness.set(self.staleness())
+            self._g_lag.set(self.channel.shipper.lag_batches())
+            if lag <= self.staleness_budget:
+                self._c_within.inc()
+            else:
+                self._c_over.inc()
         self._observe_footprint()
 
     def _observe_footprint(self) -> None:
@@ -292,11 +334,6 @@ class ReplicaLink:
 
     # -- failover ------------------------------------------------------------
 
-    @property
-    def can_failover(self) -> bool:
-        """Whether a promotion is currently possible."""
-        return self.ready
-
     def failover(self):
         """Promote the follower and re-seed; return ``(tree, injector)``.
 
@@ -308,7 +345,7 @@ class ReplicaLink:
         lost: the drain reads the durable committed prefix, and
         promotion verifies the replica's log is dense up to it.
         """
-        if not self.can_failover:
+        if not self.ready:
             raise ShippingGapError("no promotable replica attached")
         replica, channel = self.replica, self.channel
         tree = replica.promote(

@@ -23,8 +23,7 @@ The decomposition is safe because of two standing invariants:
 The final step goes through the store's shipping gate
 (:meth:`~repro.storage.pagefile.FilePageStore.finish_checkpoint`), so
 truncation racing shipment resolves the same way a blocking checkpoint
-does: unshipped batches spill to an archive segment, or the cycle is
-deferred in refuse mode.
+does: unshipped batches spill to an archive segment.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import List, Optional
 from ..obs.metrics import NULL_REGISTRY
 from ..storage.faults import TransientIOError
 from ..storage.pagefile import FilePageStore
-from .shipper import ShippingLagError
 
 
 class OnlineMaintainer:
@@ -51,7 +49,7 @@ class OnlineMaintainer:
     chain_budget : int, optional
         Maximum free-chain slot writes per :meth:`step`.
     registry : MetricsRegistry, optional
-        Receives the ``replication.truncation_*`` counters and the
+        Receives the ``replication.truncation_cycles`` counter and the
         ``replication.primary_wal_bytes`` gauge.
     """
 
@@ -66,7 +64,6 @@ class OnlineMaintainer:
         self.wal_soft_limit = wal_soft_limit
         self.chain_budget = chain_budget
         self.cycles = 0
-        self.deferred = 0
         self.high_water = 0
         self._phase = "idle"
         self._pids: List[int] = []
@@ -75,7 +72,6 @@ class OnlineMaintainer:
         self._count = 0
         registry = registry or NULL_REGISTRY
         self._c_cycles = registry.counter("replication.truncation_cycles")
-        self._c_deferred = registry.counter("replication.truncation_deferred")
         registry.gauge("replication.primary_wal_bytes", fn=self.wal_bytes)
         registry.gauge(
             "replication.primary_wal_high_water", fn=lambda: self.high_water
@@ -99,9 +95,8 @@ class OnlineMaintainer:
         Phases: ``idle`` (watch the log size) → ``chain`` (persist up to
         ``chain_budget`` free-chain links) → ``final`` (header + fsync +
         gated truncation).  Every phase transition re-checks that the
-        store is quiescent and open; transient faults and refuse-mode
-        lag abandon the cycle — the next step starts over, nothing is
-        half-truncated.
+        store is quiescent and open; a transient fault abandons the
+        cycle — the next step starts over, nothing is half-truncated.
         """
         if self.store.closed:
             return False
@@ -137,11 +132,6 @@ class OnlineMaintainer:
             return False
         try:
             self.store.finish_checkpoint(self._prev, self._count)
-        except ShippingLagError:
-            self.deferred += 1
-            self._c_deferred.inc()
-            self._phase = "idle"
-            return True
         except TransientIOError:
             self._phase = "idle"
             return True

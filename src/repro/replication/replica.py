@@ -1,20 +1,24 @@
 """The replica: apply shipped batches, serve reads, promote on failover.
 
-A :class:`Replica` owns its own store directory — a page file plus a
-write-ahead log, byte-compatible with the primary's.  Application is
-deliberately *not* a private re-implementation of redo: each poll's
-batches are appended to the replica's own log and then replayed through
-the very same :func:`repro.storage.wal.recover` machinery the primary's
-crash path uses, TR-82 expired-page skip included.  Whatever recovery
-would reconstruct on the primary, the replica holds — which is exactly
-the invariant :meth:`Replica.promote` cashes in.
+A :class:`Replica` is a read-only
+:class:`~repro.core.tree.MovingObjectTree` over a
+:class:`~repro.storage.pagefile.FilePageStore` in its own directory — a
+page file plus a write-ahead log, byte-compatible with the primary's.
+Application is deliberately *not* a private re-implementation of redo:
+each poll's batches are appended to the replica's own log and then
+replayed through the very same :func:`repro.storage.wal.recover`
+machinery the primary's crash path uses, TR-82 expired-page skip
+included, after which the pages the poll touched are reloaded from the
+page file.  Whatever recovery would reconstruct on the primary, the
+replica's page table holds — which is exactly the invariant
+:meth:`Replica.promote` cashes in.
 
 Serving: the replica answers all five query classes — timeslice, window
 and moving-window queries (:meth:`Replica.query`), batched queries
 (:meth:`Replica.query_batch`) and k-nearest-neighbor requests
-(:meth:`Replica.query_knn`) — from its applied page set, with the same
-expiration-clipping predicates the live tree uses.  Staleness is
-whatever the shipping lag makes it, and is measured, not assumed.
+(:meth:`Replica.query_knn`) — by the tree's own descents over that page
+table, charging its own I/O counters, never the primary's.  Staleness
+is whatever the shipping lag makes it, and is measured, not assumed.
 """
 
 from __future__ import annotations
@@ -22,29 +26,26 @@ from __future__ import annotations
 import math
 import os
 import shutil
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
+from ..core.config import TreeConfig
 from ..core.index import MovingObjectIndex
 from ..core.tree import EntrySnapshot, MovingObjectTree
-from ..geometry.knn import brute_force_knn
 from ..obs.metrics import NULL_REGISTRY
 from ..storage.faults import TransientIOError
-from ..storage.pagefile import (
-    PAGES_FILENAME,
-    SLOT_ALLOCATED,
-    WAL_FILENAME,
-    FilePageStore,
-    PageFile,
-    _all_expired_predicate,
-)
-from ..storage.serial import NodeCodec
-from ..storage.wal import FREE_RECORD, WriteAheadLog, recover, scan_wal
-from .shipper import (
-    ReplicationError,
-    ShippedBatch,
-    WalShipper,
+from ..storage.pagefile import PAGES_FILENAME, WAL_FILENAME, FilePageStore
+from ..storage.wal import (
+    CommittedBatch,
+    WalError,
+    WriteAheadLog,
     batches_of,
+    scan_wal,
 )
+from .shipper import ReplicationError, WalShipper
+
+#: Polls a promotion's final drain tries before a transient channel
+#: fault propagates.
+DRAIN_ATTEMPTS = 8
 
 
 class PromotionError(ReplicationError):
@@ -70,29 +71,19 @@ class Replica(MovingObjectIndex):
     layout : EntryLayout
         Entry layout of the replicated pages (must match the primary).
     registry : MetricsRegistry, optional
-        Receives ``replication.applied_*`` and skip counters.
+        Receives ``replication.applied_*`` and skip counters (never
+        handed to the replica's tree or store).
     """
 
     def __init__(self, directory: str, layout, registry=None):
         self.directory = directory
         self.layout = layout
-        self.codec = NodeCodec(layout)
-        self.pages_path = os.path.join(directory, PAGES_FILENAME)
         self.wal_path = os.path.join(directory, WAL_FILENAME)
-        self._all_expired = _all_expired_predicate(self.codec)
-        self._file: Optional[PageFile] = PageFile.open(self.pages_path)
         self._promoted = False
-        report = recover(self._file, self.wal_path, self._all_expired)
-        self._applied_op_seq = report.op_seq
-        self._applied_clock = report.clock_time
-        header = self._file.read_header()
-        self._root_pid = header.root_pid
-        self._mirror: Dict[int, object] = {}
-        for pid in range(self._file.slot_count):
-            slot = self._file.read_slot(pid)
-            if slot.state == SLOT_ALLOCATED:
-                node, _t_ref = self.codec.decode(slot.payload)
-                self._mirror[pid] = node
+        self._tree = MovingObjectTree.open_from(
+            directory, TreeConfig.for_layout(layout)
+        )
+        self._applied_op_seq = self._tree.disk.recovery.op_seq
         registry = registry or NULL_REGISTRY
         self._applied_batches = registry.counter(
             "replication.applied_batches"
@@ -152,24 +143,26 @@ class Replica(MovingObjectIndex):
     @property
     def applied_clock_time(self) -> float:
         """Simulation clock time of the last applied commit."""
-        return self._applied_clock
+        return self._tree.now
 
     @property
     def promoted(self) -> bool:
         """Whether :meth:`promote` has consumed this replica."""
         return self._promoted
 
-    def apply(self, batches: Sequence[ShippedBatch]) -> int:
+    def apply(self, batches: Sequence[CommittedBatch]) -> int:
         """Apply shipped batches through the recovery machinery.
 
         Already-applied batches (at or below :attr:`applied_op_seq`)
         are skipped — redelivery after a lost acknowledgment is
         harmless.  The fresh suffix is appended to the replica's own
         log (records first, one COMMIT per batch) and then replayed by
-        :func:`repro.storage.wal.recover`, which applies the TR-82
-        expired-page skip, rewrites the header and free chain, and
-        truncates the replayed log — so the replica's WAL never grows
-        beyond one poll's worth of batches.
+        :meth:`repro.storage.pagefile.FilePageStore.replay`, which runs
+        :func:`repro.storage.wal.recover` — TR-82 expired-page skip, new
+        header and free chain, truncated log, so the replica's WAL never
+        grows beyond one poll's worth of batches — and reloads the
+        touched pages.  The tree's buffer drops them too (the root stays
+        pinned), so the next descent reads what recovery wrote.
 
         Returns
         -------
@@ -195,23 +188,20 @@ class Replica(MovingObjectIndex):
                     "shipment out of order"
                 )
             expected = batch.op_seq
-        wal = WriteAheadLog(self.wal_path)
+        tree, store = self._tree, self._tree.disk
         for batch in fresh:
             for record in batch.records:
-                wal.append_raw(record.kind, record.payload)
-            wal.append_commit(batch.op_seq, batch.clock_time)
-        wal.flush()
-        wal.close()
-        report = recover(self._file, self.wal_path, self._all_expired)
-        for batch in fresh:
-            for record in batch.records:
-                if record.kind == FREE_RECORD:
-                    self._mirror.pop(record.page_id, None)
-                else:
-                    node, _t_ref = self.codec.decode(record.page_bytes)
-                    self._mirror[record.page_id] = node
+                store.wal.append_raw(record.kind, record.payload)
+            store.wal.append_commit(batch.op_seq, batch.clock_time)
+        touched = sorted(
+            {record.page_id for batch in fresh for record in batch.records}
+        )
+        report = store.replay(touched)
+        for pid in touched:
+            tree.buffer.discard(pid)
+        tree.buffer.pin(tree.root_pid)
+        tree.clock.advance_to(report.clock_time)
         self._applied_op_seq = report.op_seq
-        self._applied_clock = report.clock_time
         self._applied_batches.inc(len(fresh))
         self._applied_pages.inc(report.pages_replayed)
         self._skipped.inc(report.wal_skipped_expired)
@@ -219,84 +209,50 @@ class Replica(MovingObjectIndex):
 
     def wal_bytes(self) -> int:
         """Current size of the replica's own write-ahead log."""
-        if not os.path.exists(self.wal_path):
-            return 0
         return os.path.getsize(self.wal_path)
 
     # -- serving -------------------------------------------------------------
 
-    def leaf_entries(self):
-        """Iterate ``(point, oid)`` over all root-reachable leaf entries."""
-        seen = set()
-        stack = [self._root_pid] if self._root_pid in self._mirror else []
-        while stack:
-            pid = stack.pop()
-            if pid in seen:
-                continue
-            seen.add(pid)
-            node = self._mirror[pid]
-            if node.is_leaf:
-                yield from node.entries
-            else:
-                stack.extend(node.child_ids())
-
     def snapshot(self) -> EntrySnapshot:
         """Cut an isolated snapshot of the applied leaf entries.
 
-        The entries are copied, so later applies cannot leak into a
-        reader holding the snapshot — the same isolation contract (and
-        the same class, so the frontend's
-        :class:`~repro.serve.degraded.DegradedReader` rebases onto it
-        without special cases) as
-        :meth:`repro.core.tree.MovingObjectTree.snapshot`, stamped with
-        how far the replica had applied when it was cut.
+        The tree's own snapshot — entries copied, so later applies
+        cannot leak into a reader holding it, and the same class, so the
+        frontend's :class:`~repro.serve.degraded.DegradedReader` rebases
+        onto it without special cases — stamped with how far the
+        replica had applied when it was cut.
         """
-        return EntrySnapshot(
-            self.leaf_entries(), self._applied_clock, self._applied_op_seq
-        )
+        snapshot = self._tree.snapshot()
+        snapshot.applied_op_seq = self._applied_op_seq
+        return snapshot
 
     def query(self, query) -> List[int]:
-        """Answer one timeslice/window/moving query from applied state.
+        """Answer one timeslice/window/moving query, sorted by oid.
 
-        The snapshot's brute-force scan — the same expiration-clipping
-        predicate the live tree's descent uses — so for any fully
-        applied prefix the answer equals the primary's at the same
-        clock time.
+        The tree's range descent over the applied pages, so for any
+        fully applied prefix the answer equals the primary's at the
+        same clock time.
         """
-        return sorted(self.snapshot().query(query))
+        return sorted(self._tree.query(query))
 
     def query_batch(self, queries: Sequence) -> List[List[int]]:
-        """Answer a batch of queries (one scan per query, same answers)."""
-        return [self.query(query) for query in queries]
+        """Answer a batch of queries in one shared descent (each sorted)."""
+        return [sorted(answer) for answer in self._tree.query_batch(queries)]
 
     def knn_entries(
         self, x, t: float, k: int, bound_sq: float = math.inf
     ) -> List[Tuple[float, int]]:
-        """Scored kNN over the applied state, nearest first.
-
-        The brute-force oracle
-        :func:`repro.geometry.knn.brute_force_knn` over the replica's
-        leaf entries — bit-identical, by definition, to the answer the
-        primary's best-first descent gives over the same entry set.
-        """
-        return [
-            pair
-            for pair in brute_force_knn(list(self.leaf_entries()), x, t, k)
-            if not pair[0] > bound_sq
-        ]
+        """Scored kNN over the applied pages: the tree's best-first descent."""
+        return self._tree.knn_entries(x, t, k, bound_sq)
 
     # -- promotion -----------------------------------------------------------
 
-    def verify_committed_prefix(self) -> Tuple[int, int]:
+    def verify_committed_prefix(self) -> None:
         """Verify the replica log holds a dense committed prefix.
 
-        Returns
-        -------
-        base_op_seq : int
-            Sequence number asserted by the log's checkpoint record.
-        batches : int
-            Committed batches after it (each exactly one past its
-            predecessor).
+        Past the checkpoint record's sequence number, each committed
+        batch must be exactly one past its predecessor, and the last
+        must be what the replica applied.
 
         Raises
         ------
@@ -305,12 +261,12 @@ class Replica(MovingObjectIndex):
         """
         records, _valid, _torn = scan_wal(self.wal_path)
         try:
-            base, _clock, batches = batches_of(records)
-        except ReplicationError as exc:
+            checkpoint, batches = batches_of(records)
+        except WalError as exc:
             raise PromotionError(str(exc)) from exc
         if not records:
             raise PromotionError("replica log is empty")
-        expected = base
+        expected = checkpoint.op_seq if checkpoint is not None else 0
         for batch in batches:
             if batch.op_seq != expected + 1:
                 raise PromotionError(
@@ -323,43 +279,32 @@ class Replica(MovingObjectIndex):
                 f"log prefix ends at {expected} but replica applied "
                 f"{self._applied_op_seq}"
             )
-        return base, len(batches)
 
     def promote(
-        self,
-        config,
-        clock=None,
-        *,
-        channel=None,
-        registry=None,
-        tracer=None,
-        drain_attempts: int = 8,
+        self, config, *, channel=None, registry=None, tracer=None
     ) -> MovingObjectTree:
         """Seal, verify and reopen this replica as the new primary.
 
         Controlled or crash failover both land here.  With a ``channel``
         the replica first drains every still-fetchable committed batch —
         the shipper reads the (possibly dead) primary's on-disk log, so
-        nothing committed is ever left behind; transient channel faults
-        are retried up to ``drain_attempts`` times.  The replica's log
-        tail is then sealed (the torn-tail scan inside recovery), the
-        committed prefix verified dense, and the directory reopened
-        through :meth:`repro.core.tree.MovingObjectTree.open_from` —
-        the same recovery path a restarted primary takes.
+        nothing committed is ever left behind; a transient channel fault
+        is retried up to :data:`DRAIN_ATTEMPTS` polls.  The replica's
+        log tail is then sealed (the torn-tail scan inside recovery),
+        the committed prefix verified dense, the read-only store
+        released, and the directory reopened through
+        :meth:`repro.core.tree.MovingObjectTree.open_from` — the same
+        recovery path a restarted primary takes.
 
         Parameters
         ----------
         config : TreeConfig
-            The primary's tree configuration (layout must match).
-        clock : SimulationClock, optional
-            Fresh clock for the promoted tree; advanced to the
-            recovered time.
+            The primary's tree configuration (layout must match); the
+            promoted tree gets a fresh clock at the recovered time.
         channel : ShippingChannel, optional
             Drain source for the final catch-up fetch.
         registry, tracer : optional
             Observability sinks for the recovery pass.
-        drain_attempts : int, optional
-            Transient-fault retries for the final drain.
 
         Returns
         -------
@@ -370,11 +315,11 @@ class Replica(MovingObjectIndex):
         if self._promoted:
             raise ReplicationError("replica already promoted")
         if channel is not None:
-            for attempt in range(drain_attempts):
+            for attempt in range(DRAIN_ATTEMPTS):
                 try:
                     batches = channel.poll()
                 except TransientIOError:
-                    if attempt == drain_attempts - 1:
+                    if attempt == DRAIN_ATTEMPTS - 1:
                         raise
                     continue
                 if not batches:
@@ -382,19 +327,18 @@ class Replica(MovingObjectIndex):
                 self.apply(batches)
                 channel.ack(self._applied_op_seq)
         self.verify_committed_prefix()
-        self._file.close()
-        self._file = None
+        self.close()
         self._promoted = True
-        tree = MovingObjectTree.open_from(
-            self.directory, config, clock,
-            registry=registry, tracer=tracer,
+        return MovingObjectTree.open_from(
+            self.directory, config, registry=registry, tracer=tracer
         )
-        return tree
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the page-file handle (idempotent; promote also does)."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        """Release the store's handles (idempotent; promote also does).
+
+        The replica never commits or checkpoints through its store, so
+        it is abandoned, not closed.
+        """
+        self._tree.disk.abandon()

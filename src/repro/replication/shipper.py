@@ -14,8 +14,8 @@ Three pieces of durable state live in the primary's store directory:
 ``wal_archive/seg-<first>-<last>.rexp``
     Archive segments in plain WAL wire format, re-encoded with fresh
     dense LSNs.  A checkpoint that would truncate not-yet-shipped
-    committed batches first *spills* them here (or refuses, in
-    ``"refuse"`` mode), so truncation can race shipment safely.
+    committed batches first *spills* them here, so truncation can race
+    shipment safely.
 ``ship.cursor``
     The durable shipping cursor: the highest operation sequence number
     the replica has acknowledged.  Written atomically (tmp + fsync +
@@ -25,20 +25,15 @@ Three pieces of durable state live in the primary's store directory:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..obs.metrics import NULL_REGISTRY
 from ..storage.pagefile import WAL_FILENAME
 from ..storage.wal import (
-    _COMMIT,
-    CHECKPOINT_RECORD,
-    COMMIT_RECORD,
-    FREE_RECORD,
-    PAGE_RECORD,
-    WalRecord,
+    CommittedBatch,
     WriteAheadLog,
-    encode_record,
+    batches_of,
+    encode_batches,
     scan_wal,
 )
 
@@ -46,90 +41,13 @@ from ..storage.wal import (
 CURSOR_FILENAME = "ship.cursor"
 ARCHIVE_DIRNAME = "wal_archive"
 
-#: Truncation policies (see :meth:`WalShipper.before_truncate`).
-SPILL = "spill"
-REFUSE = "refuse"
-
 
 class ReplicationError(Exception):
     """Base class for replication protocol violations."""
 
 
-class ShippingLagError(ReplicationError):
-    """A refuse-mode checkpoint would destroy unshipped committed batches."""
-
-
 class ShippingGapError(ReplicationError):
     """Committed batches between cursor and log are no longer available."""
-
-
-@dataclass(frozen=True)
-class ShippedBatch:
-    """One committed operation batch in shipping order.
-
-    Attributes
-    ----------
-    op_seq : int
-        The batch's operation sequence number (dense: each commit is
-        exactly one past its predecessor).
-    clock_time : float
-        Simulation clock time stamped on the commit record.
-    records : tuple of WalRecord
-        The batch's PAGE/FREE records, in log order (the closing COMMIT
-        is implied by ``op_seq``/``clock_time``).
-    """
-
-    op_seq: int
-    clock_time: float
-    records: Tuple[WalRecord, ...]
-
-
-def batches_of(records) -> Tuple[int, float, List[ShippedBatch]]:
-    """Group scanned WAL records into committed batches.
-
-    Mirrors the grouping rule of :func:`repro.storage.wal.recover`: a
-    leading checkpoint record sets the base sequence number, PAGE/FREE
-    records accumulate until a COMMIT closes the batch, and a trailing
-    batch without a COMMIT never happened.
-
-    Parameters
-    ----------
-    records : iterable of WalRecord
-        Intact records of one WAL-format file, in log order.
-
-    Returns
-    -------
-    base_op_seq : int
-        Sequence number asserted by the leading checkpoint (0 if none).
-    base_clock : float
-        Clock time of the leading checkpoint (0.0 if none).
-    batches : list of ShippedBatch
-        The committed batches, in order.
-
-    Raises
-    ------
-    ReplicationError
-        If a checkpoint record appears inside an open batch.
-    """
-    base_seq, base_clock = 0, 0.0
-    batches: List[ShippedBatch] = []
-    pending: List[WalRecord] = []
-    for record in records:
-        if record.kind == CHECKPOINT_RECORD:
-            if pending:
-                raise ReplicationError(
-                    "checkpoint record inside an open batch"
-                )
-            base_seq = record.op_seq
-            base_clock = record.clock_time
-        elif record.kind == COMMIT_RECORD:
-            batches.append(
-                ShippedBatch(record.op_seq, record.clock_time, tuple(pending))
-            )
-            pending = []
-        else:
-            pending.append(record)
-    return base_seq, base_clock, batches
 
 
 class WalShipper:
@@ -140,28 +58,20 @@ class WalShipper:
     directory : str
         The primary store's directory (holds ``wal.rexp``; the cursor
         file and archive directory are created inside it).
-    mode : str, optional
-        Truncation policy: :data:`SPILL` (default) archives unshipped
-        batches before a checkpoint truncates the log, :data:`REFUSE`
-        raises :class:`ShippingLagError` instead.
     registry : MetricsRegistry, optional
-        Receives ``replication.shipped_*`` counters and archive gauges.
+        Receives the ``replication.spills`` counter.
     """
 
-    def __init__(self, directory: str, mode: str = SPILL, registry=None):
-        if mode not in (SPILL, REFUSE):
-            raise ValueError(f"unknown shipping mode {mode!r}")
+    def __init__(self, directory: str, registry=None):
         self.directory = directory
-        self.mode = mode
         self.wal_path = os.path.join(directory, WAL_FILENAME)
         self.cursor_path = os.path.join(directory, CURSOR_FILENAME)
         self.archive_dir = os.path.join(directory, ARCHIVE_DIRNAME)
         self._acked = self._read_cursor()
-        registry = registry or NULL_REGISTRY
-        self._shipped_batches = registry.counter(
-            "replication.shipped_batches"
+        self._newest: Tuple[int, float] = (0, 0.0)
+        self._spills = (registry or NULL_REGISTRY).counter(
+            "replication.spills"
         )
-        self._spills = registry.counter("replication.spills")
 
     # -- durable cursor ------------------------------------------------------
 
@@ -223,55 +133,30 @@ class WalShipper:
             total += os.path.getsize(self.cursor_path)
         return total
 
-    def _write_segment(self, batches: List[ShippedBatch]) -> str:
+    def _write_segment(self, batches: List[CommittedBatch]) -> None:
         """Write ``batches`` as one archive segment (atomic, fsynced).
 
-        Records are re-encoded with fresh dense LSNs starting at 0 so
-        the segment is itself a valid WAL file for
-        :func:`repro.storage.wal.scan_wal`.
+        The segment is itself a valid WAL file (fresh dense LSNs from 0)
+        for :func:`repro.storage.wal.scan_wal`.
         """
         os.makedirs(self.archive_dir, exist_ok=True)
         name = f"seg-{batches[0].op_seq:017d}-{batches[-1].op_seq:017d}.rexp"
         path = os.path.join(self.archive_dir, name)
-        lsn = 0
-        blob = bytearray()
-        for batch in batches:
-            for record in batch.records:
-                kind = record.kind
-                if kind not in (PAGE_RECORD, FREE_RECORD):
-                    raise ReplicationError(
-                        f"unexpected record kind {kind} inside a batch"
-                    )
-                blob += encode_record(kind, lsn, record.payload)
-                lsn += 1
-            blob += encode_record(
-                COMMIT_RECORD, lsn, _COMMIT.pack(batch.op_seq, batch.clock_time)
-            )
-            lsn += 1
         tmp = path + ".tmp"
         with open(tmp, "wb") as handle:
-            handle.write(bytes(blob))
+            handle.write(encode_batches(batches))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
-        return path
 
     # -- fetch ---------------------------------------------------------------
 
-    def _available(self) -> List[ShippedBatch]:
-        """All committed batches on disk, archive segments first."""
-        batches: List[ShippedBatch] = []
-        for path, _first, _last in self._segments():
-            records, _valid, _torn = scan_wal(path)
-            _base, _clock, segment = batches_of(records)
-            batches.extend(segment)
-        records, _valid, _torn = scan_wal(self.wal_path)
-        _base, _clock, live = batches_of(records)
-        batches.extend(live)
-        return batches
-
-    def fetch(self, limit: Optional[int] = None) -> List[ShippedBatch]:
+    def fetch(self, limit: Optional[int] = None) -> List[CommittedBatch]:
         """Return committed batches past the cursor, oldest first.
+
+        Reads the archive segments, then the live log — whose one scan
+        also records the newest committed ``(op_seq, clock)`` for
+        :meth:`last_committed`.
 
         Parameters
         ----------
@@ -285,71 +170,62 @@ class WalShipper:
             were destroyed (e.g. the log was truncated outside the
             shipping gate) — the replica must re-bootstrap.
         """
-        raw = [b for b in self._available() if b.op_seq > self._acked]
-        raw.sort(key=lambda b: b.op_seq)
-        # A spill whose following log reset faulted leaves its batches
-        # both archived and live; identical content, so keep the first.
-        pending: List[ShippedBatch] = []
-        for batch in raw:
-            if pending and batch.op_seq == pending[-1].op_seq:
-                continue
-            pending.append(batch)
+        available: List[CommittedBatch] = []
+        for path, _first, _last in self._segments():
+            available.extend(batches_of(scan_wal(path)[0])[1])
+        checkpoint, live = batches_of(scan_wal(self.wal_path)[0])
+        available.extend(live)
+        # With no batch live, the log's checkpoint asserts how far
+        # history reached (every reset asserts the newest commit).
+        last = live[-1] if live else checkpoint
+        self._newest = (
+            (last.op_seq, last.clock_time) if last is not None else (0, 0.0)
+        )
+        pending: List[CommittedBatch] = []
         expected = self._acked
-        for batch in pending:
+        for batch in sorted(available, key=lambda b: b.op_seq):
+            # Skip what is acknowledged, and the second copy of a batch
+            # both archived and live (a spill whose log reset faulted).
+            if batch.op_seq <= expected:
+                continue
             if batch.op_seq != expected + 1:
                 raise ShippingGapError(
                     f"batch {expected + 1} missing: cursor {self._acked}, "
                     f"next available {batch.op_seq}"
                 )
+            pending.append(batch)
             expected = batch.op_seq
         if limit is not None:
             pending = pending[:limit]
-        self._shipped_batches.inc(len(pending))
         return pending
 
     def last_committed(self) -> Tuple[int, float]:
         """Sequence number and clock time of the newest committed batch.
 
-        Falls back to the live log's checkpoint base when no batch is
-        currently on disk (a freshly truncated log still asserts how far
-        history reached).
+        As of the last :meth:`fetch`, whose scan of the live log found
+        it — ``(0, 0.0)`` before the first.  With no batch on disk it is
+        the live log's checkpoint base.
         """
-        records, _valid, _torn = scan_wal(self.wal_path)
-        base, base_clock, live = batches_of(records)
-        if live:
-            return live[-1].op_seq, live[-1].clock_time
-        newest = (base, base_clock)
-        for _path, _first, last in self._segments():
-            if last > newest[0]:
-                newest = (last, newest[1])
-        return newest
+        return self._newest
 
     def lag_batches(self) -> int:
-        """Committed batches not yet acknowledged by the replica."""
-        return max(0, self.last_committed()[0] - self._acked)
+        """Committed batches not yet acknowledged, as of the last fetch."""
+        return max(0, self._newest[0] - self._acked)
 
     # -- the truncation gate -------------------------------------------------
 
     def before_truncate(self, wal: WriteAheadLog, op_seq: int) -> None:
-        """Gate a WAL truncation: spill unshipped batches, or refuse.
+        """Gate a WAL truncation: spill unshipped batches first.
 
         Invoked by :meth:`repro.storage.pagefile.FilePageStore.checkpoint`
-        just before it resets the log.  In spill mode the not-yet-acked
-        committed suffix of the live log is re-encoded into an archive
-        segment (durably, before the log is reset), so a tailing replica
-        can still fetch it; in refuse mode the truncation is rejected.
-
-        Raises
-        ------
-        ShippingLagError
-            In refuse mode, when committed batches past the cursor
-            would be destroyed.  The page file is already consistent at
-            this point, so refusing loses nothing — the caller may ship
-            first and checkpoint again.
+        just before it resets the log (``op_seq`` is the sequence number
+        the reset will assert).  The not-yet-acked committed suffix of
+        the live log is re-encoded into an archive segment — durably,
+        before the log is reset — so a tailing replica can still fetch
+        it.
         """
         wal.flush()
-        records, _valid, _torn = scan_wal(wal.path)
-        _base, _clock, live = batches_of(records)
+        _checkpoint, live = batches_of(scan_wal(wal.path)[0])
         # Batches already sitting in an archive segment are safe even
         # though still live (a previous spill whose log reset faulted);
         # re-spilling them would only duplicate bytes.
@@ -358,12 +234,6 @@ class WalShipper:
         )
         floor = max(self._acked, archived)
         unshipped = [b for b in live if b.op_seq > floor]
-        if not unshipped:
-            return
-        if self.mode == REFUSE:
-            raise ShippingLagError(
-                f"truncation would destroy {len(unshipped)} unshipped "
-                f"batches (cursor {self._acked}, committed {op_seq})"
-            )
-        self._write_segment(unshipped)
-        self._spills.inc()
+        if unshipped:
+            self._write_segment(unshipped)
+            self._spills.inc()

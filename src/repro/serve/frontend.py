@@ -490,7 +490,7 @@ class ServiceFrontend:
         self._count("kills")
         self._tracer.event("serve.kill", at=serving_now)
         link = self._replication
-        failing_over = link is not None and link.can_failover
+        failing_over = link is not None and link.ready
         if not failing_over and self._reopen is None:
             raise SimulatedCrash("no reopen callback configured")
         for store in self.index.local_stores():

@@ -497,7 +497,7 @@ class FilePageStore(DiskManager):
         Runs :func:`repro.storage.wal.recover` first — replaying
         committed log records, applying the TR-82 expiration skip and
         resetting the log — then loads every allocated slot back into
-        the in-memory mirror and rebuilds the free list (ascending page
+        the page table and rebuilds the free list (ascending page
         id order).  The resulting store resumes exactly at the last
         committed operation; its :attr:`recovery` holds the report.
 
@@ -541,17 +541,7 @@ class FilePageStore(DiskManager):
         # into the bound registry counter.
         store.codec = codec
         header = file.read_header()
-        for pid in range(file.slot_count):
-            slot = file.read_slot(pid)
-            if slot.state == SLOT_ALLOCATED:
-                if not slot.crc_ok:
-                    raise PageFileError(
-                        f"allocated page {pid} is corrupt after recovery"
-                    )
-                node, _t_ref = codec.decode(slot.payload)
-                store._pages[pid] = node
-            elif slot.state in (SLOT_FREE, SLOT_UNUSED):
-                store._free.append(pid)
+        store._free = store._load_slots(range(file.slot_count))
         store._next_id = max(header.next_id, file.slot_count)
         store._op_seq = report.op_seq
         store._root_pid = header.root_pid
@@ -563,6 +553,50 @@ class FilePageStore(DiskManager):
                 "no committed root page — nothing durable to open"
             )
         return store
+
+    def _load_slots(self, pids) -> List[PageId]:
+        """Load the page file's slots ``pids`` into the page table.
+
+        The one slot sweep, behind :meth:`open_dir` and :meth:`replay`:
+        an allocated slot is decoded in (a CRC failure raises
+        :class:`PageFileError`), any other slot leaves the table.
+        Returns the free and never-used pids, in the order given.
+        """
+        free = []
+        for pid in pids:
+            slot = self._file.read_slot(pid)
+            if slot.state == SLOT_ALLOCATED:
+                if not slot.crc_ok:
+                    raise PageFileError(
+                        f"allocated page {pid} is corrupt after recovery"
+                    )
+                self._pages[pid] = self.codec.decode(slot.payload)[0]
+                continue
+            self._pages.pop(pid, None)
+            if slot.state in (SLOT_FREE, SLOT_UNUSED):
+                free.append(pid)
+        return free
+
+    def replay(self, pids) -> RecoveryReport:
+        """Replay the log onto the page file, then reload ``pids``.
+
+        A follower's apply step: :func:`repro.storage.wal.recover` redoes
+        what was appended to :attr:`wal` (TR-82 skip included) and
+        resets the log, whose handle is reopened; reloading the touched
+        ``pids`` leaves the page table exactly what :meth:`open_dir`
+        would load.  The free list is not kept: followers never allocate.
+        """
+        self.wal.flush()
+        report = recover(
+            self._file, self.wal.path, _all_expired_predicate(self.codec)
+        )
+        self.wal.abandon()
+        self.wal = WriteAheadLog(
+            self.wal.path, stats=self.wal.stats, fsync=self.wal.fsync
+        )
+        self._load_slots(pids)
+        self._op_seq = report.op_seq
+        return report
 
     def arm_injector(self, injector) -> None:
         """Route all subsequent physical writes through ``injector``.
@@ -693,11 +727,10 @@ class FilePageStore(DiskManager):
         """Register a WAL shipper to be consulted before log truncation.
 
         Once attached, every checkpoint's log reset first passes through
-        ``shipper.before_truncate(wal, op_seq)``, which may spill not yet
-        shipped committed batches to an archive segment or refuse the
-        truncation outright (``ShippingLagError``) — truncating the live
-        log would otherwise silently destroy batches a tailing replica
-        still needs.  Pass ``None`` to detach.
+        ``shipper.before_truncate(wal, op_seq)``, which spills not yet
+        shipped committed batches to an archive segment — truncating the
+        live log would otherwise silently destroy batches a tailing
+        replica still needs.  Pass ``None`` to detach.
         """
         self._shipper = shipper
 
@@ -769,8 +802,8 @@ class FilePageStore(DiskManager):
         Commits any staged changes, rewrites the free chain and header
         (root, clock, allocation watermark), fsyncs the page file, and
         atomically resets the log to a single checkpoint record (an
-        attached shipper may first spill unshipped batches, or refuse —
-        see :meth:`attach_shipper`).  A no-op on a closed store, so
+        attached shipper first spills unshipped batches — see
+        :meth:`attach_shipper`).  A no-op on a closed store, so
         shutdown paths may call it unconditionally.
         """
         if self._closed:

@@ -45,8 +45,8 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 from .stats import IOStats
 
@@ -109,20 +109,91 @@ class WalRecord:
         return _COMMIT.unpack_from(self.payload, 0)[1]
 
 
+@dataclass(frozen=True)
+class CommittedBatch:
+    """One committed operation batch of a log, in log order.
+
+    Attributes
+    ----------
+    op_seq : int
+        The batch's operation sequence number (dense: each commit is
+        exactly one past its predecessor).
+    clock_time : float
+        Simulation clock time stamped on the commit record.
+    records : tuple of WalRecord
+        The batch's PAGE/FREE records, in log order (the closing COMMIT
+        is implied by ``op_seq``/``clock_time``).
+    """
+
+    op_seq: int
+    clock_time: float
+    records: Tuple[WalRecord, ...]
+
+
 def _encode_record(kind: int, lsn: int, payload: bytes) -> bytes:
     head = _RECORD_HEADER.pack(kind, lsn, len(payload)) + payload
     return head + _CRC.pack(zlib.crc32(head))
 
 
-def encode_record(kind: int, lsn: int, payload: bytes) -> bytes:
-    """Encode one record in the WAL wire format.
+def encode_batches(batches: Iterable[CommittedBatch]) -> bytes:
+    """Serialize committed batches in WAL wire format (fresh LSNs from 0).
 
-    Public entry point for code that writes WAL-formatted byte streams
-    outside the log itself — archive segments and the replication
-    shipping channel both reuse the record framing (and therefore its
-    CRC protection) so that :func:`scan_wal_bytes` can validate them.
+    The one encoder of WAL-formatted byte streams outside the log
+    itself: archive segments and the replication channel's shipments
+    both reuse the record framing (and so its CRC protection), which
+    lets :func:`scan_wal_bytes` and :func:`batches_of` read them back.
     """
-    return _encode_record(kind, lsn, payload)
+    blob = bytearray()
+    lsn = 0
+    for batch in batches:
+        for record in batch.records:
+            blob += _encode_record(record.kind, lsn, record.payload)
+            lsn += 1
+        blob += _encode_record(
+            COMMIT_RECORD, lsn, _COMMIT.pack(batch.op_seq, batch.clock_time)
+        )
+        lsn += 1
+    return bytes(blob)
+
+
+def batches_of(
+    records: Iterable[WalRecord],
+) -> Tuple[Optional[WalRecord], List[CommittedBatch]]:
+    """Group scanned records into committed batches — the one grouping rule.
+
+    PAGE/FREE records accumulate until a COMMIT closes the batch; a
+    trailing batch without a COMMIT never happened.  Recovery, the
+    shipper, the channel and promotion all read a log through this.
+
+    Returns
+    -------
+    checkpoint : WalRecord or None
+        The last checkpoint record (it asserts the sequence number and
+        clock the log starts from), or ``None`` if there is none.
+    batches : list of CommittedBatch
+        The committed batches, in order.
+
+    Raises
+    ------
+    WalError
+        If a checkpoint record appears inside an open batch.
+    """
+    checkpoint = None
+    batches: List[CommittedBatch] = []
+    pending: List[WalRecord] = []
+    for record in records:
+        if record.kind == CHECKPOINT_RECORD:
+            if pending:
+                raise WalError("checkpoint record inside an open batch")
+            checkpoint = record
+        elif record.kind == COMMIT_RECORD:
+            batches.append(CommittedBatch(
+                record.op_seq, record.clock_time, tuple(pending)
+            ))
+            pending = []
+        else:
+            pending.append(record)
+    return checkpoint, batches
 
 
 def scan_wal(path: str) -> Tuple[List[WalRecord], int, int]:
@@ -363,9 +434,6 @@ class RecoveryReport:
     op_seq: int = 0
     clock_time: float = 0.0
     checkpoint_seen: bool = False
-    _batches: List[Tuple[int, float, list]] = field(
-        default_factory=list, repr=False
-    )
 
 
 def recover(
@@ -424,35 +492,19 @@ def recover(
 def _recover(page_file, wal_path, all_expired):
     records, _valid, torn = scan_wal(wal_path)
     report = RecoveryReport(records_scanned=len(records), torn_bytes=torn)
-    header = page_file.read_header()
-    report.clock_time = header.clock_time
-
-    pending: list = []
-    for record in records:
-        if record.kind == CHECKPOINT_RECORD:
-            if pending:
-                raise WalError("checkpoint record inside an open batch")
-            report.checkpoint_seen = True
-            report.op_seq = record.op_seq
-            report.clock_time = record.clock_time
-        elif record.kind == COMMIT_RECORD:
-            report._batches.append(
-                (record.op_seq, record.clock_time, pending)
-            )
-            pending = []
-        else:
-            pending.append(record)
-    # A trailing batch without a commit record never happened.
-
-    if report._batches:
-        report.op_seq = report._batches[-1][0]
-        report.clock_time = report._batches[-1][1]
+    checkpoint, batches = batches_of(records)
+    report.checkpoint_seen = checkpoint is not None
+    last = batches[-1] if batches else checkpoint
+    if last is not None:
+        report.op_seq, report.clock_time = last.op_seq, last.clock_time
+    else:
+        report.clock_time = page_file.read_header().clock_time
     now = report.clock_time
 
     skipped = set()
-    for _op_seq, _clock, batch in report._batches:
+    for batch in batches:
         report.commits_applied += 1
-        for record in batch:
+        for record in batch.records:
             if record.kind == FREE_RECORD:
                 page_file.mark_free(record.page_id, -1)
                 skipped.discard(record.page_id)

@@ -8,7 +8,7 @@ from repro.core.clock import SimulationClock
 from repro.core.config import TreeConfig
 from repro.core.tree import MovingObjectTree
 from repro.geometry.kinematics import MovingPoint
-from repro.replication import Replica, ShippingChannel, WalShipper
+from repro.replication import start_follower
 
 CONFIG = TreeConfig(page_size=1024, buffer_pages=32)
 
@@ -35,15 +35,13 @@ def drive(tree, n, *, seed=0, start_oid=0, lifetime=500.0):
         tree.insert(start_oid + i, point)
 
 
-def make_pair(base, *, injector=None, registry=None, mode="spill"):
+def make_pair(base, *, injector=None, registry=None):
     """Primary + bootstrapped replica + channel, rooted under ``base``."""
     tree = make_primary(base / "primary")
-    shipper = WalShipper(str(base / "primary"), mode=mode, registry=registry)
-    replica = Replica.bootstrap(
-        tree.disk, shipper, str(base / "replica"), registry=registry
+    channel, replica, _maintainer = start_follower(
+        tree.disk, str(base / "replica"), injector=injector, registry=registry
     )
-    channel = ShippingChannel(shipper, injector=injector, registry=registry)
-    return tree, shipper, replica, channel
+    return tree, channel.shipper, replica, channel
 
 
 def catch_up(channel, replica):

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.replication.channel import decode_batch, encode_batch
+from repro.replication.channel import decode_batch
 from repro.storage.faults import FaultInjector, TransientIOError
+from repro.storage.wal import encode_batches
 
 from .helpers import drive, make_pair
 
@@ -13,7 +14,7 @@ def test_encode_decode_round_trip(tmp_path):
     tree, shipper, replica, _channel = make_pair(tmp_path)
     drive(tree, 3)
     for batch in shipper.fetch():
-        wire = encode_batch(batch)
+        wire = encode_batches([batch])
         decoded = decode_batch(wire)
         assert decoded.op_seq == batch.op_seq
         assert decoded.clock_time == batch.clock_time
@@ -31,7 +32,7 @@ def test_decode_rejects_torn_and_commitless_shipments(tmp_path):
     tree, shipper, replica, _channel = make_pair(tmp_path)
     drive(tree, 1)
     batch = shipper.fetch()[0]
-    wire = encode_batch(batch)
+    wire = encode_batches([batch])
     with pytest.raises(TransientIOError):
         decode_batch(wire[:-7])  # torn tail
     with pytest.raises(TransientIOError):
@@ -89,5 +90,26 @@ def test_kill_before_transfer_is_retryable(tmp_path):
     batches = channel.poll()
     replica.apply(batches)
     assert replica.applied_op_seq == tree.disk.op_seq
+    tree.close()
+    replica.close()
+
+
+def test_shipped_batches_counts_deliveries_not_fetch_attempts(tmp_path):
+    registry = MetricsRegistry()
+    # The third transfer faults: the poll raises after two transfers
+    # decoded, and its retry ships all the batches again.
+    injector = FaultInjector(transient_writes=(3,))
+    tree, _shipper, replica, channel = make_pair(
+        tmp_path, injector=injector, registry=registry
+    )
+    drive(tree, 10)
+    with pytest.raises(TransientIOError):
+        channel.poll()
+    assert registry.value("replication.shipped_batches") == 0
+    batches = channel.poll()
+    replica.apply(batches)
+    assert len(batches) == 10
+    assert registry.value("replication.shipped_batches") == 10
+    assert registry.value("replication.applied_batches") == 10
     tree.close()
     replica.close()

@@ -56,34 +56,6 @@ def test_steps_interleave_with_serving(tmp_path):
     tree.close()
 
 
-def test_refuse_mode_defers_the_cycle_until_shipped(tmp_path):
-    registry = MetricsRegistry()
-    tree, _shipper, replica, channel = make_pair(
-        tmp_path, registry=registry, mode="refuse"
-    )
-    maintainer = OnlineMaintainer(
-        tree.disk, wal_soft_limit=1024, registry=registry
-    )
-    drive(tree, 20)  # committed, not shipped
-    # Drive one whole cycle by hand: it must reach the final phase and
-    # then defer instead of destroying unshipped batches.
-    assert maintainer.step() is True  # idle -> chain
-    while maintainer._phase == "chain":
-        maintainer.step()
-    assert maintainer.step() is True  # final: deferred
-    assert maintainer.deferred == 1
-    assert maintainer.cycles == 0
-    assert registry.value("replication.truncation_deferred") == 1
-
-    # Once the replica catches up the same cycle goes through.
-    catch_up(channel, replica)
-    assert maintainer.run_cycle() is not None
-    assert maintainer.cycles == 1
-    assert replica.applied_op_seq == tree.disk.op_seq
-    tree.close()
-    replica.close()
-
-
 def test_spill_mode_truncates_while_replica_lags(tmp_path):
     registry = MetricsRegistry()
     tree, shipper, replica, channel = make_pair(tmp_path, registry=registry)

@@ -5,11 +5,9 @@ import pytest
 from repro.obs import MetricsRegistry
 from repro.replication import (
     PromotionError,
-    Replica,
     ReplicaLink,
     ReplicationError,
-    ShippingChannel,
-    WalShipper,
+    start_follower,
 )
 from repro.storage.wal import WriteAheadLog
 
@@ -104,11 +102,7 @@ def test_link_polls_tracks_marks_and_fails_over(tmp_path):
     tree, _shipper, replica, channel = make_pair(tmp_path)
 
     def reseed(promoted):
-        shipper2 = WalShipper(promoted.disk.directory)
-        replica2 = Replica.bootstrap(
-            promoted.disk, shipper2, str(tmp_path / "replica2")
-        )
-        return ShippingChannel(shipper2), replica2, None
+        return start_follower(promoted.disk, str(tmp_path / "replica2"))
 
     link = ReplicaLink(
         channel, replica,
@@ -143,7 +137,7 @@ def test_link_polls_tracks_marks_and_fails_over(tmp_path):
 
     committed = tree.disk.op_seq
     tree.disk.abandon()
-    assert link.can_failover
+    assert link.ready
     promoted, injector = link.failover()
     assert injector == "fresh-injector"
     assert promoted.disk.op_seq == committed
@@ -157,3 +151,31 @@ def test_link_polls_tracks_marks_and_fails_over(tmp_path):
     assert link.replica.applied_op_seq == promoted.disk.op_seq
     promoted.close()
     link.replica.close()
+
+
+@pytest.mark.parametrize("registry", [None, MetricsRegistry()])
+def test_a_polling_tick_scans_the_live_log_once(
+    tmp_path, monkeypatch, registry
+):
+    import repro.replication.shipper as shipper_module
+
+    tree, shipper, replica, channel = make_pair(tmp_path)
+    link = ReplicaLink(channel, replica, registry=registry, poll_every=1)
+    real_scan = shipper_module.scan_wal
+    live_scans = []
+
+    def counting_scan(path):
+        if path == shipper.wal_path:
+            live_scans.append(path)
+        return real_scan(path)
+
+    monkeypatch.setattr(shipper_module, "scan_wal", counting_scan)
+    for i in range(3):
+        drive(tree, 4, start_oid=i * 10, seed=i)
+        live_scans.clear()
+        link.tick()
+        assert len(live_scans) == 1
+        assert replica.applied_op_seq == tree.disk.op_seq
+    assert link.max_staleness > 0
+    tree.close()
+    replica.close()

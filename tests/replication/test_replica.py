@@ -1,10 +1,14 @@
 """Tests for the replica: apply, parity, idempotency, resume."""
 
+import shutil
+
 import pytest
 
 from repro.geometry.queries import MovingQuery, TimesliceQuery, WindowQuery
 from repro.geometry.rect import Rect
+from repro.obs import MetricsRegistry
 from repro.replication import Replica, ReplicationError
+from repro.storage.pagefile import FilePageStore
 
 from .helpers import catch_up, drive, make_pair
 
@@ -46,7 +50,7 @@ def test_replica_answers_match_primary_on_all_query_classes(tmp_path):
             for p, oid in entries
         )
 
-    assert trajectories(replica.leaf_entries()) == trajectories(
+    assert trajectories(replica.snapshot().leaf_entries()) == trajectories(
         tree.snapshot().leaf_entries()
     )
     tree.close()
@@ -58,10 +62,10 @@ def test_redelivered_batches_are_idempotent(tmp_path):
     drive(tree, 5)
     batches = shipper.fetch()
     assert replica.apply(batches) == len(batches)
-    before = sorted(replica.leaf_entries(), key=lambda e: e[1])
+    before = sorted(replica.snapshot().leaf_entries(), key=lambda e: e[1])
     # A lost acknowledgment redelivers the same batches: a no-op.
     assert replica.apply(batches) == 0
-    assert sorted(replica.leaf_entries(), key=lambda e: e[1]) == before
+    assert sorted(replica.snapshot().leaf_entries(), key=lambda e: e[1]) == before
     assert replica.applied_op_seq == tree.disk.op_seq
     tree.close()
     replica.close()
@@ -124,5 +128,41 @@ def test_snapshot_is_isolated_from_later_applies(tmp_path):
     catch_up(channel, replica)
     assert [sorted(snap.query(q)) for q in _panel(now)] == frozen
     assert replica.applied_op_seq > snap.applied_op_seq
+    tree.close()
+    replica.close()
+
+
+def _page_table(store):
+    return {
+        pid: (node.level, node.ids.tolist(), node.regions().data.tolist())
+        for pid, node in ((pid, store.peek(pid)) for pid in store.page_ids())
+    }
+
+
+def test_replica_page_table_is_what_a_reopen_loads(tmp_path):
+    registry = MetricsRegistry()
+    tree, _shipper, replica, channel = make_pair(tmp_path, registry=registry)
+    for round_ in range(12):
+        # Short-lived entries: by the end of each poll most leaves
+        # written early in it are all-expired, so replay skips them.
+        drive(tree, 15, seed=round_, start_oid=round_ * 100, lifetime=4.0)
+        catch_up(channel, replica)
+        copy = tmp_path / f"copy{round_}"
+        shutil.copytree(replica.directory, copy)
+        reopened = FilePageStore.open_dir(
+            str(copy), replica.layout, now=lambda: 0.0
+        )
+        assert _page_table(replica._tree.disk) == _page_table(reopened)
+        reopened.abandon()
+        now = tree.clock.time
+        queries = _panel(now)
+        want = [sorted(tree.query(q)) for q in queries]
+        assert [replica.query(q) for q in queries] == want
+        assert replica.query_batch(queries) == want
+        for k in (1, 5, 40):
+            assert replica.query_knn((50.0, 50.0), now, k) == (
+                tree.query_knn((50.0, 50.0), now, k)
+            )
+    assert registry.value("replication.skipped_expired") > 0
     tree.close()
     replica.close()

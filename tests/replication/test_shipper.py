@@ -1,21 +1,17 @@
-"""Tests for the WAL shipper: batching, cursor, spill/refuse gate."""
+"""Tests for the WAL shipper: batching, cursor, spill gate."""
 
 import os
 
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.replication import (
-    ReplicationError,
-    ShippingGapError,
-    ShippingLagError,
-    WalShipper,
-)
-from repro.replication.shipper import batches_of
+from repro.replication import ReplicationError, ShippingGapError, WalShipper
 from repro.storage.wal import (
     _COMMIT,
     CHECKPOINT_RECORD,
+    WalError,
     WriteAheadLog,
+    batches_of,
     scan_wal,
 )
 
@@ -38,8 +34,8 @@ def test_batches_of_groups_and_drops_uncommitted_tail(tmp_path):
     wal.close()
 
     records, _valid, _torn = scan_wal(path)
-    base, base_clock, batches = batches_of(records)
-    assert (base, base_clock) == (7, 3.5)
+    checkpoint, batches = batches_of(records)
+    assert (checkpoint.op_seq, checkpoint.clock_time) == (7, 3.5)
     assert [b.op_seq for b in batches] == [8, 9]
     assert [b.clock_time for b in batches] == [4.0, 5.0]
     assert len(batches[0].records) == 2
@@ -54,7 +50,7 @@ def test_batches_of_rejects_checkpoint_inside_open_batch(tmp_path):
     wal.flush()
     wal.close()
     records, _valid, _torn = scan_wal(path)
-    with pytest.raises(ReplicationError):
+    with pytest.raises(WalError):
         batches_of(records)
 
 
@@ -126,19 +122,6 @@ def test_spill_preserves_unshipped_batches_across_checkpoint(tmp_path):
     replica.close()
 
 
-def test_refuse_mode_blocks_truncation_until_shipped(tmp_path):
-    tree, shipper, replica, channel = make_pair(tmp_path, mode="refuse")
-    drive(tree, 4)
-    with pytest.raises(ShippingLagError):
-        tree.disk.checkpoint()
-    # The refused checkpoint destroyed nothing: ship, then retry.
-    catch_up(channel, replica)
-    tree.disk.checkpoint()
-    assert replica.applied_op_seq == tree.disk.op_seq
-    tree.close()
-    replica.close()
-
-
 def test_fetch_dedupes_batches_both_archived_and_live(tmp_path):
     tree, shipper, replica, _channel = make_pair(tmp_path)
     drive(tree, 4)
@@ -161,6 +144,7 @@ def test_last_committed_falls_back_to_checkpoint_base(tmp_path):
     catch_up(channel, replica)
     committed = tree.disk.op_seq
     tree.disk.checkpoint()  # nothing unshipped: plain truncation
+    assert shipper.fetch() == []  # its scan finds only the checkpoint
     last_seq, last_clock = shipper.last_committed()
     assert last_seq == committed
     assert last_clock == tree.clock.time

@@ -368,12 +368,7 @@ def test_retried_write_commit_is_not_applied_twice(tmp_path):
 
 
 def test_kill_fails_over_to_replica_instead_of_reopening(tmp_path):
-    from repro.replication import (
-        Replica,
-        ReplicaLink,
-        ShippingChannel,
-        WalShipper,
-    )
+    from repro.replication import ReplicaLink, start_follower
 
     workload = _workload(insertions=300)
     want = _oracle_answers(workload.ops)
@@ -382,21 +377,17 @@ def test_kill_fails_over_to_replica_instead_of_reopening(tmp_path):
     tree = MovingObjectTree.create_durable(
         directory, CONFIG, SimulationClock(), injector=injector
     )
-    shipper = WalShipper(directory)
-    replica = Replica.bootstrap(
-        tree.disk, shipper, os.path.join(str(tmp_path), "replica-0")
-    )
-    channel = ShippingChannel(shipper)
-    followers = [replica]
+    followers = []
 
     def reseed(promoted):
-        fresh_shipper = WalShipper(promoted.disk.directory)
-        fresh = Replica.bootstrap(
-            promoted.disk, fresh_shipper,
+        follower = start_follower(
+            promoted.disk,
             os.path.join(str(tmp_path), f"replica-{len(followers)}"),
         )
-        followers.append(fresh)
-        return ShippingChannel(fresh_shipper), fresh, None
+        followers.append(follower[1])
+        return follower
+
+    channel, replica, _maintainer = reseed(tree)
 
     def on_promote(promoted):
         clean = FaultInjector()

@@ -143,3 +143,10 @@ def test_each_idea_exists_once():
     for shared in (r"(?<!def )merge_knn\(", r"\.scatter\(",
                    r"(?<!def )\bgather\("):
         assert files_with(shared) == ["core/forest.py"], shared
+    # A replica is a tree: it reads by the tree's descents, not a
+    # private mirror and brute force; a log is grouped, encoded and
+    # checkpointed by the storage layer; a follower is assembled once.
+    assert files_with(r"_mirror") == []
+    assert files_with(r"brute_force_knn\(") == ["cli.py", "geometry/knn.py"]
+    assert files_with(r"CHECKPOINT_RECORD") == ["storage/wal.py"]
+    assert files_with(r"Replica\.bootstrap\(") == ["replication/link.py"]
