@@ -10,7 +10,7 @@ from .bounding import (
     static_tpbr,
     update_minimum_tpbr,
 )
-from .hull import bridge_edge, bridge_line, line_through, lower_hull, upper_hull
+from .hull import bridge_edge, line_through, lower_hull, upper_hull
 from .integrals import (
     area_integral,
     center_distance_sq_integral,
@@ -22,7 +22,6 @@ from .intersection import (
     feasible_window,
     region_intersects_tpbr,
     region_matches_point,
-    tpbrs_intersect,
 )
 from .kinematics import NEVER, MovingPoint
 from .knn import (
@@ -55,7 +54,6 @@ __all__ = [
     "area_integral",
     "bridge_edge",
     "brute_force_knn",
-    "bridge_line",
     "center_distance_sq_integral",
     "compute_tpbr",
     "conservative_tpbr",
@@ -73,7 +71,6 @@ __all__ = [
     "region_matches_point",
     "static_tpbr",
     "tpbr_min_distance_sq",
-    "tpbrs_intersect",
     "update_minimum_tpbr",
     "upper_hull",
 ]

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
@@ -120,19 +121,14 @@ def _collect(
         inf_v_max, inf_v_min = top[:dims], bottom[dims:]
     else:
         inf_v_max = inf_v_min = [None] * dims
-    data = []
-    for d in range(dims):
-        uppers = list(zip(times, hi_end[d]))
-        uppers.append((t_ref, x_max[d]))
-        lowers = list(zip(times, lo_end[d]))
-        lowers.append((t_ref, x_min[d]))
-        data.append(
-            _DimensionData(
-                uppers, lowers, x_min[d], x_max[d], v_min[d], v_max[d],
-                inf_v_min[d], inf_v_max[d],
-            )
+    return [
+        _DimensionData(
+            list(zip(times, hi_end[d])) + [(t_ref, x_max[d])],
+            list(zip(times, lo_end[d])) + [(t_ref, x_min[d])],
+            x_min[d], x_max[d], v_min[d], v_max[d], inf_v_min[d], inf_v_max[d],
         )
-    return data
+        for d in range(dims)
+    ]
 
 
 def _first_extremes(rows: np.ndarray) -> Tuple[List[float], List[float]]:
@@ -142,6 +138,23 @@ def _first_extremes(rows: np.ndarray) -> Tuple[List[float], List[float]]:
         rows[each, rows.argmax(axis=1)].tolist(),
         rows[each, rows.argmin(axis=1)].tolist(),
     )
+
+
+def _segment_firsts(values, starts, sizes, extreme):
+    """The extreme of each segment of the last axis, first occurrence.
+
+    Python's running ``if x < best: best = x`` keeps the *first* of
+    equal values — an earlier ``0.0`` over a later ``-0.0`` — which
+    ``reduceat`` does not promise, so the reduction only locates the
+    extreme and the value is read from its first position.  ``extreme``
+    is ``np.fmin`` or ``np.fmax`` (a NaN never wins a comparison).
+    """
+    best = np.repeat(extreme.reduceat(values, starts, axis=-1), sizes, axis=-1)
+    width = values.shape[-1]
+    first = np.minimum.reduceat(
+        np.where(values == best, np.arange(width), width - 1), starts, axis=-1
+    )
+    return np.take_along_axis(values, first, axis=-1)
 
 
 def _constrain_upper(line: Line, dd: _DimensionData) -> Line:
@@ -218,15 +231,13 @@ def lemma42_median(
 def _volume_integral(
     spans: Sequence[Tuple[float, float]], delta: float
 ) -> float:
-    """Integral over [0, delta] of prod_i (h_i + w_i * tau)."""
+    """Integral over [0, delta] of prod_i (h_i + w_i * tau), in u = tau / delta:
+    lifetimes of ~1e-150 give speeds of ~1e300, whose powers in tau overflow."""
     coeffs = [1.0]
     for h, w in spans:
-        nxt = [0.0] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k] += c * h
-            nxt[k + 1] += c * w
-        coeffs = nxt
-    return sum(c * delta ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
+        ch, cw = [c * h for c in coeffs], [c * (w * delta) for c in coeffs]
+        coeffs = [a + b for a, b in zip(ch + [0.0], [0.0] + cw)]
+    return delta * sum(c / (k + 1) for k, c in enumerate(coeffs))
 
 
 def _bridge_pair(
@@ -268,11 +279,9 @@ def static_tpbr(items: Sequence[Boundable], t_ref: float) -> TPBR:
     data = _collect(items, items.dims, t_ref)
     lines = []
     for dd in data:
-        if dd.inf_vel_max is not None and dd.inf_vel_max > 0.0:
-            raise ValueError(
-                "static bounding rectangles require finite expiration times"
-            )
-        if dd.inf_vel_min is not None and dd.inf_vel_min < 0.0:
+        if (dd.inf_vel_max is not None and dd.inf_vel_max > 0.0) or (
+            dd.inf_vel_min is not None and dd.inf_vel_min < 0.0
+        ):
             raise ValueError(
                 "static bounding rectangles require finite expiration times"
             )
@@ -319,9 +328,9 @@ def near_optimal_tpbr(
 ) -> TPBR:
     """Bridge-based bound with Lemma 4.2 medians, dimensions in random order.
 
-    Expected running time O(d * |P|) with a linear bridge algorithm; this
-    implementation uses the Graham-scan based variant the paper's authors
-    also chose.
+    The bridges are gift-wrapped on the members' block and certified by
+    the Graham scan's own turn test (:class:`_Chains`); should an edge
+    fail, the scan of :mod:`repro.geometry.hull` answers every chain.
     """
     items = _block_of(items)
     dims = items.dims
@@ -331,22 +340,137 @@ def near_optimal_tpbr(
         # An unbounded horizon admits no finite-integral trapezoid other
         # than the conservative one.
         return conservative_tpbr(items, t_ref)
-    data = _collect(items, dims, t_ref)
     order = list(range(dims))
     if rng is not None:
         rng.shuffle(order)
-    lines: List[Optional[Tuple[Line, Line]]] = [None] * dims
-    computed: List[Tuple[float, float]] = []
-    for d in order:
-        if computed:
-            median = lemma42_median(computed, delta)
-        else:
-            median = delta / 2.0
-        lower, upper = _bridge_pair(data[d], t_ref + median)
-        lines[d] = (lower, upper)
-        h = (upper[0] + upper[1] * t_ref) - (lower[0] + lower[1] * t_ref)
-        computed.append((max(h, 0.0), upper[1] - lower[1]))
-    return _assemble([ln for ln in lines if ln is not None], t_ref, t_exp)
+    with np.errstate(all="ignore"):
+        chains = _Chains(items, t_ref)
+        for bridge in (chains.wrapped, chains.scanned):
+            lines: List[Optional[Tuple[Line, Line]]] = [None] * dims
+            computed: List[Tuple[float, float]] = []
+            for d in order:
+                median = lemma42_median(computed, delta) if computed else delta / 2.0
+                lower = bridge(dims + d, t_ref + median)
+                upper = bridge(d, t_ref + median)
+                if chains.never:
+                    lower, upper = chains.constrain(d, lower, upper)
+                lines[d] = (lower, upper)
+                h = (upper[0] + upper[1] * t_ref) - (lower[0] + lower[1] * t_ref)
+                computed.append((max(h, 0.0), upper[1] - lower[1]))
+            if chains.certain:
+                break
+    return _assemble(lines, t_ref, t_exp)
+
+
+#: Per dimensionality: :class:`_Chains`' row signs and row index.
+_ROW_SIGNS = {}
+
+
+class _Chains:
+    """The 2 * dims endpoint chains of one bound as one array (Section 4.1.3).
+
+    Row ``d`` is dimension ``d``'s upper chain, row ``dims + d`` its lower
+    chain negated.  Column 0 is P0; then come the members expiring after
+    ``t_ref`` by time, equal times merged as the scan merges them.  A row
+    is gift-wrapped from P0 as far as its median asks (steepest slope,
+    farthest on ties), and each edge ``(i, j)`` walked must pass the
+    scan's turn test ``(tj - ti) * (x - xi) - (xj - xi) * (t - ti)``:
+    negative at every other column, or nowhere positive on a horizontal
+    edge off zero.  ``certain`` is whether every edge did (DESIGN.md §5).
+    """
+
+    def __init__(self, items: RegionBlock, t_ref: float):
+        dims = items.dims
+        if dims not in _ROW_SIGNS:
+            signs = np.repeat([1.0, -1.0], dims)
+            _ROW_SIGNS[dims] = (
+                signs[:, None, None], np.arange(2 * dims), signs.tolist()
+            )
+        sign, each, self.sign = _ROW_SIGNS[dims]
+        self.items, self.t_ref, self.dims, self.certain = items, t_ref, dims, True
+        data = items.data
+        exp = data[4 * dims + 1]
+        by_exp = exp.argsort(kind="stable")
+        t = exp[by_exp].tolist()
+        # NaN sorts last, past every infinity: search below the first.
+        stop = bisect_left(t, math.inf)
+        first = bisect_right(t, t_ref, 0, stop)
+        never = t[0] == -math.inf or (stop < len(t) and t[stop] == math.inf)
+        t = [t_ref] + t[first:stop]
+        # Every member at t_ref and at its own expiration time, as in
+        # _collect, then signed.
+        span = data[4 * dims : 4 * dims + 2] - data[4 * dims]
+        np.subtract(t_ref, data[4 * dims], out=span[0])
+        at = (data[: 2 * dims, None] + data[2 * dims : 4 * dims, None] * span) * sign
+        now = at[:, 0]
+        rows = np.concatenate(
+            (now[each, now.argmax(axis=1), None], at[:, 1, by_exp[first:stop]]), axis=1
+        )
+        times = np.array(t)
+        if len(set(t)) < len(t):
+            runs = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
+            rows = _segment_firsts(rows, runs, np.diff(np.r_[runs, len(t)]), np.fmax)
+            times = times[runs]
+            t = times.tolist()
+        self.never, self.data = never, None
+        self.rows, self.times, self.t, self.z = rows, times, t, rows.tolist()
+        # Step one, from P0 on every row: nothing lies left of it, and
+        # reversed, the first steepest slope is the farthest.  Per row:
+        # the vertex reached and its edge's (turn peak, rise).
+        if len(t) == 1:
+            self.first, self.proofs = [0] * len(each), [(-math.inf, 0.0)] * len(each)
+            return
+        rise = (rows[:, 1:] - rows[:, :1])[:, ::-1]
+        run = (times[1:] - t_ref)[::-1]
+        back = (rise / run).argmax(axis=1)
+        flat = rise[each, back, None]
+        turn = run[back, None] * rise - flat * run
+        turn[each, back] = -np.inf
+        self.first = (len(t) - 1 - back).tolist()
+        peaks = np.maximum.reduce(turn, axis=1).tolist()
+        self.proofs = list(zip(peaks, flat[:, 0].tolist()))
+
+    def _advance(self, row: int, at: int) -> Tuple[int, Tuple[float, float]]:
+        """The vertex after ``at`` on ``row``, and its edge's certificate."""
+        t, z = self.t, self.z[row]
+        rise = self.rows[row] - z[at]
+        run = self.times - t[at]
+        j = len(t) - 1 - int((rise[at + 1 :] / run[at + 1 :])[::-1].argmax())
+        turn = (t[j] - t[at]) * rise - (z[j] - z[at]) * run
+        turn[at] = turn[j] = -np.inf
+        return j, (float(turn.max()), z[j] - z[at])
+
+    def wrapped(self, row: int, median_t: float) -> Line:
+        """The line through ``row``'s wrapped edge at the clamped median:
+        the first edge ending at or past it (``bridge_edge``'s rule)."""
+        t, z = self.t, self.z[row]
+        m = min(max(median_t, t[0]), t[-1])
+        i, j, (peak, flat) = 0, self.first[row], self.proofs[row]
+        certain = m == m  # at a NaN median the scan takes the last edge
+        while True:
+            certain = certain and (
+                peak < 0.0 or (peak <= 0.0 and flat == 0.0 and z[i] != 0.0)
+            )
+            if t[j] >= m or not certain:
+                break
+            i, (j, (peak, flat)) = j, self._advance(row, j)
+        self.certain = self.certain and certain
+        s = self.sign[row]
+        return line_through((t[i], z[i] * s), (t[j], z[j] * s))
+
+    def scanned(self, row: int, median_t: float) -> Line:
+        """``row``'s bridge line at the median by the Graham scan itself."""
+        s = self.sign[row]
+        points = list(zip(self.t, [x * s for x in self.z[row]]))
+        hull = upper_hull(points) if s > 0 else lower_hull(points)
+        return line_through(*bridge_edge(hull, median_t))
+
+    def constrain(self, d: int, lower: Line, upper: Line) -> Tuple[Line, Line]:
+        """The never-expiring members' velocity floor and ceiling on ``d``."""
+        if self.data is None:
+            self.data = _collect(self.items, self.dims, self.t_ref)
+        dd = self.data[d]
+        return _constrain_lower(lower, dd), _constrain_upper(upper, dd)
 
 
 def optimal_tpbr(

@@ -109,13 +109,6 @@ def line_through(p: Point2, q: Point2) -> Line:
     return (p[1] - slope * p[0], slope)
 
 
-def bridge_line(points: Sequence[Point2], median_t: float, upper: bool) -> Line:
-    """Convenience: hull + bridge + line in one call."""
-    chain = upper_hull(points) if upper else lower_hull(points)
-    p, q = bridge_edge(chain, median_t)
-    return line_through(p, q)
-
-
 def supporting_line(points: Sequence[Point2], slope: float, upper: bool) -> Line:
     """The minimal line of fixed slope bounding all points.
 

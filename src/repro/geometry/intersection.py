@@ -10,7 +10,6 @@ expiration times (Section 4.1.5: intersection is checked between
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Optional, Tuple
 
 from .kinematics import MovingPoint
@@ -106,48 +105,3 @@ def region_matches_point(region: QueryRegion, point: MovingPoint) -> bool:
         p = make_linear(point.pos[d], point.vel[d], point.t_ref)
         constraints.extend(_pair_constraints(q_lo, q_hi, p, p))
     return feasible_window(constraints, region.t1, t_end) is not None
-
-
-def tpbrs_intersect(a: TPBR, b: TPBR, t_start: float, t_end: float) -> bool:
-    """Do two TPBRs overlap at some time in the given window?
-
-    The window is additionally clipped at both expiration times.
-    """
-    t_end = min(t_end, a.t_exp, b.t_exp)
-    if t_end < t_start:
-        return False
-    constraints = []
-    for d in range(a.dims):
-        a_lo = make_linear(a.lo[d], a.vlo[d], a.t_ref)
-        a_hi = make_linear(a.hi[d], a.vhi[d], a.t_ref)
-        b_lo = make_linear(b.lo[d], b.vlo[d], b.t_ref)
-        b_hi = make_linear(b.hi[d], b.vhi[d], b.t_ref)
-        constraints.extend(_pair_constraints(a_lo, a_hi, b_lo, b_hi))
-    return feasible_window(constraints, t_start, t_end) is not None
-
-
-def sample_region_match(
-    region: QueryRegion, point: MovingPoint, samples: int = 256
-) -> bool:
-    """Brute-force oracle: sample the time window densely.
-
-    Used only by tests to validate :func:`region_matches_point`.  Sampling
-    can miss grazing intersections, so tests treat this as a one-sided
-    check (if sampling finds a hit, the analytic test must agree).
-    """
-    t_end = min(region.t2, point.t_exp)
-    if t_end < region.t1:
-        return False
-    if math.isinf(t_end):
-        t_end = region.t1 + 1.0
-    span = t_end - region.t1
-    for i in range(samples + 1):
-        t = region.t1 + span * i / samples if samples else region.t1
-        x = point.position_at(t)
-        inside = all(
-            region.lower_at(d, t) - EPS <= x[d] <= region.upper_at(d, t) + EPS
-            for d in range(region.dims)
-        )
-        if inside:
-            return True
-    return False

@@ -24,14 +24,13 @@ powers by repeated multiplication.  Property tests in
 against the scalar routines, which stay in ``src/`` as that oracle and
 for single calls.
 
-One hull-based case does vectorize: the near-optimal bound of a
-*two-member* group, whose endpoint sets hold at most three points per
-dimension, so the Graham scan and the bridge search collapse to a
-closed form (:func:`_near_optimal_pairs`; ChooseSubtree asks for one
-such bound per child).  Kernels that cannot be vectorized profitably
-(hull-based TPBR kinds over larger groups, overlap integrals with
-data-dependent breakpoint sets) simply loop the scalar code; callers
-get one uniform batch API either way.
+Hull-based bounds are array work too: ``near_optimal_tpbr`` gift-wraps
+one group's bridges in a few array steps.  For *two-member* groups the
+scan and the bridge search collapse to a closed form across groups
+(:func:`_near_optimal_pairs`; ChooseSubtree asks for one such bound per
+child).  What is not batched across groups (larger near-optimal groups,
+the other expiration-aware kinds, overlap integrals with data-dependent
+breakpoints) loops the per-group routine behind the same batch API.
 """
 
 from __future__ import annotations
@@ -43,9 +42,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .block import RegionBlock, as_block
-from .bounding import _MIN_DELTA, BoundingKind, compute_tpbr
+from .bounding import _MIN_DELTA, BoundingKind, _segment_firsts, compute_tpbr
 from .integrals import overlap_integral
-from .intersection import EPS, region_intersects_tpbr, region_matches_point
+from .intersection import EPS, region_matches_point
 from .kinematics import MovingPoint
 from .queries import QueryRegion
 from .tpbr import TPBR, Boundable
@@ -76,9 +75,6 @@ def pack_points(points: Sequence[Boundable]) -> Optional[RegionBlock]:
     return as_block(points)
 
 
-#: Rectangles pack exactly as points do (a point is the degenerate case).
-pack_tpbrs = pack_points
-
 
 def _region_hits(region, items, packed, scalar) -> List[bool]:
     """One region against one node's items: the kernel on a one-row pack."""
@@ -98,17 +94,6 @@ def batch_region_matches(
     — skips re-packing.
     """
     return _region_hits(region, points, packed, region_matches_point)
-
-
-def batch_region_intersects(
-    region: QueryRegion, brs: Sequence[TPBR], packed=None
-) -> List[bool]:
-    """``[region_intersects_tpbr(region, br) for br in brs]``, batched.
-
-    ``packed`` — a :func:`pack_tpbrs` result for the same ``brs`` —
-    skips re-packing, as in :func:`batch_region_matches`.
-    """
-    return _region_hits(region, brs, packed, region_intersects_tpbr)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +139,8 @@ def multi_query_hits(queries, block: RegionBlock):
     """(K, N) boolean hit matrix of K packed queries against one node.
 
     ``queries`` is a (possibly row-selected) :func:`pack_queries`
-    result; ``block`` is the node's regions (or a :func:`pack_points` /
-    :func:`pack_tpbrs` result).  This is the only feasibility kernel: a
+    result; ``block`` is the node's regions (or a :func:`pack_points`
+    result).  This is the only feasibility kernel: a
     vectorized :func:`repro.geometry.intersection.feasible_window` over
     the block's query-form rows.  Constraints with |slope| < EPS act as
     constants, the window start is the max of positive-slope roots and
@@ -205,9 +190,8 @@ def batch_compute_tpbr(
     The near-optimal kind has a closed form when *every* group has two
     members and the horizon is finite (:func:`_near_optimal_pairs`);
     the rng is consumed exactly as by per-group scalar calls.  All else
-    — hull-based kinds over larger groups, the expiration-endpoint
-    collection of static/update-minimum — is inherently sequential per
-    group and loops the scalar code.
+    loops :func:`compute_tpbr` per group, whose near-optimal bound is
+    itself a handful of array steps over the group's block.
     """
     if _pairs_vectorize(len(groups), kind, horizon) and all(
         len(g) == 2 for g in groups
@@ -265,23 +249,6 @@ def batch_compute_tpbr(
         low = np.where(crossed, mid, low)
         high = np.where(crossed, mid, high)
     return _tpbrs_from_rows(low, high, v_min, v_max, g_exp, t_ref)
-
-
-def _segment_firsts(values, starts, sizes, extreme):
-    """The extreme of each segment of the last axis, first occurrence.
-
-    Python's running ``if x < best: best = x`` keeps the *first* of
-    equal values — an earlier ``0.0`` over a later ``-0.0`` — which
-    ``reduceat`` does not promise, so the reduction only locates the
-    extreme and the value is read from its first position.  ``extreme``
-    is ``np.fmin`` or ``np.fmax`` (a NaN never wins a comparison).
-    """
-    best = np.repeat(extreme.reduceat(values, starts, axis=-1), sizes, axis=-1)
-    width = values.shape[-1]
-    first = np.minimum.reduceat(
-        np.where(values == best, np.arange(width), width - 1), starts, axis=-1
-    )
-    return np.take_along_axis(values, first, axis=-1)
 
 
 def _members(block: RegionBlock, immortal: bool = False):

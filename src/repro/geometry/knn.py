@@ -163,33 +163,6 @@ def batch_point_distances_sq(
     return point_distances_sq_rows(x, packed, t).tolist()
 
 
-def batch_tpbr_min_distances_sq(
-    x: Vector, brs: Sequence[TPBR], t: float, packed=None
-) -> List[float]:
-    """``[tpbr_min_distance_sq(x, br, t) for br in brs]``, batched.
-
-    Parameters
-    ----------
-    x : tuple of float
-        The query location.
-    brs : sequence of TPBR
-        The rectangles to bound.
-    t : float
-        The evaluation time.
-    packed : RegionBlock, optional
-        A :func:`~repro.geometry.kernels.pack_tpbrs` result for the
-        same ``brs``; without one the scalar routine is looped.
-
-    Returns
-    -------
-    list of float
-        Admissible lower bounds, bit-identical to the scalar loop.
-    """
-    if packed is None:
-        return [tpbr_min_distance_sq(x, br, t) for br in brs]
-    return tpbr_min_distances_sq_rows(x, packed, t).tolist()
-
-
 def validate_knn_args(x: Vector, t: float, k: int, dims: int) -> None:
     """Reject malformed kNN arguments with a clear error.
 

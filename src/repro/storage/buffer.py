@@ -9,7 +9,7 @@ disk at the end of each index operation or when evicted.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Iterator, Optional, Set
+from typing import Any, Optional, Set
 
 from .disk import DiskManager, PageError, PageId
 
@@ -46,10 +46,6 @@ class BufferPool:
         """Pin a page so it is never evicted (used for the tree root)."""
         self._pinned.add(pid)
         self.pins += 1
-
-    def unpin(self, pid: PageId) -> None:
-        """Make a pinned page evictable again."""
-        self._pinned.discard(pid)
 
     def is_pinned(self, pid: PageId) -> bool:
         """True if the page is currently protected from eviction."""
@@ -176,10 +172,6 @@ class BufferPool:
     def dirty_pages(self) -> int:
         """Number of resident pages with unflushed modifications."""
         return len(self._dirty)
-
-    def resident_ids(self) -> Iterator[PageId]:
-        """Iterate over the ids of all resident pages (LRU order)."""
-        return iter(self._frames.keys())
 
     def is_resident(self, pid: PageId) -> bool:
         """True if the page is currently held in the pool."""

@@ -1,16 +1,20 @@
-"""Textbook endpoint collection and Graham scan: the tests' oracle.
+"""Textbook endpoint collection, Graham scan and near-optimal bound: the oracle.
 
 ``repro.geometry.bounding._collect`` and ``repro.geometry.hull``'s two
 hulls are written for speed (one pass, hoisted differences, an inlined
-turn test).  These are the versions one would write from Section 4.1.3
-without thinking about speed; the property tests require the fast ones
-to agree with them bit for bit.
+turn test), and ``bounding.near_optimal_tpbr`` finds its bridges by
+gift-wrapping the members' block.  These are the versions one would
+write from Section 4.1.3 without thinking about speed; the property
+tests require the fast ones to agree with them bit for bit.
 """
 
 import math
 import struct
 
+from repro.geometry import bounding
+from repro.geometry.block import as_block
 from repro.geometry.bounding import _DimensionData
+from repro.geometry.hull import bridge_edge, line_through
 from repro.geometry.kinematics import MovingPoint
 
 
@@ -75,6 +79,44 @@ def hull(points, upper):
             chain.pop()
         chain.append(p)
     return chain
+
+
+def near_optimal_tpbr(items, t_ref, horizon=None, rng=None):
+    """The near-optimal bound from point lists and the Graham scan.
+
+    Per dimension in random order: the hull bridge at the (Lemma 4.2)
+    median, the line through it, the velocity floor or ceiling of the
+    never-expiring members — each step the scalar routine.
+    """
+    block = as_block(items)
+    t_exp = bounding._max_expiration(block)
+    delta = bounding._horizon_delta(t_ref, horizon, t_exp)
+    if math.isinf(delta):
+        return bounding.conservative_tpbr(block, t_ref)
+    data = collect(list(block), block.dims, t_ref)
+    order = list(range(block.dims))
+    if rng is not None:
+        rng.shuffle(order)
+    lines = [None] * block.dims
+    computed = []
+    for d in order:
+        if computed:
+            median = bounding.lemma42_median(computed, delta)
+        else:
+            median = delta / 2.0
+        dd = data[d]
+        upper = line_through(
+            *bridge_edge(hull(dd.upper_points, upper=True), t_ref + median)
+        )
+        lower = line_through(
+            *bridge_edge(hull(dd.lower_points, upper=False), t_ref + median)
+        )
+        lower = bounding._constrain_lower(lower, dd)
+        upper = bounding._constrain_upper(upper, dd)
+        lines[d] = (lower, upper)
+        h = (upper[0] + upper[1] * t_ref) - (lower[0] + lower[1] * t_ref)
+        computed.append((max(h, 0.0), upper[1] - lower[1]))
+    return bounding._assemble(lines, t_ref, t_exp)
 
 
 def tpbr_bits(br):

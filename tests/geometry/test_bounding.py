@@ -10,7 +10,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import bounding
@@ -170,12 +170,20 @@ def test_near_optimal_no_worse_than_conservative_integral():
 
 
 @given(points=finite_point_lists)
+@example(
+    points=[
+        MovingPoint((0.0, 0.0), (1.0, -2.0), 0.0, 3e-200),
+        MovingPoint((5.0, -3.0), (-1.0, 0.5), 0.0, 1e-200),
+        MovingPoint((-2.0, 4.0), (2.0, 1.0), 0.0, 2e-200),
+    ]
+)
 @settings(deadline=None)
 def test_optimal_minimizes_volume_integral(points):
     """The optimal TPBR's integral is <= the near-optimal one's.
 
     Integrals are compared without extent clamping (the objective both
-    algorithms minimize).
+    algorithms minimize).  The example's lifetimes of ~1e-200 give edge
+    speeds of ~1e200, whose powers overflowed the integral in raw time.
     """
     horizon = 12.0
     t_exp = max(p.t_exp for p in points)
@@ -264,7 +272,7 @@ def test_optimal_degenerate_expiration_falls_back():
         assert br.contains_point(p, 0.0, tol=1e-6)
 
 
-# -- the one-pass _collect and the fast hulls against the textbook ones ------
+# -- the fast bounds against the textbook collection, scan and bound ---------
 
 
 @st.composite
@@ -315,6 +323,12 @@ def test_compute_tpbr_equals_textbook_collect_and_hulls(kind, data):
         )
 
     got = run()
+    if kind is BoundingKind.NEAR_OPTIMAL:
+        want = reference_bounding.near_optimal_tpbr(
+            items, t_ref, horizon=6.0, rng=random.Random(9)
+        )
+        assert tpbr_bits(got) == tpbr_bits(want)
+        return
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bounding, "_collect", reference_bounding.collect)
         patch.setattr(
@@ -327,3 +341,140 @@ def test_compute_tpbr_equals_textbook_collect_and_hulls(kind, data):
         )
         want = run()
     assert tpbr_bits(got) == tpbr_bits(want)
+
+
+# -- the gift-wrapped bridges against the scan, shape by shape ---------------
+
+
+def assert_near_optimal_is_the_scans(items, t_ref, horizon, seed=3):
+    got = near_optimal_tpbr(items, t_ref, horizon, random.Random(seed))
+    want = reference_bounding.near_optimal_tpbr(
+        items, t_ref, horizon, random.Random(seed)
+    )
+    assert tpbr_bits(got) == tpbr_bits(want)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=170),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    horizon=st.sampled_from([90.0, 30.0, 5.0]),
+    dims=st.integers(min_value=1, max_value=3),
+)
+@settings(deadline=None)
+def test_near_optimal_large_groups(n, seed, horizon, dims):
+    """Up to a full 4 KB leaf: stale, expired, immortal and equal-time members."""
+    rnd = random.Random(seed)
+    pool = [rnd.uniform(1.0, 120.0) for _ in range(4)]
+    items = []
+    for _ in range(n):
+        roll = rnd.random()
+        if roll < 0.05:
+            t_exp = math.inf
+        elif roll < 0.1:
+            t_exp = rnd.uniform(-60.0, 0.0)
+        elif roll < 0.3:
+            t_exp = rnd.choice(pool)
+        else:
+            t_exp = rnd.uniform(0.0, 120.0)
+        t_ref = rnd.uniform(-60.0, 0.0)
+        items.append(MovingPoint(
+            tuple(rnd.uniform(0.0, 1000.0) for _ in range(dims)),
+            tuple(rnd.uniform(-3.0, 3.0) for _ in range(dims)),
+            t_ref,
+            max(t_exp, t_ref),
+        ))
+    assert_near_optimal_is_the_scans(items, 0.0, horizon, seed)
+
+
+@given(
+    data=st.data(),
+    slope=st.sampled_from([0.0, -0.0, 1.0, -0.5, 2.0]),
+    level=st.sampled_from([0.0, -0.0, 3.0, -2.0]),
+)
+@settings(deadline=None)
+def test_near_optimal_collinear_runs(data, slope, level):
+    """Members whose endpoints lie exactly on one line, horizontal or not.
+
+    Small integers keep every product exact, so the scan's turn tests
+    read exactly zero along the run; a member off the line may sit on
+    either side of it, and the times repeat.
+    """
+    times = st.sampled_from([1.0, 2.0, 3.0, 4.0, 6.0, 8.0])
+    items = [
+        MovingPoint((level, 0.0), (slope, 0.0), 0.0, data.draw(times))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8)))
+    ]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        items.append(MovingPoint(
+            (data.draw(st.integers(-4, 4).map(float)), 1.0),
+            (data.draw(st.sampled_from([0.0, 1.0, -1.0])), -1.0),
+            data.draw(st.sampled_from([0.0, -1.0])),
+            data.draw(times),
+        ))
+    horizon = data.draw(st.sampled_from([2.0, 4.0, 6.0, 8.0, 16.0]))
+    assert_near_optimal_is_the_scans(items, 0.0, horizon)
+
+
+def test_near_optimal_equal_times_and_p0_tie():
+    """Equal expiration times merge into one column; members expiring at
+    ``t_ref`` itself tie with P0's column and leave no endpoint."""
+    items = [
+        MovingPoint((1.0, 5.0), (1.0, 0.0), 0.0, 4.0),
+        MovingPoint((2.0, 5.0), (0.5, 0.0), 0.0, 4.0),
+        MovingPoint((9.0, -0.0), (-1.0, 0.0), 0.0, 4.0),
+        MovingPoint((3.0, 0.0), (0.0, 0.0), -2.0, 0.0),
+        MovingPoint((-4.0, 2.0), (2.0, -1.0), 0.0, 0.0),
+        MovingPoint((0.0, 1.0), (-1.0, 1.0), 0.0, 8.0),
+    ]
+    assert_near_optimal_is_the_scans(items, 0.0, 16.0)
+
+
+def test_near_optimal_median_on_a_vertex():
+    """Upper hull P0, (4, 3), (8, 4): the median t = 4 sits on a vertex."""
+    items = [
+        MovingPoint((0.0,), (0.5,), 0.0, 2.0),
+        MovingPoint((0.0,), (0.75,), 0.0, 4.0),
+        MovingPoint((0.0,), (0.5,), 0.0, 8.0),
+    ]
+    assert_near_optimal_is_the_scans(items, 0.0, 8.0)
+    br = near_optimal_tpbr(items, 0.0, 8.0)
+    assert br.vhi == (0.75,)  # the edge left of the median's vertex
+
+
+@pytest.mark.parametrize("expired", [0, 1, 3])
+def test_near_optimal_mixed_immortal_and_expired(expired):
+    """Never-expiring members bound the slopes through the supporting line."""
+    items = [
+        MovingPoint((0.0, 0.0), (3.0, -2.0), 0.0, math.inf),
+        MovingPoint((5.0, 1.0), (-1.0, 0.5), 0.0, 10.0),
+        MovingPoint((2.0, -3.0), (0.0, 0.0), 0.0, math.inf),
+        MovingPoint((1.0, 2.0), (1.0, 1.0), -3.0, 6.0),
+    ] + [
+        MovingPoint((4.0, 4.0), (2.0, 2.0), -5.0, -1.0)
+        for _ in range(expired)
+    ]
+    assert_near_optimal_is_the_scans(items, 0.0, 12.0)
+
+
+@pytest.mark.parametrize("immortal", [True, False])
+def test_near_optimal_single_column(immortal):
+    """No member expires after ``t_ref``: P0 is the only column."""
+    t_exp = math.inf if immortal else -1.0
+    items = [
+        MovingPoint((1.0, 2.0), (0.5, -0.5), -2.0, t_exp),
+        MovingPoint((3.0, 0.0), (-1.0, 1.0), -3.0, t_exp),
+    ]
+    assert_near_optimal_is_the_scans(items, 0.0, 10.0)
+
+
+def test_near_optimal_underflowing_turns():
+    """A turn that underflows to zero leaves the scan popping a vertex the
+    slopes would keep: the edge into it fails its certificate, and the
+    scan answers."""
+    items = [
+        MovingPoint((0.0,), (1.0,), 0.0, 5e-324),
+        MovingPoint((0.0,), (-1.0,), 0.0, 1e-300),
+        MovingPoint((0.0,), (0.0,), 0.0, 1.0),
+    ]
+    assert_near_optimal_is_the_scans(items, 0.0, 12.0)
+    assert near_optimal_tpbr(items, 0.0, 12.0).vhi == (0.0,)

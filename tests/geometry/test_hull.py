@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.geometry.hull import (
     bridge_edge,
-    bridge_line,
     line_through,
     lower_hull,
     supporting_line,
@@ -95,7 +94,7 @@ def test_lower_hull_bounds_all_points(pts):
 @given(points_strategy, finite)
 @settings(deadline=None)
 def test_bridge_line_bounds_all_points(pts, median):
-    intercept, slope = bridge_line(pts, median, upper=True)
+    intercept, slope = line_through(*bridge_edge(upper_hull(pts), median))
     for t, x in pts:
         assert intercept + slope * t >= x - _tolerance(intercept, slope, t, x)
 

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import kernels
+from repro.geometry.block import as_block
 from repro.geometry.bounding import (
     BoundingKind,
     compute_tpbr,
@@ -38,7 +39,6 @@ from repro.geometry.kernels import (
     batch_extended_area_integral,
     batch_margin_integral,
     batch_overlap_integral,
-    batch_region_intersects,
     batch_region_matches,
 )
 from repro.geometry.kinematics import MovingPoint
@@ -123,7 +123,11 @@ def test_batch_region_matches_equals_scalar(query, points):
 def test_batch_region_intersects_equals_scalar(query, brs):
     region = query.region()
     expected = [region_intersects_tpbr(region, br) for br in brs]
-    assert batch_region_intersects(region, brs) == expected
+    if brs:
+        hits = kernels.multi_query_hits(
+            kernels.pack_queries((region,)), as_block(brs)
+        )
+        assert hits[0].tolist() == expected
 
 
 # -- bounding kernel ---------------------------------------------------------
@@ -528,16 +532,15 @@ def test_packed_argument_matches_unpacked():
     brs = [compute_tpbr([p], 0.0, BoundingKind.CONSERVATIVE) for p in points]
     region = TimesliceQuery(Rect((-20.0, -20.0), (20.0, 20.0)), 10.0).region()
     p_pts = kernels.pack_points(points)
-    p_brs = kernels.pack_tpbrs(brs)
+    p_brs = kernels.pack_points(brs)
     assert p_pts is not None and p_brs is not None
     assert batch_region_matches(region, points, p_pts) == \
         batch_region_matches(region, points)
-    assert batch_region_intersects(region, brs, p_brs) == \
-        batch_region_intersects(region, brs)
     assert batch_region_matches(region, points, p_pts) == \
         [region_matches_point(region, p) for p in points]
-    assert batch_region_intersects(region, brs, p_brs) == \
-        [region_intersects_tpbr(region, br) for br in brs]
+    assert kernels.multi_query_hits(
+        kernels.pack_queries((region,)), p_brs
+    )[0].tolist() == [region_intersects_tpbr(region, br) for br in brs]
 
 
 def test_pack_points_below_batch_threshold_is_none():

@@ -15,15 +15,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.geometry.block import as_block
 from repro.geometry.bounding import BoundingKind, compute_tpbr
-from repro.geometry.kernels import pack_points, pack_tpbrs
+from repro.geometry.kernels import pack_points
 from repro.geometry.kinematics import MovingPoint
 from repro.geometry.knn import (
     batch_point_distances_sq,
-    batch_tpbr_min_distances_sq,
     brute_force_knn,
     point_distance_sq,
     tpbr_min_distance_sq,
+    tpbr_min_distances_sq_rows,
     validate_knn_args,
 )
 
@@ -131,7 +132,7 @@ def test_batch_tpbr_distances_match_scalar_bits(groups, t, data):
     x = tuple(data.draw(coord, label=f"x[{d}]") for d in range(DIMS))
     brs = [compute_tpbr(g, 0.0, BoundingKind.CONSERVATIVE) for g in groups]
     scalar = [tpbr_min_distance_sq(x, br, t) for br in brs]
-    batched = batch_tpbr_min_distances_sq(x, brs, t, pack_tpbrs(brs))
+    batched = tpbr_min_distances_sq_rows(x, as_block(brs), t).tolist()
     assert bits(batched) == bits(scalar)
 
 
