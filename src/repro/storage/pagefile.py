@@ -312,7 +312,8 @@ class PageFile:
 
     @property
     def slot_count(self) -> int:
-        """Number of page slots the file currently extends over."""
+        """Number of page slots the file extends over, buffered writes too."""
+        self._file.flush()
         size = os.fstat(self._file.fileno()).st_size
         return max(0, size - self.slot_size) // self.slot_size
 
@@ -372,20 +373,8 @@ class PageFile:
 def _all_expired_predicate(
     codec: NodeCodec,
 ) -> Callable[[bytes, float], bool]:
-    """Build the TR-82 skip predicate over raw page images.
-
-    The returned callable decodes a page and reports whether it is a
-    non-empty leaf whose every entry expires strictly before the given
-    recovery time.  Decode failures report ``False`` (never skip what
-    cannot be proven dead).
-    """
-    def check(page_bytes: bytes, now: float) -> bool:
-        node, _t_ref = codec.decode(page_bytes)
-        if not node.is_leaf or not len(node):
-            return False
-        return bool((node.regions().t_exp < now).all())
-
-    return check
+    """Build the TR-82 skip predicate (:meth:`NodeCodec.expired_leaf`)."""
+    return codec.expired_leaf
 
 
 class FilePageStore(DiskManager):

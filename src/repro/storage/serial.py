@@ -224,6 +224,48 @@ class NodeCodec:
 
     # -- decoding ----------------------------------------------------------------
 
+    def _header(self, page: bytes) -> Tuple[int, int, bool, float]:
+        """Return ``(level, count, is_leaf, t_ref)``; reject a bad header."""
+        layout = self.layout
+        if len(page) != layout.page_size:
+            raise CodecError(
+                f"page is {len(page)} bytes, expected {layout.page_size}"
+            )
+        level, count, flags, t_ref = _HEADER.unpack_from(page, 0)
+        is_leaf = bool(flags & _LEAF_FLAG)
+        if is_leaf != (level == 0):
+            raise CodecError("leaf flag inconsistent with level")
+        if count > layout.capacity(leaf=is_leaf):
+            raise CodecError(
+                f"entry count {count} exceeds page capacity "
+                f"{layout.capacity(leaf=is_leaf)}"
+            )
+        return level, count, is_leaf, t_ref
+
+    def expired_leaf(self, page: bytes, now: float) -> bool:
+        """Whether ``page`` is a non-empty leaf dead at ``now`` (TR-82).
+
+        Answers and raises as :meth:`decode` and a test of every
+        ``t_exp < now`` would, sharing its header check, but reads a
+        leaf's expiration column only (a decoded ``t_exp`` is
+        ``max(stored, t_ref)``); internal pages are decoded in full.
+        """
+        _level, count, is_leaf, t_ref = self._header(page)
+        if not is_leaf:
+            self.decode(page)
+        if not is_leaf or not count:
+            return False
+        latest = math.inf
+        if self.layout.store_leaf_expiration:
+            raw = np.frombuffer(
+                page, self._leaf_dtype, count, NODE_HEADER_BYTES
+            )
+            with np.errstate(all="ignore"):
+                latest = raw["f"][:, -1].astype(np.float64).max()
+        if t_ref != t_ref or latest != latest:
+            raise ValueError("t_ref and t_exp must not be NaN")
+        return bool(t_ref < now and latest < now)
+
     def decode(self, page: bytes) -> Tuple[Node, float]:
         """Deserialize a page back into a node and its reference time.
 
@@ -242,19 +284,7 @@ class NodeCodec:
             If a leaf entry's reference or expiration time is NaN.
         """
         layout = self.layout
-        if len(page) != layout.page_size:
-            raise CodecError(
-                f"page is {len(page)} bytes, expected {layout.page_size}"
-            )
-        level, count, flags, t_ref = _HEADER.unpack_from(page, 0)
-        is_leaf = bool(flags & _LEAF_FLAG)
-        if is_leaf != (level == 0):
-            raise CodecError("leaf flag inconsistent with level")
-        if count > layout.capacity(leaf=is_leaf):
-            raise CodecError(
-                f"entry count {count} exceeds page capacity "
-                f"{layout.capacity(leaf=is_leaf)}"
-            )
+        level, count, is_leaf, t_ref = self._header(page)
         if not count:
             return Node(level), t_ref
         d = layout.dims

@@ -36,7 +36,7 @@ Payloads::
 A torn tail — a record cut short by a crash, or one whose CRC does not
 match — ends the scan; everything from the first bad byte onward is
 discarded.  A checkpoint record is only ever the first record of a log
-(written by :meth:`WriteAheadLog.reset` through an atomic rename), and
+(written through an atomic rename by :meth:`WriteAheadLog.reset`), and
 asserts that the page file was consistent when it was written.
 """
 
@@ -215,8 +215,8 @@ def scan_wal(path: str) -> Tuple[List[WalRecord], int, int]:
     """
     if not os.path.exists(path):
         return [], 0, 0
-    data = open(path, "rb").read()
-    return scan_wal_bytes(data)
+    with open(path, "rb") as handle:
+        return scan_wal_bytes(handle.read())
 
 
 def scan_wal_bytes(data: bytes) -> Tuple[List[WalRecord], int, int]:
@@ -249,6 +249,29 @@ def scan_wal_bytes(data: bytes) -> Tuple[List[WalRecord], int, int]:
         )
         offset = end
     return records, offset, len(data) - offset
+
+
+def _write_checkpoint(path, op_seq, clock_time, injector=None, live=None):
+    """Atomically make ``path`` a log of one checkpoint record.
+
+    A fsynced sibling temporary file is renamed over ``path``, so a crash
+    leaves the old log or the new one; the old log's ``live`` handle is
+    closed after the injector's raise site.  Returns the bytes written.
+    """
+    tmp = path + ".tmp"
+    data = _encode_record(CHECKPOINT_RECORD, 0, _COMMIT.pack(op_seq, clock_time))
+    if injector is not None:
+        data = injector.before_write(data)
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    if injector is not None:
+        injector.after_write()
+    if live is not None:
+        live.close()
+    os.replace(tmp, path)
+    return len(data)
 
 
 class WriteAheadLog:
@@ -351,32 +374,16 @@ class WriteAheadLog:
     def reset(self, op_seq: int, clock_time: float) -> None:
         """Atomically replace the log with a single checkpoint record.
 
-        The new log is written to a sibling temporary file, fsynced, and
-        renamed over ``path`` — a crash at any point leaves either the
-        old intact log or the new one.  The page file must be consistent
-        (all committed images applied and synced) before calling this.
-
-        The live handle is closed only after the temporary file exists:
-        the injector's raise site comes first, so a transiently faulted
-        reset leaves the old log open and appendable for a retry.
+        See :func:`_write_checkpoint`; a transiently faulted reset
+        leaves the old log open and appendable for a retry.  The page
+        file must be consistent (all committed images applied and
+        synced) first.
         """
-        tmp = self.path + ".tmp"
-        data = _encode_record(
-            CHECKPOINT_RECORD, 0, _COMMIT.pack(op_seq, clock_time)
+        self.bytes_appended += _write_checkpoint(
+            self.path, op_seq, clock_time, self._injector, self._file
         )
-        if self._injector is not None:
-            data = self._injector.before_write(data)
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if self._injector is not None:
-            self._injector.after_write()
-        self._file.close()
-        os.replace(tmp, self.path)
         self.stats.writes += 1
         self.records_appended += 1
-        self.bytes_appended += len(data)
         self._next_lsn = 1
         self._file = open(self.path, "r+b")
         self._file.seek(0, os.SEEK_END)
@@ -404,7 +411,7 @@ class RecoveryReport:
     commits_applied : int
         Committed operation batches whose images were (re)applied.
     pages_replayed : int
-        PAGE records written back to the page file.
+        PAGE records applied by the redo (each slot is written once).
     frees_replayed : int
         FREE records applied to the page file.
     wal_skipped_expired : int
@@ -445,13 +452,13 @@ def recover(
 ) -> RecoveryReport:
     """Replay committed WAL records onto a page file (redo-only).
 
-    The scan phase walks the whole log, CRC-verifying each record,
+    The scan phase reads the log once, CRC-verifying each record,
     grouping page/free records into batches closed by commit records and
     discarding the torn tail plus any trailing uncommitted batch.  The
-    redo phase applies the batches in order, skipping page images that
-    the expiration rule proves carry no live information, then rewrites
-    the page-file header (clock, next page id, rebuilt free chain),
-    syncs it, and resets the log to a single checkpoint record.
+    redo is simulated, skipping page images that the expiration rule
+    proves carry no live information; then each touched slot's final
+    image is written once, the header (clock, next page id, rebuilt free
+    chain) is rewritten and synced, and the log reset to one checkpoint.
 
     Parameters
     ----------
@@ -501,41 +508,54 @@ def _recover(page_file, wal_path, all_expired):
         report.clock_time = page_file.read_header().clock_time
     now = report.clock_time
 
-    skipped = set()
+    # Each slot's payload as sequential redo leaves it (None: FREE), how
+    # far that redo extends the file, and what it reads at a pid if intact.
+    redone, skipped = {}, set()
+    extent, size = page_file.slot_count, page_file.page_size
+
+    def intact_payload(pid):
+        if pid in redone or pid >= extent:
+            return redone.get(pid)
+        slot = page_file.read_slot(pid)
+        ok = slot.state == 1 and slot.crc_ok  # 1 == SLOT_ALLOCATED
+        return slot.payload if ok else None
+
     for batch in batches:
         report.commits_applied += 1
         for record in batch.records:
+            pid = record.page_id
             if record.kind == FREE_RECORD:
-                page_file.mark_free(record.page_id, -1)
-                skipped.discard(record.page_id)
+                redone[pid] = None
                 report.frees_replayed += 1
-                continue
-            data = record.page_bytes
-            if all_expired is not None and _skippable(
-                page_file, record.page_id, data, now, all_expired
+            elif all_expired is not None and _skippable(
+                intact_payload, pid, record.page_bytes, now, all_expired
             ):
                 report.wal_skipped_expired += 1
-                skipped.add(record.page_id)
+                skipped.add(pid)
                 continue
-            page_file.write_page(record.page_id, data)
-            skipped.discard(record.page_id)
-            report.pages_replayed += 1
+            else:
+                redone[pid] = record.page_bytes.ljust(size, b"\0")
+                report.pages_replayed += 1
+            skipped.discard(pid)
+            extent = max(extent, pid + 1)
     report.skipped_pids = tuple(sorted(skipped))
 
+    for pid, image in sorted(redone.items()):
+        if image is None:
+            page_file.mark_free(pid, -1)
+        else:
+            page_file.write_page(pid, image)
     header = page_file.read_header()
     header.clock_time = now
     header.next_id = max(header.next_id, page_file.slot_count)
     page_file.rebuild_free_chain(header)
     page_file.write_header(header)
     page_file.sync()
-
-    log = WriteAheadLog(wal_path)
-    log.reset(report.op_seq, now)
-    log.close()
+    _write_checkpoint(wal_path, report.op_seq, now)
     return report
 
 
-def _skippable(page_file, pid, data, now, all_expired) -> bool:
+def _skippable(intact_payload, pid, data, now, all_expired) -> bool:
     """Apply the TR-82 skip rule to one committed page image.
 
     The rule is deliberately conservative: the *logged* image must be an
@@ -556,13 +576,11 @@ def _skippable(page_file, pid, data, now, all_expired) -> bool:
             return False
     except (OSError, ValueError, struct.error):
         return False
-    if pid >= page_file.slot_count:
-        return False
-    slot = page_file.read_slot(pid)
-    if slot.state != 1 or not slot.crc_ok:  # 1 == SLOT_ALLOCATED
+    payload = intact_payload(pid)
+    if payload is None:
         return False
     try:
-        return bool(all_expired(slot.payload, now))
+        return bool(all_expired(payload, now))
     except (OSError, ValueError, struct.error):
         # Same contract as above: only decode/IO failures mean "replay".
         return False

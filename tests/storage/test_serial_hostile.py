@@ -28,6 +28,7 @@ from repro.storage.serial import _INVERSION_REL_TOL, CodecError, NodeCodec
 from repro.storage.wal import _skippable
 
 from .reference_codec import ReferenceCodec, entry_bits
+from .reference_recovery import decoded_all_expired
 
 LAYOUTS = {
     "rexp": EntryLayout(page_size=512),
@@ -274,3 +275,100 @@ def test_recovery_report_on_an_all_expired_leaf_over_an_all_expired_slot(
     assert report.pages_replayed == 2
     assert [len(recovered.peek(pid)) for pid in (a, b, c)] == [19, 19, 5]
     recovered.abandon()
+
+
+# -- TR-82's header-only predicate equals the decode-based one ------------------
+
+
+def verdict(make_predicate, layout, page, now):
+    """``("ok", bool, repairs)`` or ``("reject", is-codec, repairs)``."""
+    codec = NodeCodec(layout)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = ("ok", make_predicate(codec)(page, now))
+        except ValueError as error:
+            result = ("reject", isinstance(error, CodecError))
+    return result + (codec.repairs,)
+
+
+def assert_same_verdict(layout, page, now):
+    got = verdict(_all_expired_predicate, layout, bytes(page), now)
+    assert got == verdict(decoded_all_expired, layout, bytes(page), now)
+    assert got[0] == "reject" or isinstance(got[1], bool)
+
+
+def leaf_page(layout, t_ref, t_exps, seed):
+    """A leaf page written field by field: any ``t_ref``, any stored ``t_exp``."""
+    rng = random.Random(seed)
+    d = layout.dims
+    body = b""
+    for t_exp in t_exps:
+        fields = [rng.uniform(-1e3, 1e3) for _ in range(2 * d)]
+        if layout.store_leaf_expiration:
+            fields.append(t_exp)
+        body += struct.pack(f"<{len(fields)}fI", *fields, rng.randrange(2 ** 32))
+    page = struct.pack("<HHHxxd", 0, len(t_exps), 1, t_ref) + body
+    return page.ljust(layout.page_size, b"\0")
+
+
+times32 = st.one_of(
+    hostile_floats, st.sampled_from([1e-40, -1e-40, 1.0, 2.0]),
+    st.floats(width=32),
+)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+@given(data=st.data())
+@settings(deadline=None)
+def test_expired_leaf_equals_decoding_on_leaf_times(name, data):
+    """±inf, NaN and subnormal ``t_exp``, ties with ``t_ref`` and ``now``."""
+    layout = LAYOUTS[name]
+    t_exps = data.draw(st.lists(times32, max_size=layout.leaf_capacity))
+    widened = [float(struct.unpack("<f", struct.pack("<f", t))[0])
+               for t in t_exps]
+    t_ref = data.draw(st.one_of(
+        hostile_floats, st.floats(), st.sampled_from(widened or [0.0])
+    ))
+    now = data.draw(st.one_of(
+        hostile_floats, st.floats(), st.sampled_from(widened + [t_ref]),
+    ))
+    page = leaf_page(layout, t_ref, t_exps, data.draw(st.integers(0, 99)))
+    assert_same_verdict(layout, page, now)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+@given(data=st.data())
+@settings(deadline=None)
+def test_expired_leaf_equals_decoding_on_damaged_pages(name, data):
+    """Random leaves and internal pages, bit-flipped, at any ``now``."""
+    layout = LAYOUTS[name]
+    page = bytearray(PAGES[name][data.draw(st.integers(0, 1))])
+    positions = st.one_of(
+        st.integers(0, NODE_HEADER_BYTES + 96), st.integers(0, len(page) - 1)
+    )
+    for offset in data.draw(st.lists(positions, max_size=6)):
+        page[offset] ^= 1 << data.draw(st.integers(0, 7))
+    now = data.draw(st.one_of(hostile_floats, st.floats(0.0, 200.0)))
+    assert_same_verdict(layout, page, now)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_expired_leaf_equals_decoding_on_edge_pages(name):
+    layout = LAYOUTS[name]
+    codec = NodeCodec(layout)
+    pages = [
+        codec.encode(Node(0), 3.0),  # an empty leaf
+        leaf_page(layout, math.nan, [], 0),  # empty, NaN t_ref: no raise
+        leaf_page(layout, math.nan, [1.0], 0),
+        leaf_page(layout, 5.0, [5.0, 4.0], 0),  # t_exp == t_ref, below it
+        leaf_page(layout, 5.0, [4.0, 1.0], 0),  # all below t_ref
+        leaf_page(layout, 5.0, [math.inf, 1e-45], 0),
+        leaf_page(layout, -math.inf, [-math.inf], 0),
+        *PAGES[name],
+    ]
+    for page in pages:
+        for now in (
+            -math.inf, 0.0, 4.0, 4.5, 5.0, 5.5, 100.0, math.inf, math.nan
+        ):
+            assert_same_verdict(layout, page, now)
