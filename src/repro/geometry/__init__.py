@@ -20,7 +20,6 @@ from .integrals import (
 )
 from .intersection import (
     feasible_window,
-    region_intersects_tpbr,
     region_matches_point,
 )
 from .kinematics import NEVER, MovingPoint
@@ -67,7 +66,6 @@ __all__ = [
     "optimal_tpbr",
     "overlap_integral",
     "point_distance_sq",
-    "region_intersects_tpbr",
     "region_matches_point",
     "static_tpbr",
     "tpbr_min_distance_sq",

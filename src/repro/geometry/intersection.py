@@ -14,7 +14,6 @@ from typing import Iterable, Optional, Tuple
 
 from .kinematics import MovingPoint
 from .queries import QueryRegion
-from .tpbr import TPBR
 
 #: Numerical slack for touching intersections.
 EPS = 1e-9
@@ -72,25 +71,6 @@ def _pair_constraints(
     lower = (s_hi[0] - q_lo[0], s_hi[1] - q_lo[1])
     upper = (q_hi[0] - s_lo[0], q_hi[1] - s_lo[1])
     return lower, upper
-
-
-def region_intersects_tpbr(region: QueryRegion, br: TPBR) -> bool:
-    """Does the query trapezoid intersect the TPBR while both are valid?
-
-    The time window is the query's [t1, t2] clipped at the rectangle's
-    expiration time; an expired rectangle intersects nothing.
-    """
-    t_end = min(region.t2, br.t_exp)
-    if t_end < region.t1:
-        return False
-    constraints = []
-    for d in range(region.dims):
-        q_lo = make_linear(region.lo[d], region.vlo[d], region.t1)
-        q_hi = make_linear(region.hi[d], region.vhi[d], region.t1)
-        b_lo = make_linear(br.lo[d], br.vlo[d], br.t_ref)
-        b_hi = make_linear(br.hi[d], br.vhi[d], br.t_ref)
-        constraints.extend(_pair_constraints(q_lo, q_hi, b_lo, b_hi))
-    return feasible_window(constraints, region.t1, t_end) is not None
 
 
 def region_matches_point(region: QueryRegion, point: MovingPoint) -> bool:

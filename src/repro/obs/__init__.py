@@ -52,7 +52,6 @@ from .trace import (
     TraceFileMeta,
     Tracer,
     read_jsonl,
-    sum_event_attr,
     traced,
 )
 
@@ -84,6 +83,5 @@ __all__ = [
     "read_jsonl",
     "read_snapshots",
     "shard_shares",
-    "sum_event_attr",
     "traced",
 ]

@@ -357,17 +357,6 @@ def read_jsonl(
     return records
 
 
-def sum_event_attr(
-    records: Iterable[Dict[str, object]], name: str, attr: str
-) -> int:
-    """Sum one attribute over all events of the given name."""
-    total = 0
-    for record in records:
-        if record.get("kind") == "event" and record.get("name") == name:
-            total += record.get("attrs", {}).get(attr, 0)
-    return total
-
-
 def traced(
     name: str, tracer_attr: str = "_tracer"
 ) -> Callable[[Callable], Callable]:

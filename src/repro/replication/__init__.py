@@ -14,10 +14,10 @@ This package turns the durable single-process store of
   :class:`~repro.storage.faults.TransientIOError`.
 * :class:`~repro.replication.replica.Replica` is a read-only
   :class:`~repro.core.tree.MovingObjectTree` over its own page store:
-  shipped batches are replayed by the existing
-  :func:`repro.storage.wal.recover` machinery — honoring the TR-82
-  expired-page skip — and the touched pages reloaded from what recovery
-  wrote, so all five query classes take the tree's one descent; it can
+  shipped batches are redone by the :func:`repro.storage.wal.redo` step
+  crash recovery runs — honoring the TR-82 expired-page skip — and the
+  page table takes the redone images, so all five query classes take
+  the tree's one descent; it can
   :meth:`~repro.replication.replica.Replica.promote` itself to a full
   primary with zero committed writes lost.
 * :class:`~repro.replication.maintenance.OnlineMaintainer` keeps the

@@ -206,7 +206,7 @@ class ReplicaLink:
     def staleness(self) -> float:
         """Index-clock replication lag in seconds (>= 0).
 
-        Against the newest commit the last poll's one log scan saw.
+        Against the newest commit the last poll's read of the log saw.
         """
         if not self.ready:
             return 0.0

@@ -28,8 +28,7 @@ does: unshipped batches spill to an archive segment.
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional
+from typing import List
 
 from ..obs.metrics import NULL_REGISTRY
 from ..storage.faults import TransientIOError
@@ -79,10 +78,7 @@ class OnlineMaintainer:
 
     def wal_bytes(self) -> int:
         """Current size of the primary's live write-ahead log."""
-        wal = self.store.wal
-        if wal is None or not os.path.exists(wal.path):
-            return 0
-        return os.path.getsize(wal.path)
+        return 0 if self.store.wal is None else self.store.wal.size
 
     def _observe(self) -> int:
         size = self.wal_bytes()
@@ -140,17 +136,3 @@ class OnlineMaintainer:
         self._phase = "idle"
         self._observe()
         return True
-
-    def run_cycle(self, max_steps: int = 10_000) -> Optional[int]:
-        """Drive steps until one full cycle completes (tests and CLI).
-
-        Returns the total steps taken, or ``None`` if the log never
-        crossed the soft limit (nothing to do).
-        """
-        target = self.cycles + 1
-        for taken in range(1, max_steps + 1):
-            if not self.step() and self._phase == "idle":
-                return None
-            if self.cycles >= target:
-                return taken
-        raise RuntimeError(f"cycle did not complete in {max_steps} steps")

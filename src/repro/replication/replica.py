@@ -5,13 +5,12 @@ A :class:`Replica` is a read-only
 :class:`~repro.storage.pagefile.FilePageStore` in its own directory — a
 page file plus a write-ahead log, byte-compatible with the primary's.
 Application is deliberately *not* a private re-implementation of redo:
-each poll's batches are appended to the replica's own log and then
-replayed through the very same :func:`repro.storage.wal.recover`
-machinery the primary's crash path uses, TR-82 expired-page skip
-included, after which the pages the poll touched are reloaded from the
-page file.  Whatever recovery would reconstruct on the primary, the
-replica's page table holds — which is exactly the invariant
-:meth:`Replica.promote` cashes in.
+each poll's batches are appended to the replica's own log, redone from
+memory by the :func:`repro.storage.wal.redo` step the primary's crash
+recovery runs (TR-82 expired-page skip included; no log rescan, no
+reopen) and the log reset to one checkpoint.  Whatever recovery would
+reconstruct on the primary, the replica's page table holds — which is
+exactly the invariant :meth:`Replica.promote` cashes in.
 
 Serving: the replica answers all five query classes — timeslice, window
 and moving-window queries (:meth:`Replica.query`), batched queries
@@ -151,18 +150,14 @@ class Replica(MovingObjectIndex):
         return self._promoted
 
     def apply(self, batches: Sequence[CommittedBatch]) -> int:
-        """Apply shipped batches through the recovery machinery.
+        """Apply shipped batches through the recovery's redo step.
 
         Already-applied batches (at or below :attr:`applied_op_seq`)
         are skipped — redelivery after a lost acknowledgment is
-        harmless.  The fresh suffix is appended to the replica's own
-        log (records first, one COMMIT per batch) and then replayed by
-        :meth:`repro.storage.pagefile.FilePageStore.replay`, which runs
-        :func:`repro.storage.wal.recover` — TR-82 expired-page skip, new
-        header and free chain, truncated log, so the replica's WAL never
-        grows beyond one poll's worth of batches — and reloads the
-        touched pages.  The tree's buffer drops them too (the root stays
-        pinned), so the next descent reads what recovery wrote.
+        harmless.  The fresh suffix goes to
+        :meth:`repro.storage.pagefile.FilePageStore.apply_batches`
+        (log, redo, reset: the WAL never grows past one poll), and the
+        tree's buffer drops the touched pages, root pinned again.
 
         Returns
         -------
@@ -188,17 +183,11 @@ class Replica(MovingObjectIndex):
                     "shipment out of order"
                 )
             expected = batch.op_seq
-        tree, store = self._tree, self._tree.disk
+        tree = self._tree
+        report = tree.disk.apply_batches(fresh)
         for batch in fresh:
             for record in batch.records:
-                store.wal.append_raw(record.kind, record.payload)
-            store.wal.append_commit(batch.op_seq, batch.clock_time)
-        touched = sorted(
-            {record.page_id for batch in fresh for record in batch.records}
-        )
-        report = store.replay(touched)
-        for pid in touched:
-            tree.buffer.discard(pid)
+                tree.buffer.discard(record.page_id)
         tree.buffer.pin(tree.root_pid)
         tree.clock.advance_to(report.clock_time)
         self._applied_op_seq = report.op_seq
@@ -209,7 +198,7 @@ class Replica(MovingObjectIndex):
 
     def wal_bytes(self) -> int:
         """Current size of the replica's own write-ahead log."""
-        return os.path.getsize(self.wal_path)
+        return self._tree.disk.wal.size
 
     # -- serving -------------------------------------------------------------
 

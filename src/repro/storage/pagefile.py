@@ -61,7 +61,7 @@ from .faults import TransientIOError
 from .layout import EntryLayout
 from .serial import NodeCodec
 from .stats import IOStats
-from .wal import RecoveryReport, WriteAheadLog, recover
+from .wal import RecoveryReport, WriteAheadLog, recover, redo
 
 MAGIC = b"REXPPG01"
 VERSION = 1
@@ -530,7 +530,16 @@ class FilePageStore(DiskManager):
         # into the bound registry counter.
         store.codec = codec
         header = file.read_header()
-        store._free = store._load_slots(range(file.slot_count))
+        for pid in range(file.slot_count):
+            slot = file.read_slot(pid)
+            if slot.state == SLOT_ALLOCATED:
+                if not slot.crc_ok:
+                    raise PageFileError(
+                        f"allocated page {pid} is corrupt after recovery"
+                    )
+                store._pages[pid] = codec.decode(slot.payload)[0]
+            elif slot.state in (SLOT_FREE, SLOT_UNUSED):
+                store._free.append(pid)
         store._next_id = max(header.next_id, file.slot_count)
         store._op_seq = report.op_seq
         store._root_pid = header.root_pid
@@ -543,47 +552,32 @@ class FilePageStore(DiskManager):
             )
         return store
 
-    def _load_slots(self, pids) -> List[PageId]:
-        """Load the page file's slots ``pids`` into the page table.
+    def apply_batches(self, batches) -> RecoveryReport:
+        """Apply shipped committed batches as recovery would (a follower).
 
-        The one slot sweep, behind :meth:`open_dir` and :meth:`replay`:
-        an allocated slot is decoded in (a CRC failure raises
-        :class:`PageFileError`), any other slot leaves the table.
-        Returns the free and never-used pids, in the order given.
+        Logs and flushes ``batches``, redoes them from memory
+        (:func:`repro.storage.wal.redo`), writes the header, fsyncs and
+        resets the log; the page table takes the images, decoded on first
+        read.  Free list and chain wait for a reopen's recovery.
         """
-        free = []
-        for pid in pids:
-            slot = self._file.read_slot(pid)
-            if slot.state == SLOT_ALLOCATED:
-                if not slot.crc_ok:
-                    raise PageFileError(
-                        f"allocated page {pid} is corrupt after recovery"
-                    )
-                self._pages[pid] = self.codec.decode(slot.payload)[0]
-                continue
-            self._pages.pop(pid, None)
-            if slot.state in (SLOT_FREE, SLOT_UNUSED):
-                free.append(pid)
-        return free
-
-    def replay(self, pids) -> RecoveryReport:
-        """Replay the log onto the page file, then reload ``pids``.
-
-        A follower's apply step: :func:`repro.storage.wal.recover` redoes
-        what was appended to :attr:`wal` (TR-82 skip included) and
-        resets the log, whose handle is reopened; reloading the touched
-        ``pids`` leaves the page table exactly what :meth:`open_dir`
-        would load.  The free list is not kept: followers never allocate.
-        """
+        for batch in batches:
+            for record in batch.records:
+                self.wal.append_raw(record.kind, record.payload)
+            self.wal.append_commit(batch.op_seq, batch.clock_time)
         self.wal.flush()
-        report = recover(
-            self._file, self.wal.path, _all_expired_predicate(self.codec)
+        last = batches[-1]
+        report = RecoveryReport(op_seq=last.op_seq, clock_time=last.clock_time)
+        redone, header = redo(
+            self._file, batches, report, _all_expired_predicate(self.codec)
         )
-        self.wal.abandon()
-        self.wal = WriteAheadLog(
-            self.wal.path, stats=self.wal.stats, fsync=self.wal.fsync
-        )
-        self._load_slots(pids)
+        self._file.write_header(header)
+        self._file.sync()
+        self.wal.reset(report.op_seq, report.clock_time)
+        for pid, image in redone.items():
+            if image is None:
+                self._pages.pop(pid, None)
+            else:
+                self._pages[pid] = image
         self._op_seq = report.op_seq
         return report
 
@@ -621,7 +615,15 @@ class FilePageStore(DiskManager):
         injector = self._file._injector
         if injector is not None and pid in self._pages:
             injector.before_read()
-        return super().read(pid)
+        super().read(pid)
+        return self.peek(pid)
+
+    def peek(self, pid: PageId) -> Any:
+        """Read a page without charging I/O, decoding a redone image."""
+        node = super().peek(pid)
+        if type(node) is bytes:  # left by apply_batches: decode on use
+            node = self._pages[pid] = self.codec.decode(node)[0]
+        return node
 
     def write(self, pid: PageId, payload: Any) -> None:
         """Write a page, charging one write I/O and staging the image."""

@@ -35,9 +35,10 @@ Payloads::
 
 A torn tail — a record cut short by a crash, or one whose CRC does not
 match — ends the scan; everything from the first bad byte onward is
-discarded.  A checkpoint record is only ever the first record of a log
-(written through an atomic rename by :meth:`WriteAheadLog.reset`), and
-asserts that the page file was consistent when it was written.
+discarded, as from a record no page file can place (a short payload, a
+PAGE/FREE pid outside ``[0, MAX_PAGE_ID)``).  A checkpoint record is
+only ever the first record of a log (written through an atomic rename
+by :meth:`WriteAheadLog.reset`) and asserts a consistent page file.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
+from .faults import TransientIOError
 from .stats import IOStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -63,6 +65,13 @@ _RECORD_HEADER = struct.Struct("<BQI")
 _CRC = struct.Struct("<I")
 _PID = struct.Struct("<q")
 _COMMIT = struct.Struct("<Qd")
+
+_MIN_PAYLOAD = {PAGE_RECORD: 8, FREE_RECORD: 8, COMMIT_RECORD: 16,
+                CHECKPOINT_RECORD: 16}
+
+#: One past the largest page id a record may name: far past any store,
+#: and every slot below it ends inside a signed 64-bit file offset.
+MAX_PAGE_ID = 1 << 30
 
 
 class WalError(Exception):
@@ -196,6 +205,19 @@ def batches_of(
     return checkpoint, batches
 
 
+def committed_end(records, offset: int, lsn: int) -> Tuple[int, int]:
+    """Offset and LSN past the last COMMIT/CHECKPOINT of ``records``.
+
+    ``records`` were scanned from ``offset``, the first at ``lsn``.
+    """
+    end = (offset, lsn)
+    for record in records:
+        offset += _RECORD_HEADER.size + len(record.payload) + _CRC.size
+        if record.kind in (COMMIT_RECORD, CHECKPOINT_RECORD):
+            end = (offset, record.lsn + 1)
+    return end
+
+
 def scan_wal(path: str) -> Tuple[List[WalRecord], int, int]:
     """Scan a WAL file, stopping at the first torn or corrupt record.
 
@@ -234,9 +256,7 @@ def scan_wal_bytes(data: bytes) -> Tuple[List[WalRecord], int, int]:
             break
         kind, lsn, length = _RECORD_HEADER.unpack_from(data, offset)
         end = offset + _RECORD_HEADER.size + length + _CRC.size
-        if kind not in (
-            PAGE_RECORD, FREE_RECORD, COMMIT_RECORD, CHECKPOINT_RECORD
-        ) or end > len(data):
+        if length < _MIN_PAYLOAD.get(kind, 1 << 32) or end > len(data):
             break
         body = data[offset:end - _CRC.size]
         (crc,) = _CRC.unpack_from(data, end - _CRC.size)
@@ -244,6 +264,10 @@ def scan_wal_bytes(data: bytes) -> Tuple[List[WalRecord], int, int]:
             break
         if records and lsn != records[-1].lsn + 1:
             break
+        if kind in (PAGE_RECORD, FREE_RECORD) and not (
+            0 <= _PID.unpack_from(body, _RECORD_HEADER.size)[0] < MAX_PAGE_ID
+        ):
+            break  # a slot no page file holds: the header, or past it all
         records.append(
             WalRecord(kind, lsn, body[_RECORD_HEADER.size:])
         )
@@ -323,6 +347,7 @@ class WriteAheadLog:
             # cut itself must be durable before any append.
             self._file.flush()
             os.fsync(self._file.fileno())
+        self.size = valid  # bytes in the log file, kept without a probe
         self.records_appended = 0
         self.bytes_appended = 0
 
@@ -332,7 +357,11 @@ class WriteAheadLog:
         lsn = self._next_lsn
         data = _encode_record(kind, lsn, payload)
         if self._injector is not None:
-            data = self._injector.before_write(data)
+            try:
+                data = self._injector.before_write(data)
+            except TransientIOError:  # the file holds all but this record
+                self._file.flush()
+                raise
         self._file.write(data)
         if self._injector is not None:
             self._injector.after_write()
@@ -340,6 +369,7 @@ class WriteAheadLog:
         self.stats.writes += 1
         self.records_appended += 1
         self.bytes_appended += len(data)
+        self.size += len(data)
         return lsn
 
     def append_page(self, pid: int, page_bytes: bytes) -> int:
@@ -379,9 +409,10 @@ class WriteAheadLog:
         file must be consistent (all committed images applied and
         synced) first.
         """
-        self.bytes_appended += _write_checkpoint(
+        self.size = _write_checkpoint(
             self.path, op_seq, clock_time, self._injector, self._file
         )
+        self.bytes_appended += self.size
         self.stats.writes += 1
         self.records_appended += 1
         self._next_lsn = 1
@@ -454,11 +485,11 @@ def recover(
 
     The scan phase reads the log once, CRC-verifying each record,
     grouping page/free records into batches closed by commit records and
-    discarding the torn tail plus any trailing uncommitted batch.  The
-    redo is simulated, skipping page images that the expiration rule
-    proves carry no live information; then each touched slot's final
-    image is written once, the header (clock, next page id, rebuilt free
-    chain) is rewritten and synced, and the log reset to one checkpoint.
+    discarding the torn tail plus any trailing uncommitted batch.  Then
+    :func:`redo` writes each touched slot's final image once, skipping
+    page images that the expiration rule proves carry no live
+    information; the header (clock, next page id, rebuilt free chain) is
+    rewritten and synced, and the log reset to one checkpoint.
 
     Parameters
     ----------
@@ -506,12 +537,29 @@ def _recover(page_file, wal_path, all_expired):
         report.op_seq, report.clock_time = last.op_seq, last.clock_time
     else:
         report.clock_time = page_file.read_header().clock_time
-    now = report.clock_time
+    _redone, header = redo(page_file, batches, report, all_expired)
+    page_file.rebuild_free_chain(header)
+    page_file.write_header(header)
+    page_file.sync()
+    _write_checkpoint(wal_path, report.op_seq, report.clock_time)
+    return report
 
+
+def redo(page_file, batches, report, all_expired=None):
+    """Redo committed batches onto a page file: each touched slot once.
+
+    The redo of crash recovery and of a replica's apply: replay in log
+    order is simulated in memory, TR-82's skip tested at
+    ``report.clock_time`` against the slot as that replay leaves it,
+    then each touched slot's final image (or FREE mark) is written once,
+    in page-id order.  Fills ``report``'s counters; returns the images
+    (``None``: freed) and the header stamped with clock and watermark.
+    """
     # Each slot's payload as sequential redo leaves it (None: FREE), how
     # far that redo extends the file, and what it reads at a pid if intact.
     redone, skipped = {}, set()
     extent, size = page_file.slot_count, page_file.page_size
+    now = report.clock_time
 
     def intact_payload(pid):
         if pid in redone or pid >= extent:
@@ -548,11 +596,7 @@ def _recover(page_file, wal_path, all_expired):
     header = page_file.read_header()
     header.clock_time = now
     header.next_id = max(header.next_id, page_file.slot_count)
-    page_file.rebuild_free_chain(header)
-    page_file.write_header(header)
-    page_file.sync()
-    _write_checkpoint(wal_path, report.op_seq, now)
-    return report
+    return redone, header
 
 
 def _skippable(intact_payload, pid, data, now, all_expired) -> bool:

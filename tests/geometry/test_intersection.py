@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from repro.geometry.intersection import (
     EPS,
+    _pair_constraints,
     feasible_window,
-    region_intersects_tpbr,
+    make_linear,
     region_matches_point,
 )
 from repro.geometry.kinematics import MovingPoint
@@ -22,6 +23,26 @@ from repro.geometry.queries import (
 )
 from repro.geometry.rect import Rect
 from repro.geometry.tpbr import TPBR
+
+
+def region_intersects_tpbr(region, br):
+    """Does the query trapezoid intersect the TPBR while both are valid?
+
+    The scalar oracle of the kernels' internal-node test: the time
+    window is the query's [t1, t2] clipped at the rectangle's
+    expiration time, and an expired rectangle intersects nothing.
+    """
+    t_end = min(region.t2, br.t_exp)
+    if t_end < region.t1:
+        return False
+    constraints = []
+    for d in range(region.dims):
+        q_lo = make_linear(region.lo[d], region.vlo[d], region.t1)
+        q_hi = make_linear(region.hi[d], region.vhi[d], region.t1)
+        b_lo = make_linear(br.lo[d], br.vlo[d], br.t_ref)
+        b_hi = make_linear(br.hi[d], br.vhi[d], br.t_ref)
+        constraints.extend(_pair_constraints(q_lo, q_hi, b_lo, b_hi))
+    return feasible_window(constraints, region.t1, t_end) is not None
 
 
 def sample_region_match(

@@ -28,10 +28,7 @@ from repro.geometry.integrals import (
     margin_integral,
     overlap_integral,
 )
-from repro.geometry.intersection import (
-    region_intersects_tpbr,
-    region_matches_point,
-)
+from repro.geometry.intersection import region_matches_point
 from repro.geometry.kernels import (
     batch_area_integral,
     batch_center_distance_sq_integral,
@@ -49,6 +46,7 @@ from repro.rstar.heuristics import Metrics
 from repro.rstar.metrics import KineticMetrics
 
 from .reference_bounding import tpbr_bits
+from .test_intersection import region_intersects_tpbr
 
 
 coord = st.floats(

@@ -24,9 +24,10 @@ from repro.geometry.kinematics import MovingPoint
 from repro.geometry.queries import TimesliceQuery
 from repro.geometry.rect import Rect
 from repro.obs import MetricsRegistry, Tracer
-from repro.obs.trace import sum_event_attr
 from repro.workloads.expiration import FixedPeriod
 from repro.workloads.uniform import UniformParams, generate_uniform_workload
+
+from .test_trace import sum_event_attr
 
 
 def make_tree(**overrides):

@@ -6,9 +6,17 @@ from repro.obs.trace import (
     NULL_TRACER,
     Tracer,
     read_jsonl,
-    sum_event_attr,
     traced,
 )
+
+
+def sum_event_attr(records, name, attr):
+    """Sum one attribute over all events of the given name."""
+    total = 0
+    for record in records:
+        if record.get("kind") == "event" and record.get("name") == name:
+            total += record.get("attrs", {}).get(attr, 0)
+    return total
 
 
 class FakeClock:

@@ -52,3 +52,59 @@ def catch_up(channel, replica):
             return
         replica.apply(batches)
         channel.ack(replica.applied_op_seq)
+
+
+def run_cycle(maintainer, max_steps=10_000):
+    """Step ``maintainer`` until one full cycle completes.
+
+    Returns the total steps taken, or ``None`` if the log never crossed
+    the soft limit (nothing to do).
+    """
+    target = maintainer.cycles + 1
+    for taken in range(1, max_steps + 1):
+        if not maintainer.step() and maintainer._phase == "idle":
+            return None
+        if maintainer.cycles >= target:
+            return taken
+    raise RuntimeError(f"cycle did not complete in {max_steps} steps")
+
+
+def spy_reads(monkeypatch, path):
+    """Count the bytes the shipper reads from ``path``, per open.
+
+    Returns a list that gains one entry per open of ``path`` by
+    :mod:`repro.replication.shipper`: the bytes read through it.
+    """
+    import builtins
+
+    import repro.replication.shipper as shipper_module
+
+    reads = []
+
+    class Counting:
+        def __init__(self, handle):
+            self._handle = handle
+
+        def read(self, *args):
+            data = self._handle.read(*args)
+            reads[-1] += len(data)
+            return data
+
+        def __getattr__(self, name):
+            return getattr(self._handle, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self._handle.__exit__(*exc)
+
+    def spy(file, mode="r", *args, **kwargs):
+        handle = builtins.open(file, mode, *args, **kwargs)
+        if file != path:
+            return handle
+        reads.append(0)
+        return Counting(handle)
+
+    monkeypatch.setattr(shipper_module, "open", spy, raising=False)
+    return reads

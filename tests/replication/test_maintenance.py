@@ -3,7 +3,7 @@
 from repro.obs import MetricsRegistry
 from repro.replication import OnlineMaintainer
 
-from .helpers import catch_up, drive, make_pair, make_primary
+from .helpers import catch_up, drive, make_pair, make_primary, run_cycle
 from .test_replica import _panel
 
 
@@ -12,7 +12,7 @@ def test_idle_below_soft_limit(tmp_path):
     maintainer = OnlineMaintainer(tree.disk, wal_soft_limit=1 << 30)
     drive(tree, 5)
     assert maintainer.step() is False
-    assert maintainer.run_cycle() is None
+    assert run_cycle(maintainer) is None
     assert maintainer.cycles == 0
     tree.close()
 
@@ -25,7 +25,7 @@ def test_cycle_truncates_and_preserves_answers(tmp_path):
     assert before >= 2048
     now = tree.clock.time
     want = [sorted(tree.query(q)) for q in _panel(now)]
-    steps = maintainer.run_cycle()
+    steps = run_cycle(maintainer)
     assert steps is not None and maintainer.cycles == 1
     assert maintainer.wal_bytes() < before
     assert [sorted(tree.query(q)) for q in _panel(now)] == want
@@ -63,7 +63,7 @@ def test_spill_mode_truncates_while_replica_lags(tmp_path):
         tree.disk, wal_soft_limit=1024, registry=registry
     )
     drive(tree, 20)  # committed, not shipped
-    assert maintainer.run_cycle() is not None
+    assert run_cycle(maintainer) is not None
     assert maintainer.cycles == 1
     assert registry.value("replication.spills") >= 1
     # The spilled batches are still fetchable: the lagging replica
@@ -84,7 +84,7 @@ def test_repeated_cycles_bound_the_footprint(tmp_path):
     for round_ in range(6):
         drive(tree, 15, start_oid=round_ * 100)
         catch_up(channel, replica)
-        maintainer.run_cycle()
+        run_cycle(maintainer)
         high_water = max(high_water, maintainer.wal_bytes())
     assert maintainer.cycles >= 3
     # Each cycle resets the log, so the post-cycle footprint never

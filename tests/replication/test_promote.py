@@ -11,7 +11,7 @@ from repro.replication import (
 )
 from repro.storage.wal import WriteAheadLog
 
-from .helpers import CONFIG, catch_up, drive, make_pair
+from .helpers import CONFIG, catch_up, drive, make_pair, spy_reads
 from .test_replica import _panel
 
 
@@ -157,24 +157,18 @@ def test_link_polls_tracks_marks_and_fails_over(tmp_path):
 def test_a_polling_tick_scans_the_live_log_once(
     tmp_path, monkeypatch, registry
 ):
-    import repro.replication.shipper as shipper_module
-
     tree, shipper, replica, channel = make_pair(tmp_path)
     link = ReplicaLink(channel, replica, registry=registry, poll_every=1)
-    real_scan = shipper_module.scan_wal
-    live_scans = []
-
-    def counting_scan(path):
-        if path == shipper.wal_path:
-            live_scans.append(path)
-        return real_scan(path)
-
-    monkeypatch.setattr(shipper_module, "scan_wal", counting_scan)
+    reads = spy_reads(monkeypatch, shipper.wal_path)
+    link.tick()  # the first read covers the bootstrap checkpoint
     for i in range(3):
+        size = tree.disk.wal.size
         drive(tree, 4, start_oid=i * 10, seed=i)
-        live_scans.clear()
+        reads.clear()
         link.tick()
-        assert len(live_scans) == 1
+        # One read of the live log, and only of what was committed
+        # since the last one.
+        assert reads == [tree.disk.wal.size - size]
         assert replica.applied_op_seq == tree.disk.op_seq
     assert link.max_staleness > 0
     tree.close()

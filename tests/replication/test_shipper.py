@@ -15,7 +15,7 @@ from repro.storage.wal import (
     scan_wal,
 )
 
-from .helpers import catch_up, drive, make_pair
+from .helpers import catch_up, drive, make_pair, spy_reads
 
 # -- batches_of ---------------------------------------------------------------
 
@@ -117,7 +117,7 @@ def test_spill_preserves_unshipped_batches_across_checkpoint(tmp_path):
     catch_up(channel, replica)
     assert replica.applied_op_seq == committed
     # Fully acknowledged segments are pruned on ack.
-    assert shipper._segments() == []
+    assert os.listdir(shipper.archive_dir) == []
     tree.close()
     replica.close()
 
@@ -159,11 +159,134 @@ def test_archive_bytes_counts_segments_and_cursor(tmp_path):
     drive(tree, 3)
     shipper.before_truncate(tree.disk.wal, tree.disk.op_seq)
     segment_bytes = sum(
-        os.path.getsize(path) for path, _f, _l in shipper._segments()
+        os.path.getsize(os.path.join(shipper.archive_dir, name))
+        for name in os.listdir(shipper.archive_dir)
     )
     assert segment_bytes > 0
     assert shipper.archive_bytes() == segment_bytes + os.path.getsize(
         shipper.cursor_path
     )
+    tree.close()
+    replica.close()
+
+
+# -- the read position --------------------------------------------------------
+
+
+def test_a_fetch_reads_only_what_was_committed_since_the_last(
+    tmp_path, monkeypatch
+):
+    tree, shipper, replica, channel = make_pair(tmp_path)
+    reads = spy_reads(monkeypatch, shipper.wal_path)
+    shipper.fetch()
+    assert reads == [tree.disk.wal.size]  # a fresh position: the whole log
+    for n in (1, 3, 0, 5):
+        size = tree.disk.wal.size
+        drive(tree, n, start_oid=10 * n, seed=n)
+        reads.clear()
+        batches = shipper.fetch()
+        assert reads == [tree.disk.wal.size - size]
+        assert batches[-1].op_seq == tree.disk.op_seq
+    catch_up(channel, replica)
+    assert replica.applied_op_seq == tree.disk.op_seq
+    tree.close()
+    replica.close()
+
+
+def test_a_half_written_batch_is_read_again(tmp_path, monkeypatch):
+    tree, shipper, replica, _channel = make_pair(tmp_path)
+    drive(tree, 2)
+    committed = tree.disk.op_seq
+    assert shipper.fetch()[-1].op_seq == committed
+    wal = tree.disk.wal
+    size = wal.size
+    wal.append_page(0, b"a" * 64)  # a batch still being written
+    wal.flush()
+    half = wal.size
+    reads = spy_reads(monkeypatch, shipper.wal_path)
+    assert shipper.fetch()[-1].op_seq == committed
+    wal.append_free(5)
+    wal.append_commit(committed + 1, tree.clock.time)
+    wal.flush()
+    batches = shipper.fetch()
+    assert [r.page_id for r in batches[-1].records] == [0, 5]
+    assert batches[-1].op_seq == committed + 1
+    # The half batch was read twice; the committed prefix once.
+    assert reads == [half - size, wal.size - size]
+    tree.disk.abandon()
+    replica.close()
+
+
+def test_a_gated_reset_starts_the_log_over(tmp_path, monkeypatch):
+    tree, shipper, replica, channel = make_pair(tmp_path)
+    drive(tree, 4)
+    catch_up(channel, replica)
+    drive(tree, 3, start_oid=50)
+    shipper.fetch()
+    tree.disk.checkpoint()  # spills the three unacked batches, resets
+    drive(tree, 2, start_oid=80)
+    reads = spy_reads(monkeypatch, shipper.wal_path)
+    batches = shipper.fetch()
+    assert reads == [tree.disk.wal.size]
+    assert [b.op_seq for b in batches] == list(
+        range(replica.applied_op_seq + 1, tree.disk.op_seq + 1)
+    )
+    catch_up(channel, replica)
+    assert replica.applied_op_seq == tree.disk.op_seq
+    tree.close()
+    replica.close()
+
+
+def test_a_spill_whose_reset_faulted_rereads_the_old_log(
+    tmp_path, monkeypatch
+):
+    tree, shipper, replica, channel = make_pair(tmp_path)
+    drive(tree, 4)
+    shipper.fetch()
+    # The gate spills, then the reset faults: the old log stays live.
+    shipper.before_truncate(tree.disk.wal, tree.disk.op_seq)
+    drive(tree, 2, start_oid=50)
+    reads = spy_reads(monkeypatch, shipper.wal_path)
+    batches = shipper.fetch()
+    assert reads == [tree.disk.wal.size]
+    seqs = [b.op_seq for b in batches]
+    assert seqs == list(range(shipper.acked + 1, tree.disk.op_seq + 1))
+    catch_up(channel, replica)
+    assert replica.applied_op_seq == tree.disk.op_seq
+    tree.close()
+    replica.close()
+
+
+def test_a_restarted_shipper_reads_segments_and_the_whole_log(
+    tmp_path, monkeypatch
+):
+    tree, shipper, replica, channel = make_pair(tmp_path)
+    drive(tree, 4)
+    tree.disk.checkpoint()  # spill
+    drive(tree, 3, start_oid=50)
+    want = shipper.fetch()
+    reads = spy_reads(monkeypatch, shipper.wal_path)
+    restarted = WalShipper(shipper.directory)
+    # Segments carry fresh LSNs: compare what the batches hold.
+    def held(batches):
+        return [(b.op_seq, [r.payload for r in b.records]) for b in batches]
+
+    assert held(restarted.fetch()) == held(want)
+    assert reads == [tree.disk.wal.size]
+    assert restarted.archive_bytes() == shipper.archive_bytes()
+    tree.close()
+    replica.close()
+
+
+def test_a_reset_outside_the_gate_is_caught_by_file_identity(tmp_path):
+    tree, shipper, replica, channel = make_pair(tmp_path)
+    drive(tree, 3)
+    shipper.fetch()  # holds the three batches; the position is past them
+    tree.disk.wal.reset(tree.disk.op_seq, tree.clock.time)  # no gate
+    drive(tree, 8, start_oid=50)  # the new log outgrows the position
+    seqs = [b.op_seq for b in shipper.fetch()]
+    assert seqs == list(range(shipper.acked + 1, tree.disk.op_seq + 1))
+    catch_up(channel, replica)
+    assert replica.applied_op_seq == tree.disk.op_seq
     tree.close()
     replica.close()

@@ -5,7 +5,9 @@ final image once.  This module keeps the straightforward pass it
 replaced: it applies every committed PAGE/FREE record to the page file
 in log order, testing TR-82's skip against the slot as it stands on disk
 at that moment, then rebuilds the free chain and header and resets the
-log through a reopened :class:`~repro.storage.wal.WriteAheadLog`.  The
+log through a reopened :class:`~repro.storage.wal.WriteAheadLog`.  It
+cuts the log at a PAGE/FREE record whose pid no page file can hold
+(negative, or at or past ``MAX_PAGE_ID``), on its own account.  The
 page file, the log and the :class:`~repro.storage.wal.RecoveryReport`
 it leaves are what ``recover`` must leave, byte for byte and field for
 field.
@@ -22,6 +24,8 @@ import struct
 from repro.storage.pagefile import SLOT_ALLOCATED
 from repro.storage.wal import (
     FREE_RECORD,
+    MAX_PAGE_ID,
+    PAGE_RECORD,
     RecoveryReport,
     WriteAheadLog,
     batches_of,
@@ -43,6 +47,15 @@ def decoded_all_expired(codec):
 def reference_recover(page_file, wal_path, all_expired=None):
     """Redo the committed prefix of ``wal_path`` onto ``page_file``."""
     records, _valid, torn = scan_wal(wal_path)
+    # A PAGE/FREE record naming a pid no page file has a slot for ends
+    # the log like a torn record (the scan stops there too).
+    for i, record in enumerate(records):
+        if record.kind in (PAGE_RECORD, FREE_RECORD) and not (
+            0 <= record.page_id < MAX_PAGE_ID
+        ):
+            torn += sum(17 + len(r.payload) for r in records[i:])
+            records = records[:i]
+            break
     report = RecoveryReport(records_scanned=len(records), torn_bytes=torn)
     checkpoint, batches = batches_of(records)
     report.checkpoint_seen = checkpoint is not None

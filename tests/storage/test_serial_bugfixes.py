@@ -30,10 +30,7 @@ from hypothesis import strategies as st
 from repro.core.clock import SimulationClock
 from repro.core.presets import rexp_config
 from repro.core.tree import MovingObjectTree
-from repro.geometry.intersection import (
-    region_intersects_tpbr,
-    region_matches_point,
-)
+from repro.geometry.intersection import region_matches_point
 from repro.geometry.kernels import multi_query_hits, pack_queries
 from repro.geometry.kinematics import MovingPoint
 from repro.geometry.queries import TimesliceQuery
@@ -45,6 +42,7 @@ from repro.storage import serial
 from repro.storage.layout import NODE_HEADER_BYTES, EntryLayout
 from repro.storage.serial import CodecError, NodeCodec
 
+from ..geometry.test_intersection import region_intersects_tpbr
 from .reference_codec import F32_MAX, ReferenceCodec, f32_round_up
 
 CONFIG_KW = dict(page_size=1024, buffer_pages=8, default_ui=10.0)

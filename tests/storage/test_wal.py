@@ -18,6 +18,7 @@ from repro.core.tree import MovingObjectTree
 from repro.geometry.kinematics import MovingPoint
 from repro.geometry.tpbr import TPBR
 from repro.rstar.node import Node
+from repro.storage.faults import FaultInjector, TransientIOError
 from repro.storage.layout import EntryLayout
 from repro.storage.pagefile import (
     FilePageStore,
@@ -30,6 +31,8 @@ from repro.storage.wal import (
     _COMMIT,
     CHECKPOINT_RECORD,
     COMMIT_RECORD,
+    FREE_RECORD,
+    MAX_PAGE_ID,
     PAGE_RECORD,
     WalError,
     WriteAheadLog,
@@ -152,6 +155,26 @@ def test_reset_leaves_single_checkpoint_record(tmp_path):
     assert records[0].clock_time == 9.0
 
 
+def test_size_is_the_file_size_after_appends_faults_and_resets(tmp_path):
+    """``WriteAheadLog.size`` is what a probe of the file would read."""
+    path = str(tmp_path / "wal")
+    wal = WriteAheadLog(path, injector=FaultInjector(transient_writes={3}))
+    assert wal.size == 0
+    wal.append_page(1, b"a" * 600)
+    wal.append_page(2, b"b" * 600)
+    with pytest.raises(TransientIOError):  # the batch stays half written
+        wal.append_page(3, b"c" * 600)
+    assert wal.size == os.path.getsize(path) > 0
+    wal.append_page(3, b"c" * 600)
+    wal.append_commit(1, 0.5)
+    wal.flush()
+    assert wal.size == os.path.getsize(path)
+    wal.reset(1, 0.5)
+    assert wal.size == os.path.getsize(path)
+    wal.close()
+    assert WriteAheadLog(path).size == os.path.getsize(path)
+
+
 def test_append_charges_one_write_per_record(tmp_path):
     wal = WriteAheadLog(str(tmp_path / "wal"))
     wal.append_page(1, bytes(32))
@@ -190,6 +213,43 @@ def test_uncommitted_tail_is_discarded(tmp_path):
     assert recovered.recovery.commits_applied == 1
     assert recovered.peek(a).entries[0][1] == 1  # the committed image
     recovered.abandon()
+
+
+@pytest.mark.parametrize("kind", ["page", "free"])
+@pytest.mark.parametrize("pid", [-1, -2, -(2 ** 63), MAX_PAGE_ID, 2 ** 63 - 1])
+def test_a_record_no_slot_can_hold_ends_the_log(tmp_path, kind, pid):
+    """A CRC-valid PAGE/FREE record for a pid outside the page file.
+
+    Pid -1 maps to offset 0: replayed, its image would overwrite the
+    header slot.  Such a record ends the scan like any bad record, so
+    it and everything after it are a torn tail.
+    """
+    clock = SimulationClock()
+    store = make_store(tmp_path, clock)
+    a = store.allocate()
+    store.write(a, leaf(0.0, 100.0))
+    store.set_root(a)
+    store.commit()
+    store.close()
+    pages = str(tmp_path / "store" / "pages.rexp")
+    before = open(pages, "rb").read()
+    wal = WriteAheadLog(str(tmp_path / "store" / "wal.rexp"))
+    if kind == "page":
+        wal.append_page(pid, b"\xee" * 512)
+    else:
+        wal.append_free(pid)
+    wal.append_commit(2, 1.0)
+    wal.close()
+
+    recovered = reopen(tmp_path, SimulationClock())
+    report = recovered.recovery
+    assert (report.pages_replayed, report.frees_replayed) == (0, 0)
+    assert report.commits_applied == 0 and report.torn_bytes > 0
+    assert recovered.op_seq == 1
+    recovered.abandon()
+    # Only the header's clock stamp may change; no slot is touched.
+    after = open(pages, "rb").read()
+    assert after[64:] == before[64:]
 
 
 def test_recovery_skips_expired_pages(tmp_path):
@@ -778,7 +838,7 @@ def _framed(records):
 @given(scenario=SCENARIOS, data=st.data())
 @settings(deadline=None)
 def test_scan_stops_at_the_first_bad_record(tmp_path_factory, scenario, data):
-    """Bit flips, cuts, bogus kinds and lengths, LSN gaps: a clean stop.
+    """Bit flips, cuts, bogus kinds, lengths and pids, LSN gaps: a clean stop.
 
     The scan returns exactly the intact records before the damaged one
     and raises nothing; ``recover`` over the damaged log still equals
@@ -796,7 +856,7 @@ def test_scan_stops_at_the_first_bad_record(tmp_path_factory, scenario, data):
     j = data.draw(st.integers(0, len(records) - 1), label="record")
     start, end = offsets[j], offsets[j + 1]
     damage = data.draw(st.sampled_from(
-        ["flip", "cut", "kind", "length", "lsn"]
+        ["flip", "cut", "kind", "length", "lsn", "pid"]
     ), label="damage")
     bad = bytearray(log)
     if damage == "flip":
@@ -815,6 +875,12 @@ def test_scan_stops_at_the_first_bad_record(tmp_path_factory, scenario, data):
             kind = data.draw(st.integers(0, 255).filter(
                 lambda k: k not in (1, 2, 3, 4)
             ), label="kind")
+        elif damage == "pid":  # a slot no page file holds
+            assume(kind in (PAGE_RECORD, FREE_RECORD))
+            struct.pack_into("<q", bad, start + 13, data.draw(st.one_of(
+                st.integers(-(2 ** 63), -1),
+                st.integers(MAX_PAGE_ID, 2 ** 63 - 1),
+            ), label="pid"))
         else:
             assume(j > 0)
             lsn = data.draw(st.integers(0, 2 ** 64 - 1).filter(
